@@ -50,10 +50,10 @@ class ModelParams:
     def __post_init__(self):
         if not (isinstance(self.n, int) and isinstance(self.m, int)) or self.n < 1 or self.m < 1:
             raise ValueError(f"need integers n >= 1, m >= 1, got ({self.n}, {self.m})")
-        if not self.g > 0:
-            raise ValueError(f"coupling g must be positive, got {self.g}")
-        if abs(self.p) > 0.99:
-            raise ValueError(f"|p| = {abs(self.p)} exceeds the supported cap 0.99")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"coupling g must be finite and positive, got {self.g}")
+        if not abs(self.p) <= 0.99:
+            raise ValueError(f"|p| = {abs(self.p)} is not within the supported cap 0.99")
 
     @property
     def alpha(self) -> float:
@@ -168,9 +168,9 @@ def lattice_weight(lam, params: ModelParams) -> float:
             )
         value *= th.bracket(dl + (k - j) * g) / den
         value *= th.bracket_factorial((k - j + 1) * g, dl) / den_f
-    if value <= 0.0:
+    if not 0.0 < value < math.inf:
         raise TruncationViolationError(
-            f"weight of lam={trim(lam)} is non-positive ({value}); parameters are off the truncation regime"
+            f"weight of lam={trim(lam)} is {value}, not finite and positive: off the truncation regime"
         )
     return value
 
@@ -190,9 +190,9 @@ def norm_constant(mu, params: ModelParams) -> float:
                 f"norm denominator vanished at pair ({j + 1},{k + 1}) for mu={trim(mu)}"
             )
         value *= th.bracket_factorial((k - j) * g, dm) / den_f
-    if value <= 0.0:
+    if not 0.0 < value < math.inf:
         raise TruncationViolationError(
-            f"norm constant of mu={trim(mu)} is non-positive ({value}); parameters are off the truncation regime"
+            f"norm constant of mu={trim(mu)} is {value}, not finite and positive: off the truncation regime"
         )
     return value
 

@@ -12,17 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import ModelParams, norm_vector, pieri_coefficient, weight_vector
+from .coeffs import ModelParams, norm_vector, pieri_coefficient
 from .errors import ConsistencyError
 from .partitions import (
     LatticeBasis,
-    add_strip,
     enumerate_lattice,
     min_column,
     partition_to_weight,
-    reduce_partition,
     trim,
-    vertical_strips,
     weight_to_partition,
 )
 
@@ -90,16 +87,13 @@ def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) ->
             key[: r - 1] + (key[r - 1] + 1,) + key[r:]: c
             for key, c in polys[lam].coeffs.items()
         }
-        for strip in vertical_strips(r, n):
-            nu, dominant = add_strip(lam, strip)
-            if not dominant:
+        for move in basis.moves[basis.index[lam], r]:
+            if move.target is None or move.target == basis.index[mu]:
                 continue
-            reduced = reduce_partition(nu, n)
-            if reduced == mu or reduced not in basis.index:
-                continue
+            reduced = basis.order[move.target]
             if reduced not in polys:
                 raise ConsistencyError(f"recurrence for {mu} needs {reduced} before it is built")
-            psi = pieri_coefficient(lam, strip, params)
+            psi = pieri_coefficient(lam, move.strip, params)
             for key, c in polys[reduced].coeffs.items():
                 coeffs[key] = coeffs.get(key, 0.0) - psi * c
         scale = max(abs(c) for c in coeffs.values())
@@ -149,18 +143,13 @@ def pieri_residual(polys: dict, spectrum, params: ModelParams) -> float:
     table = value_table(polys, spectrum)
     scale = float(np.max(np.abs(table)))
     worst = 0.0
-    for lam in basis.order:
-        row_lam = basis.index[lam]
+    for row_lam, lam in enumerate(basis.order):
         for r in range(1, n + 1):
-            terms = []
-            for strip in vertical_strips(r, n):
-                nu, dominant = add_strip(lam, strip)
-                if not dominant:
-                    continue
-                reduced = reduce_partition(nu, n)
-                if reduced not in basis.index:
-                    continue
-                terms.append((pieri_coefficient(lam, strip, params), basis.index[reduced]))
+            terms = [
+                (pieri_coefficient(lam, move.strip, params), move.target)
+                for move in basis.moves[row_lam, r]
+                if move.target is not None
+            ]
             row_er = basis.index[(1,) * r]
             for j in range(len(spectrum)):
                 lhs = table[row_er, j] * table[row_lam, j]
@@ -180,8 +169,7 @@ def dual_orthogonality_residual(polys: dict, spectrum, params: ModelParams) -> f
     dual = np.array([d.norm_hat for d in spectrum.data])
     gram = (table * dual[None, :]) @ table.conj().T
     c = norm_vector(basis, params)
-    w = weight_vector(basis, params)
-    target = 1.0 / (c * c * w)
+    target = 1.0 / (c * c * spectrum.weights)
     worst = 0.0
     for i in range(len(basis)):
         for j in range(len(basis)):
@@ -200,11 +188,10 @@ def reconstruct_and_compare(polys: dict, spectrum, params: ModelParams) -> float
     basis = spectrum.basis
     table = value_table(polys, spectrum)
     c = norm_vector(basis, params)
-    w = weight_vector(basis, params)
     worst = 0.0
     for j, datum in enumerate(spectrum.data):
         rebuilt = c * table[:, j]
         reference = datum.eigenvector / datum.eigenvector[0]
-        dist = float(np.sqrt(np.sum(np.abs(rebuilt - reference) ** 2 * w)))
+        dist = float(np.sqrt(np.sum(np.abs(rebuilt - reference) ** 2 * spectrum.weights)))
         worst = max(worst, dist)
     return worst

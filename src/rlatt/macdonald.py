@@ -123,6 +123,7 @@ def _partitions_of_weight(d: int, max_len: int):
     return out
 
 
+# keyed by (d, q, t, nvars), for one (q, t, nvars) at a time: a new point evicts the old one's
 _matrix_cache: dict = {}
 
 
@@ -170,6 +171,8 @@ def _operator_matrix(d: int, q: complex, t: complex, nvars: int):
             raise ArithmeticError(
                 f"polynomial division left a remainder of size {leftover} for lam={lam}"
             )
+    if any(other[1:] != key[1:] for other in _matrix_cache):
+        _matrix_cache.clear()
     _matrix_cache[key] = (parts, mat)
     return parts, mat
 

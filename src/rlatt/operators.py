@@ -11,14 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ModelParams, hop_coefficient, weight_vector
-from .errors import TruncationViolationError
-from .partitions import (
-    LatticeBasis,
-    add_strip,
-    enumerate_lattice,
-    reduce_partition,
-    vertical_strips,
-)
+from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
     "LatticeOperator",
@@ -26,6 +19,7 @@ __all__ = [
     "build_symmetric_operator",
     "build_antisymmetric_operator",
     "symmetrize",
+    "conjugate_by_weights",
     "commutator_residual",
     "adjoint_residual",
     "transpose_residual",
@@ -63,16 +57,10 @@ def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None =
         basis = enumerate_lattice(params.n, params.m)
     size = len(basis)
     mat = np.zeros((size, size))
-    strips = vertical_strips(r, params.n)
     for i, lam in enumerate(basis.order):
-        for strip in strips:
-            mu, dominant = add_strip(lam, strip)
-            if not dominant:
-                continue
-            col = basis.index.get(reduce_partition(mu, params.n))
-            if col is None:
-                continue
-            mat[i, col] += hop_coefficient(lam, strip, params)
+        for move in basis.moves[i, r]:
+            if move.target is not None:
+                mat[i, move.target] += hop_coefficient(lam, move.strip, params)
     return LatticeOperator("D", r, basis, mat)
 
 
@@ -98,13 +86,15 @@ def build_antisymmetric_operator(r: int, params: ModelParams, basis: LatticeBasi
     return LatticeOperator("S", r, first.basis, (first.matrix - second.matrix) / 2j)
 
 
+def conjugate_by_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """W^{1/2} A W^{-1/2} for the diagonal matrix W of (positive) lattice weights."""
+    s = np.sqrt(weights)
+    return (s[:, None] * matrix) / s[None, :]
+
+
 def symmetrize(op: LatticeOperator, params: ModelParams) -> LatticeOperator:
     """Weight-conjugated form W^{1/2} A W^{-1/2} of an operator."""
-    w = weight_vector(op.basis, params)
-    if np.any(w <= 0):
-        raise TruncationViolationError("lattice weights are not all positive")
-    s = np.sqrt(w)
-    mat = (s[:, None] * op.matrix) / s[None, :]
+    mat = conjugate_by_weights(op.matrix, weight_vector(op.basis, params))
     kind = "M" if op.kind == "D" else "M" + op.kind
     return LatticeOperator(kind, op.r, op.basis, mat)
 
@@ -122,8 +112,9 @@ def transpose_residual(r: int, params: ModelParams, basis: LatticeBasis | None =
     """Relative Frobenius defect of transpose(M_r) = M_{n+1-r}."""
     a = build_hop_operator(r, params, basis)
     b = build_hop_operator(params.n + 1 - r, params, a.basis)
-    ma = symmetrize(a, params).matrix
-    mb = symmetrize(b, params).matrix
+    w = weight_vector(a.basis, params)
+    ma = conjugate_by_weights(a.matrix, w)
+    mb = conjugate_by_weights(b.matrix, w)
     return float(np.linalg.norm(ma.T - mb) / np.linalg.norm(ma))
 
 
@@ -143,7 +134,7 @@ def adjoint_residual(
     a = build_hop_operator(r, params, basis)
     b = build_hop_operator(params.n + 1 - r, params, a.basis)
     w = weight_vector(a.basis, params)
-    opnorm = np.linalg.norm(symmetrize(a, params).matrix, 2)
+    opnorm = np.linalg.norm(conjugate_by_weights(a.matrix, w), 2)
     rng = np.random.default_rng(seed)
     size = len(a.basis)
     worst = 0.0

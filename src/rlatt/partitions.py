@@ -3,18 +3,22 @@
 Partitions are plain tuples of weakly decreasing positive integers with
 trailing zeros trimmed away; the empty partition is ``()``.  The functions
 here enumerate the lattice of partitions fitting inside an ``n x m`` box,
-manipulate vertical strips, and provide the dominance order and the
-dominant-weight coordinates used by the rest of the package.
+manipulate vertical strips and tabulate the moves they make on the box, and
+provide the dominance order and the dominant-weight coordinates used by the
+rest of the package.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 __all__ = [
     "trim",
     "pad",
     "weight",
     "is_partition",
+    "Move",
     "LatticeBasis",
     "enumerate_lattice",
     "reduce_partition",
@@ -55,6 +59,14 @@ def is_partition(parts) -> bool:
     return all(parts[j] >= parts[j + 1] for j in range(len(parts) - 1))
 
 
+class Move(NamedTuple):
+    """A strip added to basis point ``source``; ``target`` is the reduced index, None off the box."""
+
+    source: int
+    strip: tuple[int, ...]
+    target: int | None
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
     """Deterministically ordered basis of the partitions inside an n x m box.
@@ -74,6 +86,23 @@ class LatticeBasis:
 
     def __iter__(self):
         return iter(self.order)
+
+    @cached_property
+    def moves(self) -> dict:
+        """Moves with a dominant target, keyed by (source index, strip size 1..n+1).
+
+        Each entry keeps the order of ``vertical_strips``; built once per box.
+        """
+        table = {}
+        for i, lam in enumerate(self.order):
+            for r in range(1, self.n + 2):
+                found = []
+                for strip in vertical_strips(r, self.n):
+                    mu, dominant = add_strip(lam, strip)
+                    if dominant:
+                        found.append(Move(i, strip, self.index.get(reduce_partition(mu, self.n))))
+                table[i, r] = tuple(found)
+        return table
 
 
 def enumerate_lattice(n: int, m: int) -> LatticeBasis:

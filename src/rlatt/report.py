@@ -7,6 +7,7 @@ recorded (including outright errors) and reflected in the overall flag.
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .eigenpoly import (
 from .errors import RlattError
 from .macdonald import compare_trig
 from .operators import adjoint_residual, commutator_residual, transpose_residual
-from .partitions import add_strip, enumerate_lattice, reduce_partition, vertical_strips
+from .partitions import enumerate_lattice
 from .spectral import joint_diagonalize, label_spectrum, orthogonality_residual
 from .weightlattice import crosscheck_hop_coefficients
 
@@ -122,18 +123,6 @@ class VerificationReport:
         }
 
 
-def _admissible_moves(params, basis):
-    """All (lam, strip, reduced) with a dominant target whose reduction stays in the box."""
-    for lam in basis.order:
-        for r in range(1, params.n + 2):
-            for strip in vertical_strips(r, params.n):
-                mu, dominant = add_strip(lam, strip)
-                if not dominant:
-                    continue
-                reduced = reduce_partition(mu, params.n)
-                yield lam, strip, reduced, reduced in basis.index
-
-
 def check_commutators(params, basis) -> float:
     worst = 0.0
     for r in range(1, params.n + 1):
@@ -153,9 +142,9 @@ def check_adjointness(params, basis) -> float:
 def check_truncation_dichotomy(params, basis):
     max_outside = 0.0
     min_inside = np.inf
-    for lam, strip, reduced, inside in _admissible_moves(params, basis):
-        b = hop_coefficient(lam, strip, params)
-        if inside:
+    for move in chain.from_iterable(basis.moves.values()):
+        b = hop_coefficient(basis.order[move.source], move.strip, params)
+        if move.target is not None:
             min_inside = min(min_inside, b)
         else:
             max_outside = max(max_outside, abs(b))
@@ -164,11 +153,12 @@ def check_truncation_dichotomy(params, basis):
 
 def check_weight_recurrence(params, basis) -> float:
     worst = 0.0
-    for lam, strip, reduced, inside in _admissible_moves(params, basis):
-        if not inside:
+    for move in chain.from_iterable(basis.moves.values()):
+        if move.target is None:
             continue
-        complement = tuple(1 - s for s in strip)
-        lhs = hop_coefficient(lam, strip, params) * lattice_weight(lam, params)
+        lam, reduced = basis.order[move.source], basis.order[move.target]
+        complement = tuple(1 - s for s in move.strip)
+        lhs = hop_coefficient(lam, move.strip, params) * lattice_weight(lam, params)
         rhs = hop_coefficient(reduced, complement, params) * lattice_weight(reduced, params)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return worst
@@ -176,12 +166,13 @@ def check_weight_recurrence(params, basis) -> float:
 
 def check_psi_consistency(params, basis) -> float:
     worst = 0.0
-    for lam, strip, reduced, inside in _admissible_moves(params, basis):
-        if not inside:
+    for move in chain.from_iterable(basis.moves.values()):
+        if move.target is None:
             continue
-        psi = pieri_coefficient(lam, strip, params)
+        lam, reduced = basis.order[move.source], basis.order[move.target]
+        psi = pieri_coefficient(lam, move.strip, params)
         via_ratio = (
-            hop_coefficient(lam, strip, params)
+            hop_coefficient(lam, move.strip, params)
             * norm_constant(reduced, params)
             / norm_constant(lam, params)
         )

@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from .coeffs import ModelParams, weight_vector
 from .errors import ContinuationError, DegenerateSpectrumError, LabelingError, NormalizationError
 from .macdonald import trig_joint_eigenvalue
-from .operators import build_hop_operator
+from .operators import build_hop_operator, conjugate_by_weights
 from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
@@ -65,9 +65,16 @@ class SpectralDatum:
 
 @dataclass
 class Spectrum:
+    """Joint eigenpairs at one parameter point; weights default to its lattice weights."""
+
     params: ModelParams
     basis: LatticeBasis
     data: list
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.weights is None:
+            self.weights = weight_vector(self.basis, self.params)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -80,18 +87,7 @@ class Spectrum:
 
     def frame_matrix(self) -> np.ndarray:
         """Columns in the weight-conjugated frame (orthonormal)."""
-        s = np.sqrt(weight_vector(self.basis, self.params))
-        return s[:, None] * self.eigenvector_matrix()
-
-
-def _symmetrized_family(params: ModelParams, basis: LatticeBasis):
-    w = weight_vector(basis, params)
-    s = np.sqrt(w)
-    mats = []
-    for r in range(1, params.n + 1):
-        d = build_hop_operator(r, params, basis).matrix
-        mats.append((s[:, None] * d) / s[None, :])
-    return mats, s
+        return np.sqrt(self.weights)[:, None] * self.eigenvector_matrix()
 
 
 def _refine(vecs: np.ndarray, hermitian_ops: list, i: int, tol: float) -> np.ndarray:
@@ -137,7 +133,12 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
-    mats, s = _symmetrized_family(params, basis)
+    w = weight_vector(basis, params)
+    mats = [
+        conjugate_by_weights(build_hop_operator(r, params, basis).matrix, w)
+        for r in range(1, params.n + 1)
+    ]
+    s = np.sqrt(w)
     hermitian = []
     for m in mats:
         hermitian.append(0.5 * (m + m.T))
@@ -179,7 +180,7 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
             f"{len(offenders)} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}",
             clusters=offenders,
         )
-    return Spectrum(params, basis, data)
+    return Spectrum(params, basis, data, w)
 
 
 def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
@@ -212,8 +213,7 @@ def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
                 f"{spectrum.data[i].eigenvalues} (best gap {cost[i, j]:.3e})"
             )
         spectrum.data[i].label = basis.order[j]
-    ordered = sorted(spectrum.data, key=lambda d: basis.index[d.label])
-    return Spectrum(params, basis, ordered)
+    return replace(spectrum, data=sorted(spectrum.data, key=lambda d: basis.index[d.label]))
 
 
 def _transfer_labels(previous: Spectrum, candidate: Spectrum, min_overlap: float):
@@ -224,8 +224,7 @@ def _transfer_labels(previous: Spectrum, candidate: Spectrum, min_overlap: float
         return None
     for i, j in zip(rows, cols):
         candidate.data[j].label = previous.data[i].label
-    ordered = sorted(candidate.data, key=lambda d: candidate.basis.index[d.label])
-    return Spectrum(candidate.params, candidate.basis, ordered)
+    return replace(candidate, data=sorted(candidate.data, key=lambda d: candidate.basis.index[d.label]))
 
 
 def continue_labels(
@@ -301,11 +300,12 @@ def label_spectrum(
 
 def sweep_spectra(params: ModelParams, p_values, seed: int = 0, step: float = _DEFAULT_STEP) -> list:
     """Labeled spectra along a nome sweep, propagating labels point to point."""
+    basis = enumerate_lattice(params.n, params.m)
     spectra = []
     current = None
     for p in p_values:
         point = replace(params, p=float(p))
-        target = joint_diagonalize(point, seed=seed)
+        target = joint_diagonalize(point, seed=seed, basis=basis)
         if current is None:
             current = label_spectrum(target, seed=seed, step=step)
         else:
@@ -318,20 +318,18 @@ def orthogonality_residual(spectrum: Spectrum) -> float:
     """Largest off-diagonal weighted inner product between eigenvectors."""
     if len(spectrum) < 2:
         return 0.0
-    w = weight_vector(spectrum.basis, spectrum.params)
     u = spectrum.eigenvector_matrix()
-    gram = (u.T * w) @ np.conj(u)
+    gram = (u.T * spectrum.weights) @ np.conj(u)
     off = gram - np.diag(np.diag(gram))
     return float(np.max(np.abs(off)))
 
 
 def unitarity_residual(spectrum: Spectrum) -> float:
     """Deviation from unitarity of the weighted eigenfunction value matrix."""
-    w = weight_vector(spectrum.basis, spectrum.params)
     u = spectrum.eigenvector_matrix()
     values = u / u[0, :]
     dual = np.array([d.norm_hat for d in spectrum.data])
-    mat = np.sqrt(w)[:, None] * values * np.sqrt(dual)[None, :]
+    mat = np.sqrt(spectrum.weights)[:, None] * values * np.sqrt(dual)[None, :]
     eye = mat.conj().T @ mat
     return float(np.max(np.abs(eye - np.eye(len(spectrum)))))
 

@@ -11,6 +11,7 @@ from rlatt.coeffs import (
 )
 from rlatt.errors import TruncationViolationError
 from rlatt.partitions import add_strip, enumerate_lattice, reduce_partition, vertical_strips
+from rlatt.report import run_verification
 
 DICHOTOMY_SETS = [(2, 2, 1.0, 0.3), (3, 2, 0.6, 0.5)]
 
@@ -33,6 +34,10 @@ def test_params_validation():
         ModelParams(1, 1, -0.5)
     with pytest.raises(ValueError):
         ModelParams(1, 1, 1.0, 0.995)
+    with pytest.raises(ValueError):
+        ModelParams(1, 1, 1.0, float("nan"))
+    with pytest.raises(ValueError):
+        ModelParams(1, 1, float("inf"))
     params = ModelParams(2, 3, 0.7, 0.4)
     assert abs(params.alpha * ((params.n + 1) * params.g + params.m) - 2 * math.pi) < 1e-14
     assert abs(params.q) == pytest.approx(1.0, abs=1e-15)
@@ -154,3 +159,15 @@ def test_broken_alpha_raises_truncation_violation():
     params = ModelParams(1, 1, 1.0, 0.0, alpha_override=2 * math.pi)
     with pytest.raises(TruncationViolationError):
         hop_coefficient((), (1, 0), params)
+
+
+@pytest.mark.parametrize("g", [0.3, 1.0])
+def test_nan_weights_fail_verification_without_raising(g):
+    # the bracket products overflow near the nome cap and every weight is NaN
+    params = ModelParams(3, 4, g, 0.99)
+    with pytest.raises(TruncationViolationError):
+        lattice_weight((4,), params)
+    with pytest.raises(TruncationViolationError):
+        norm_constant((4,), params)
+    report = run_verification(params)
+    assert not report.passed

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rlatt import macdonald
 from rlatt.coeffs import ModelParams
 from rlatt.errors import DegenerateSpecializationError
 from rlatt.macdonald import (
@@ -150,3 +151,11 @@ def test_oracle_code_does_not_touch_lattice_operators():
     head = source.split("def compare_trig", 1)[0]
     assert "operators" not in head
     assert "spectral" not in head
+
+
+def test_matrix_cache_keeps_only_the_current_point():
+    for g in (0.7, 0.8, 0.9):
+        compare_trig(ModelParams(3, 2, g, 0.0))
+    last = ModelParams(3, 2, 0.9, 0.0)
+    assert macdonald._matrix_cache
+    assert {key[1:] for key in macdonald._matrix_cache} == {(last.q, last.t, 4)}

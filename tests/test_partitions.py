@@ -142,3 +142,24 @@ def test_add_strip_reduce_closure():
                     # stay inside the box
                     assert red == trim(red)
                     assert all(red[j] >= red[j + 1] for j in range(len(red) - 1))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 4), (4, 2)])
+def test_move_table_matches_enumeration(n, m):
+    basis = enumerate_lattice(n, m)
+    expected = {}
+    for i, lam in enumerate(basis.order):
+        for r in range(1, n + 2):
+            expected[i, r] = []
+            for strip in vertical_strips(r, n):
+                mu, dominant = add_strip(lam, strip)
+                if not dominant:
+                    continue
+                reduced = reduce_partition(mu, n)
+                target = basis.index[reduced] if reduced in basis.index else None
+                expected[i, r].append((i, strip, target))
+    table = basis.moves
+    assert {key: [tuple(move) for move in moves] for key, moves in table.items()} == expected
+    targets = [move.target for moves in table.values() for move in moves]
+    assert None in targets and any(t is not None for t in targets)
+    assert basis.moves is table
