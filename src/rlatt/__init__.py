@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .coeffs import (
     ModelParams,
+    hop_amplitudes,
     hop_coefficient,
     lattice_weight,
     norm_constant,

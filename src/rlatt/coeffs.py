@@ -4,12 +4,20 @@ Everything downstream is built from four families of numbers indexed by
 partitions in the n x m box: hopping amplitudes, their Pieri-normalized
 variants, the positive lattice weights defining the inner product, and the
 eigenfunction normalization constants.
+
+The scalar functions evaluate one partition or one move; ``hop_amplitudes``,
+``weight_vector`` and ``norm_vector`` evaluate the same products as arrays
+over a whole box, factor by factor in the same order.  They read their
+brackets from ``ModelParams.brackets``: part differences in the box lie in
+0..m, so every bracket they need is one of a few small tables, evaluated
+once per parameter point.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +26,10 @@ from .errors import TruncationViolationError
 from .partitions import LatticeBasis, pad, trim
 
 __all__ = [
+    "BoxBrackets",
     "ModelParams",
     "hop_coefficient",
+    "hop_amplitudes",
     "pieri_coefficient",
     "lattice_weight",
     "norm_constant",
@@ -28,6 +38,27 @@ __all__ = [
 ]
 
 DENOM_TOL = 1e-13
+
+
+def _rising_products(table: np.ndarray) -> np.ndarray:
+    """Row-wise products: column c holds table[:, 0] * ... * table[:, c-1], in that order; 1 for c = 0."""
+    return np.cumprod(np.concatenate([np.ones((len(table), 1)), table], axis=1), axis=1)
+
+
+class BoxBrackets(NamedTuple):
+    """The brackets of one parameter point that the box arrays are built from.
+
+    Row e and column l of ``shifted`` hold [l + e*g] for e = 0..n+1 and
+    l = 0..m, and ``on_zero`` tells whether that argument sits on a zero of
+    the bracket.  ``rising`` holds the elliptic factorials of the same rows,
+    [e*g][e*g + 1]...[e*g + l - 1], and ``rising_low`` those starting at
+    1 + e*g for e = 0..n-1.
+    """
+
+    shifted: np.ndarray
+    on_zero: np.ndarray
+    rising: np.ndarray
+    rising_low: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,6 +113,21 @@ class ModelParams:
     def theta(self) -> ThetaEvaluator:
         return ThetaEvaluator(self.alpha, self.p)
 
+    @cached_property
+    def brackets(self) -> BoxBrackets:
+        """Bracket tables of this parameter point, evaluated on first use."""
+        th = self.theta
+        shifted_args = np.arange(self.m + 1) + self.g * np.arange(self.n + 2)[:, None]
+        low_args = (1.0 + self.g * np.arange(self.n)[:, None]) + np.arange(self.m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = th.bracket_array(shifted_args)
+            return BoxBrackets(
+                shifted,
+                th.is_zero_array(shifted_args),
+                _rising_products(shifted[:, :-1]),
+                _rising_products(th.bracket_array(low_args)),
+            )
+
 
 def _pair_range(n1: int):
     for j in range(n1):
@@ -117,6 +163,39 @@ def hop_coefficient(lam, strip, params: ModelParams) -> float:
             continue
         value *= th.bracket(num_arg) / den
     return 0.0 if vanished else value
+
+
+def _pair_differences(basis: LatticeBasis):
+    """Pairs j < k in ``_pair_range`` order, their distances k - j, and lam_j - lam_k per basis point."""
+    j, k = np.triu_indices(basis.n + 1, 1)
+    return j, k, k - j, basis.parts[:, j] - basis.parts[:, k]
+
+
+def hop_amplitudes(basis: LatticeBasis, r: int, params: ModelParams) -> np.ndarray:
+    """``hop_coefficient`` of every move in ``basis.move_arrays[r]``, in table order.
+
+    Raises TruncationViolationError when a denominator falls below DENOM_TOL
+    at any basis point, and gives exactly 0.0 wherever a numerator bracket
+    sits on a zero, which includes every move off the box.
+    """
+    moves = basis.move_arrays[r]
+    table = params.brackets
+    j, k, dist, diffs = _pair_differences(basis)
+    den = table.shifted[dist, diffs]
+    bad = np.abs(den) < DENOM_TOL
+    if bad.any():
+        row, pair = np.argwhere(bad)[0]
+        raise TruncationViolationError(
+            f"hop denominator vanished at pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[row]}"
+        )
+    offset = dist + moves.strip[:, j] - moves.strip[:, k]
+    moved = diffs[moves.source]
+    vanished = table.on_zero[offset, moved]
+    ratios = np.where(vanished, 1.0, table.shifted[offset, moved] / den[moves.source])
+    value = np.ones(len(moves.source))
+    for column in ratios.T:
+        value *= column
+    return np.where(vanished.any(axis=1), 0.0, value)
 
 
 def pieri_coefficient(lam, strip, params: ModelParams) -> float:
@@ -197,11 +276,51 @@ def norm_constant(mu, params: ModelParams) -> float:
     return value
 
 
+def _box_product(basis: LatticeBasis, factors, bad: np.ndarray, what: str, name: str, label: str) -> np.ndarray:
+    """Row products of the per-pair factors, guarded as the scalar functions guard them.
+
+    The error names the first basis point, in basis order, with a vanishing
+    denominator (``bad``, per pair) or a product that is not finite and positive.
+    """
+    value = np.ones(len(basis))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column in range(bad.shape[1]):
+            for factor in factors:
+                value *= factor[:, column]
+    failed = bad.any(axis=1) | ~((0.0 < value) & (value < math.inf))
+    if failed.any():
+        row = int(np.argmax(failed))
+        if bad[row].any():
+            j, k, _, _ = _pair_differences(basis)
+            pair = int(np.argmax(bad[row]))
+            raise TruncationViolationError(
+                f"{what} denominator vanished at pair ({j[pair] + 1},{k[pair] + 1}) for {name}={basis.order[row]}"
+            )
+        raise TruncationViolationError(
+            f"{label} of {name}={basis.order[row]} is {value[row]}, not finite and positive: "
+            "off the truncation regime"
+        )
+    return value
+
+
 def weight_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
-    """Lattice weights over the whole basis, in basis order."""
-    return np.array([lattice_weight(lam, params) for lam in basis.order])
+    """``lattice_weight`` over the whole basis, in basis order."""
+    table = params.brackets
+    _, _, dist, diffs = _pair_differences(basis)
+    den = table.shifted[dist, 0]
+    den_f = table.rising_low[dist - 1, diffs]
+    bad = (np.abs(den) < DENOM_TOL) | (np.abs(den_f) < DENOM_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = table.shifted[dist, diffs] / den
+        factorial = table.rising[dist + 1, diffs] / den_f
+    return _box_product(basis, (shifted, factorial), bad, "weight", "lam", "weight")
 
 
 def norm_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
-    """Normalization constants over the whole basis, in basis order."""
-    return np.array([norm_constant(mu, params) for mu in basis.order])
+    """``norm_constant`` over the whole basis, in basis order."""
+    table = params.brackets
+    _, _, dist, diffs = _pair_differences(basis)
+    den_f = table.rising[dist + 1, diffs]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factorial = table.rising[dist, diffs] / den_f
+    return _box_product(basis, (factorial,), np.abs(den_f) < DENOM_TOL, "norm", "mu", "norm constant")

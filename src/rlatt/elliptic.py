@@ -9,9 +9,15 @@ product form
 which involves only even powers of the nome, so negative nomes are supported
 on the same footing as positive ones.  At ``p = 0`` the product is empty and
 the bracket degenerates to the plain sine quotient.
+
+``bracket_array`` and ``is_zero_array`` evaluate the same product and the
+same zero test elementwise over an array, for code that works on a whole
+move table at once; the scalar methods stay for per-move checks.
 """
 
 import math
+
+import numpy as np
 
 __all__ = ["ThetaEvaluator", "bracket_trig"]
 
@@ -78,6 +84,20 @@ class ThetaEvaluator:
         self._cache[z] = value
         return value
 
+    def bracket_array(self, z) -> np.ndarray:
+        """[z] elementwise over an array, with the product form and depth of ``bracket``."""
+        z = np.asarray(z, dtype=float)
+        half = 0.5 * self.alpha
+        value = np.sin(half * z) / half
+        if self.truncation_depth:
+            p2 = self.nome * self.nome
+            c = np.cos(self.alpha * z)
+            pl = 1.0
+            for _ in range(self.truncation_depth):
+                pl *= p2
+                value *= (1.0 - 2.0 * pl * c + pl * pl) / ((1.0 - pl) * (1.0 - pl))
+        return value
+
     def bracket_factorial(self, z: float, k: int) -> float:
         """Product [z][z+1]...[z+k-1]; 1 for k = 0."""
         if k < 0:
@@ -91,6 +111,11 @@ class ThetaEvaluator:
         """True when z sits on a zero of the bracket (a multiple of the period)."""
         nearest = self.period * round(z / self.period)
         return abs(z - nearest) < tol
+
+    def is_zero_array(self, z, tol: float = _ZERO_ARG_TOL) -> np.ndarray:
+        """Elementwise ``is_zero_argument``; np.round, like round, rounds half to even."""
+        z = np.asarray(z, dtype=float)
+        return np.abs(z - self.period * np.round(z / self.period)) < tol
 
 
 def bracket_trig(z: float, alpha: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coeffs import ModelParams, norm_constant
 from .errors import ComparisonError, DegenerateSpecializationError
-from .partitions import dominance_leq, pad, trim, weight
+from .partitions import LatticeBasis, dominance_leq, pad, trim, weight
 
 __all__ = [
     "SymmetricPoly",
@@ -271,8 +271,10 @@ class TrigComparison:
         return max(self.eigenvalue_residual, self.eigenfunction_residual)
 
 
-def compare_trig(params: ModelParams, seed: int = 0) -> TrigComparison:
+def compare_trig(params: ModelParams, seed: int = 0, basis: LatticeBasis | None = None) -> TrigComparison:
     """Compare the zero-nome lattice diagonalization against the oracle.
+
+    ``basis`` reuses an existing enumeration of the box.
 
     Returns the max-norm residuals between (a) lattice joint eigenvalues and
     the closed form, and (b) eigenvectors normalized at the empty partition
@@ -282,7 +284,7 @@ def compare_trig(params: ModelParams, seed: int = 0) -> TrigComparison:
         raise ValueError("the trigonometric comparison is defined at p = 0")
     from .spectral import joint_diagonalize, label_spectrum
 
-    spectrum = label_spectrum(joint_diagonalize(params, seed=seed), seed=seed)
+    spectrum = label_spectrum(joint_diagonalize(params, seed=seed, basis=basis), seed=seed)
     basis = spectrum.basis
     ev_res = 0.0
     vec_res = 0.0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import ModelParams, hop_coefficient, weight_vector
+from .coeffs import ModelParams, hop_amplitudes, weight_vector
 from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
@@ -49,18 +49,17 @@ def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None =
     """Matrix of the order-r hop operator over the bounded lattice.
 
     Row lam collects the amplitudes of all r-strips whose reduced target
-    stays on the lattice; distinct strips hitting the same target accumulate.
+    stays on the lattice; distinct strips hitting the same target accumulate,
+    in move-table order.
     """
     if not 1 <= r <= params.n:
         raise ValueError(f"operator order {r} outside 1..{params.n}")
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
-    size = len(basis)
-    mat = np.zeros((size, size))
-    for i, lam in enumerate(basis.order):
-        for move in basis.moves[i, r]:
-            if move.target is not None:
-                mat[i, move.target] += hop_coefficient(lam, move.strip, params)
+    moves = basis.move_arrays[r]
+    inside = moves.target >= 0
+    mat = np.zeros((len(basis), len(basis)))
+    np.add.at(mat, (moves.source[inside], moves.target[inside]), hop_amplitudes(basis, r, params)[inside])
     return LatticeOperator("D", r, basis, mat)
 
 

@@ -13,12 +13,15 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "trim",
     "pad",
     "weight",
     "is_partition",
     "Move",
+    "MoveArrays",
     "LatticeBasis",
     "enumerate_lattice",
     "reduce_partition",
@@ -67,6 +70,17 @@ class Move(NamedTuple):
     target: int | None
 
 
+class MoveArrays(NamedTuple):
+    """The moves of one strip size as integer arrays, in the order of ``LatticeBasis.moves``.
+
+    ``strip`` has one 0/1 row of length n+1 per move; ``target`` is -1 off the box.
+    """
+
+    source: np.ndarray
+    strip: np.ndarray
+    target: np.ndarray
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
     """Deterministically ordered basis of the partitions inside an n x m box.
@@ -103,6 +117,24 @@ class LatticeBasis:
                         found.append(Move(i, strip, self.index.get(reduce_partition(mu, self.n))))
                 table[i, r] = tuple(found)
         return table
+
+    @cached_property
+    def move_arrays(self) -> dict:
+        """``moves`` as ``MoveArrays`` keyed by strip size 1..n+1, sources in basis order."""
+        arrays = {}
+        for r in range(1, self.n + 2):
+            found = [move for i in range(len(self.order)) for move in self.moves[i, r]]
+            arrays[r] = MoveArrays(
+                np.array([move.source for move in found], dtype=np.intp),
+                np.array([move.strip for move in found], dtype=np.intp).reshape(len(found), self.n + 1),
+                np.array([-1 if move.target is None else move.target for move in found], dtype=np.intp),
+            )
+        return arrays
+
+    @cached_property
+    def parts(self) -> np.ndarray:
+        """Integer matrix of the parts zero-padded to length n+1, one row per basis point."""
+        return np.array([pad(lam, self.n + 1) for lam in self.order], dtype=np.intp)
 
 
 def enumerate_lattice(n: int, m: int) -> LatticeBasis:

@@ -3,6 +3,8 @@
 Each check computes one residual over the configured parameter point and is
 compared against its tolerance; failures never abort the run, they are
 recorded (including outright errors) and reflected in the overall flag.
+An error is an ``RlattError`` or a numpy ``LinAlgError``; any other
+exception is a bug and propagates.
 """
 
 import time
@@ -192,7 +194,7 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
         start = time.perf_counter()
         try:
             residual = func()
-        except RlattError as exc:
+        except (RlattError, np.linalg.LinAlgError) as exc:
             checks.append(
                 CheckResult(name, None, tol[name], False, time.perf_counter() - start, error=str(exc))
             )
@@ -241,7 +243,7 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
     run("pieri", lambda: pieri_residual(polynomials(), labeled_spectrum(), params))
     run("dual-orthogonality", lambda: dual_orthogonality_residual(polynomials(), labeled_spectrum(), params))
     run("reconstruction", lambda: reconstruct_and_compare(polynomials(), labeled_spectrum(), params))
-    run("trig-comparison", lambda: compare_trig(replace(params, p=0.0), seed=seed).residual)
+    run("trig-comparison", lambda: compare_trig(replace(params, p=0.0), seed=seed, basis=basis).residual)
     run("appendix-crosscheck", lambda: crosscheck_hop_coefficients(params, basis))
 
     return VerificationReport(params, seed, checks)

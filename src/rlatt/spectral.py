@@ -154,27 +154,30 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
         if len(inds) > 1:
             vecs[:, inds] = _refine(vecs[:, inds], hermitian, 0, _CLUSTER_TOL)
         k = inds[-1] + 1
-    opnorms = [np.linalg.norm(m, 2) for m in mats]
-    data = []
-    offenders = []
-    for k in range(vecs.shape[1]):
-        v = vecs[:, k]
-        eigenvalues = np.array([v.conj() @ m @ v for m in mats])
-        residual = max(
-            float(np.linalg.norm(m @ v - e * v)) / norm
-            for m, e, norm in zip(mats, eigenvalues, opnorms)
-        )
-        if residual > _RESIDUAL_TOL:
-            offenders.append((k, residual))
-        u = v / s
-        u0 = u[0]
-        if abs(u0) < _ZERO_COMPONENT_TOL:
-            raise NormalizationError(
-                f"eigenvector {k} has |component at the empty partition| = {abs(u0)}"
-            )
-        u = u * (np.conj(u0) / abs(u0))
-        norm_hat = 1.0 / float(np.real(np.sum(np.abs(u / u[0]) ** 2 * s * s)))
-        data.append(SpectralDatum(None, eigenvalues, u, norm_hat, residual))
+    # M_r is real and commutes with its transpose M_{n+1-r}, so it is normal
+    # and its 2-norm is its spectral radius max_k |e_rk|
+    eigenvalues = np.empty((len(vals), len(mats)), dtype=complex)
+    residuals = np.zeros(len(vals))
+    for r0, m in enumerate(mats):
+        product = m @ vecs
+        e = np.einsum("ij,ij->j", vecs.conj(), product)
+        product -= vecs * e
+        residuals = np.maximum(residuals, np.linalg.norm(product, axis=0) / np.max(np.abs(e)))
+        eigenvalues[:, r0] = e
+        del product  # one N x N product alive at a time
+    u = vecs / s[:, None]
+    u0 = u[0]
+    (small,) = np.nonzero(np.abs(u0) < _ZERO_COMPONENT_TOL)
+    if len(small):
+        k = small[0]
+        raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {abs(u0[k])}")
+    u *= np.conj(u0) / np.abs(u0)
+    norm_hat = 1.0 / np.sum(np.abs(u / u[0]) ** 2 * w[:, None], axis=0)
+    data = [
+        SpectralDatum(None, eigenvalues[k], u[:, k], float(norm_hat[k]), float(residuals[k]))
+        for k in range(len(vals))
+    ]
+    offenders = [(int(k), float(residuals[k])) for k in np.nonzero(residuals > _RESIDUAL_TOL)[0]]
     if offenders:
         raise DegenerateSpectrumError(
             f"{len(offenders)} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}",
@@ -183,28 +186,25 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
     return Spectrum(params, basis, data, w)
 
 
+def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of max_r |a[i, r] - b[j, r]|, built one column r at a time."""
+    out = np.zeros((len(a), len(b)))
+    for r0 in range(a.shape[1]):
+        np.maximum(out, np.abs(a[:, r0, None] - b[None, :, r0]), out=out)
+    return out
+
+
 def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
     """Assign labels at p = 0 by nearest closed-form eigenvalue vector."""
     params, basis = spectrum.params, spectrum.basis
     n = params.n
-    targets = [
-        np.array([trig_joint_eigenvalue(nu, r, params) for r in range(1, n + 1)])
-        for nu in basis.order
-    ]
-    size = len(basis)
-    gaps = [
-        np.max(np.abs(targets[i] - targets[j]))
-        for i in range(size)
-        for j in range(i + 1, size)
-    ]
-    if gaps and min(gaps) < 2 * _MATCH_TOL:
-        raise LabelingError(
-            f"closed-form eigenvalue vectors are ambiguous: min gap {min(gaps):.3e}"
-        )
-    cost = np.zeros((size, size))
-    for i, datum in enumerate(spectrum.data):
-        for j, target in enumerate(targets):
-            cost[i, j] = np.max(np.abs(datum.eigenvalues - target))
+    targets = np.array([[trig_joint_eigenvalue(nu, r, params) for r in range(1, n + 1)] for nu in basis.order])
+    gaps = _max_distances(targets, targets)
+    np.fill_diagonal(gaps, np.inf)
+    min_gap = np.min(gaps)
+    if min_gap < 2 * _MATCH_TOL:
+        raise LabelingError(f"closed-form eigenvalue vectors are ambiguous: min gap {min_gap:.3e}")
+    cost = _max_distances(np.array([d.eigenvalues for d in spectrum.data]), targets)
     rows, cols = linear_sum_assignment(cost)
     for i, j in zip(rows, cols):
         if cost[i, j] > _MATCH_TOL:

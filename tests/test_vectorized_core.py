@@ -1,0 +1,186 @@
+"""The array evaluations of one parameter point against their scalar references.
+
+``bracket_array``, ``hop_amplitudes``, ``weight_vector`` and ``norm_vector``
+compute over a whole box what ``bracket``, ``hop_coefficient``,
+``lattice_weight`` and ``norm_constant`` compute one argument at a time, with
+the same factors in the same order.  They differ from the scalar values by at
+most the last-bit differences between numpy's and the math module's sine and
+cosine, and they keep every guard of the scalar functions.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rlatt import report, spectral
+from rlatt.coeffs import (
+    ModelParams,
+    hop_amplitudes,
+    hop_coefficient,
+    lattice_weight,
+    norm_constant,
+    norm_vector,
+    weight_vector,
+)
+from rlatt.errors import LabelingError, TruncationViolationError
+from rlatt.operators import build_hop_operator, conjugate_by_weights
+from rlatt.partitions import enumerate_lattice
+from rlatt.report import CHECK_NAMES, run_verification
+from rlatt.spectral import joint_diagonalize
+
+BOXES = [(1, 1), (2, 3), (3, 4), (4, 2)]
+NOMES = [0.0, 0.3, -0.6, 0.9]
+G = 0.7
+POINTS = [(n, m, p) for n, m in BOXES for p in NOMES]
+
+
+@pytest.mark.parametrize("n,m,p", POINTS)
+def test_bracket_array_matches_scalar(n, m, p):
+    th = ModelParams(n, m, G, p).theta
+    rng = np.random.default_rng(7)
+    # random arguments, the zeros of the bracket, points just off them, and
+    # the midpoints between them
+    z = np.concatenate(
+        [
+            rng.uniform(-3 * th.period, 3 * th.period, 200),
+            th.period * np.arange(-3, 4),
+            th.period * (np.arange(-3, 3) + 0.5),
+            th.period * np.arange(-3, 4) + 1e-13,
+        ]
+    )
+    np.testing.assert_allclose(th.bracket_array(z), [th.bracket(x) for x in z], rtol=1e-14, atol=0)
+    assert th.is_zero_array(z).tolist() == [th.is_zero_argument(x) for x in z]
+    assert th.bracket_array(z.reshape(2, -1)).shape == (2, len(z) // 2)
+
+
+@pytest.mark.parametrize("n,m,p", POINTS)
+def test_hop_amplitudes_match_every_move(n, m, p):
+    params = ModelParams(n, m, G, p)
+    basis = enumerate_lattice(n, m)
+    for r in range(1, n + 2):
+        moves = basis.move_arrays[r]
+        amplitudes = hop_amplitudes(basis, r, params)
+        scalar = np.array(
+            [hop_coefficient(basis.order[i], tuple(strip), params) for i, strip in zip(moves.source, moves.strip)]
+        )
+        np.testing.assert_allclose(amplitudes, scalar, rtol=1e-14, atol=0)
+        assert np.all(amplitudes[moves.target < 0] == 0.0)
+        assert np.all((amplitudes == 0.0) == (scalar == 0.0))
+
+
+@pytest.mark.parametrize("n,m", BOXES)
+def test_move_arrays_follow_the_move_table(n, m):
+    basis = enumerate_lattice(n, m)
+    for r in range(1, n + 2):
+        table = [move for i in range(len(basis)) for move in basis.moves[i, r]]
+        arrays = basis.move_arrays[r]
+        assert arrays.source.tolist() == [move.source for move in table]
+        assert [tuple(row) for row in arrays.strip.tolist()] == [move.strip for move in table]
+        assert arrays.target.tolist() == [-1 if move.target is None else move.target for move in table]
+    assert [tuple(row) for row in basis.parts.tolist()] == [lam + (0,) * (n + 1 - len(lam)) for lam in basis.order]
+
+
+@pytest.mark.parametrize("n,m,p", POINTS)
+def test_weight_and_norm_vectors_match_scalar(n, m, p):
+    params = ModelParams(n, m, G, p)
+    basis = enumerate_lattice(n, m)
+    np.testing.assert_allclose(
+        weight_vector(basis, params), [lattice_weight(lam, params) for lam in basis.order], rtol=1e-13, atol=0
+    )
+    np.testing.assert_allclose(
+        norm_vector(basis, params), [norm_constant(mu, params) for mu in basis.order], rtol=1e-13, atol=0
+    )
+
+
+@pytest.mark.parametrize("n,m,p", POINTS)
+def test_spectral_radius_is_the_two_norm(n, m, p):
+    # joint_diagonalize scales residuals by max_k |e_rk|; M_r is normal, so
+    # that is its 2-norm
+    params = ModelParams(n, m, G, p)
+    spectrum = joint_diagonalize(params)
+    eigenvalues = np.array([d.eigenvalues for d in spectrum.data])
+    for r in range(1, n + 1):
+        mat = conjugate_by_weights(build_hop_operator(r, params, spectrum.basis).matrix, spectrum.weights)
+        radius = np.max(np.abs(eigenvalues[:, r - 1]))
+        assert radius == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
+
+
+def _first_scalar_error(func, basis, params) -> str:
+    """Message of the scalar guard at the first failing basis point, in basis order."""
+    for lam in basis.order:
+        try:
+            func(lam, params)
+        except TruncationViolationError as exc:
+            return str(exc)
+    raise AssertionError("no basis point fails")
+
+
+def test_array_paths_raise_off_the_locked_scaling():
+    # the point of test_broken_alpha_raises_truncation_violation: period = g
+    # makes the first denominator bracket vanish
+    params = ModelParams(1, 1, 1.0, 0.0, alpha_override=2 * math.pi)
+    basis = enumerate_lattice(1, 1)
+    with pytest.raises(TruncationViolationError) as info:
+        build_hop_operator(1, params, basis)
+    assert str(info.value) == _first_scalar_error(lambda lam, par: hop_coefficient(lam, (1, 0), par), basis, params)
+    with pytest.raises(TruncationViolationError) as info:
+        weight_vector(basis, params)
+    assert str(info.value) == _first_scalar_error(lattice_weight, basis, params)
+
+
+@pytest.mark.parametrize("g", [0.3, 1.0])
+def test_weight_vector_names_the_first_overflowing_weight(g):
+    params = ModelParams(3, 4, g, 0.99)
+    basis = enumerate_lattice(3, 4)
+    with pytest.raises(TruncationViolationError) as info:
+        weight_vector(basis, params)
+    assert str(info.value) == _first_scalar_error(lattice_weight, basis, params)
+    with pytest.raises(TruncationViolationError) as info:
+        norm_vector(basis, params)
+    assert str(info.value) == _first_scalar_error(norm_constant, basis, params)
+
+
+def test_closed_form_labels_reject_colliding_targets(monkeypatch):
+    spectrum = joint_diagonalize(ModelParams(2, 2, G, 0.0))
+    monkeypatch.setattr(spectral, "trig_joint_eigenvalue", lambda nu, r, params: 1.0 + 0j)
+    with pytest.raises(LabelingError, match="ambiguous"):
+        spectral._closed_form_labels(spectrum)
+
+
+def test_closed_form_labels_reject_a_missed_match(monkeypatch):
+    spectrum = joint_diagonalize(ModelParams(2, 2, G, 0.0))
+    exact = spectral.trig_joint_eigenvalue
+    monkeypatch.setattr(spectral, "trig_joint_eigenvalue", lambda nu, r, params: exact(nu, r, params) + 1e-3)
+    with pytest.raises(LabelingError, match="no closed-form match"):
+        spectral._closed_form_labels(spectrum)
+
+
+def test_linalg_error_fails_its_check_only(monkeypatch):
+    def broken(params, basis):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(report, "check_commutators", broken)
+    result = run_verification(ModelParams(2, 2, G, 0.3))
+    assert [c.name for c in result.checks] == CHECK_NAMES
+    failed = [c for c in result.checks if not c.passed]
+    assert [c.name for c in failed] == ["commutators"]
+    assert failed[0].error == "SVD did not converge"
+    assert failed[0].residual is None
+
+
+def test_other_errors_still_propagate(monkeypatch):
+    def broken(params, basis):
+        raise ValueError("a bug, not a failed check")
+
+    monkeypatch.setattr(report, "check_commutators", broken)
+    with pytest.raises(ValueError):
+        run_verification(ModelParams(2, 2, G, 0.3))
+
+
+def test_verification_enumerates_its_box_once(monkeypatch):
+    def no_enumeration(n, m):
+        raise AssertionError("run_verification enumerated a box a second time")
+
+    monkeypatch.setattr(spectral, "enumerate_lattice", no_enumeration)
+    assert run_verification(ModelParams(2, 2, G, 0.3)).passed
