@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .coeffs import ModelParams, lattice_weight
+from .coeffs import ModelParams, weight_vector
 from .eigenpoly import build_polynomials
 from .errors import RlattError
 from .operators import (
@@ -208,9 +208,9 @@ def cmd_enumerate(config: RunConfig) -> int:
             "index": i,
             "partition": list(lam),
             "weight": weight(lam),
-            "delta": lattice_weight(lam, params),
+            "delta": delta,
         }
-        for i, lam in enumerate(basis.order)
+        for i, (lam, delta) in enumerate(zip(basis.order, weight_vector(basis, params).tolist()))
     ]
     if config.format == "json":
         payload = {

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import ModelParams, norm_vector, pieri_coefficient
+from .coeffs import ModelParams, pieri_coefficient
 from .errors import ConsistencyError
 from .partitions import (
     LatticeBasis,
@@ -57,6 +57,13 @@ def monomial_key(nu, n: int) -> tuple[int, ...]:
     return partition_to_weight(nu, n)
 
 
+def _moves_from(basis: LatticeBasis, source: int, r: int):
+    """(strip, target) of the size-r moves from one basis point, in table order; target -1 off the box."""
+    moves = basis.move_arrays[r]
+    lo, hi = np.searchsorted(moves.source, (source, source + 1))
+    return zip(map(tuple, moves.strip[lo:hi].tolist()), moves.target[lo:hi].tolist())
+
+
 def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) -> dict:
     """Construct the full family of spectral polynomials over the box.
 
@@ -87,13 +94,13 @@ def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) ->
             key[: r - 1] + (key[r - 1] + 1,) + key[r:]: c
             for key, c in polys[lam].coeffs.items()
         }
-        for move in basis.moves[basis.index[lam], r]:
-            if move.target is None or move.target == basis.index[mu]:
+        for strip, target in _moves_from(basis, basis.index[lam], r):
+            if target < 0 or target == basis.index[mu]:
                 continue
-            reduced = basis.order[move.target]
+            reduced = basis.order[target]
             if reduced not in polys:
                 raise ConsistencyError(f"recurrence for {mu} needs {reduced} before it is built")
-            psi = pieri_coefficient(lam, move.strip, params)
+            psi = pieri_coefficient(lam, strip, params)
             for key, c in polys[reduced].coeffs.items():
                 coeffs[key] = coeffs.get(key, 0.0) - psi * c
         scale = max(abs(c) for c in coeffs.values())
@@ -146,9 +153,9 @@ def pieri_residual(polys: dict, spectrum, params: ModelParams) -> float:
     for row_lam, lam in enumerate(basis.order):
         for r in range(1, n + 1):
             terms = [
-                (pieri_coefficient(lam, move.strip, params), move.target)
-                for move in basis.moves[row_lam, r]
-                if move.target is not None
+                (pieri_coefficient(lam, strip, params), target)
+                for strip, target in _moves_from(basis, row_lam, r)
+                if target >= 0
             ]
             row_er = basis.index[(1,) * r]
             for j in range(len(spectrum)):
@@ -158,18 +165,17 @@ def pieri_residual(polys: dict, spectrum, params: ModelParams) -> float:
     return worst / scale
 
 
-def dual_orthogonality_residual(polys: dict, spectrum, params: ModelParams) -> float:
+def dual_orthogonality_residual(polys: dict, spectrum, norms: np.ndarray) -> float:
     """Defect of the dual orthogonality of the polynomials on the spectrum.
 
     The Gram matrix with the dual weights must be diagonal with entries
-    1/(c^2 * weight); the residual is relative to those entries row by row.
+    1/(c^2 * weight), c = ``norms``; the residual is relative to those entries row by row.
     """
     basis = spectrum.basis
     table = value_table(polys, spectrum)
     dual = np.array([d.norm_hat for d in spectrum.data])
     gram = (table * dual[None, :]) @ table.conj().T
-    c = norm_vector(basis, params)
-    target = 1.0 / (c * c * spectrum.weights)
+    target = 1.0 / (norms * norms * spectrum.weights)
     worst = 0.0
     for i in range(len(basis)):
         for j in range(len(basis)):
@@ -178,19 +184,17 @@ def dual_orthogonality_residual(polys: dict, spectrum, params: ModelParams) -> f
     return float(worst)
 
 
-def reconstruct_and_compare(polys: dict, spectrum, params: ModelParams) -> float:
+def reconstruct_and_compare(polys: dict, spectrum, norms: np.ndarray) -> float:
     """Rebuild eigenvectors from the polynomials and measure the distance.
 
-    For each label the vector of normalization constants times polynomial
-    values is compared, in the weighted norm, with the numerically obtained
+    For each label the normalization constants ``norms`` times the polynomial
+    values are compared, in the weighted norm, with the numerically obtained
     eigenvector rescaled to unit value at the empty partition.
     """
-    basis = spectrum.basis
     table = value_table(polys, spectrum)
-    c = norm_vector(basis, params)
     worst = 0.0
     for j, datum in enumerate(spectrum.data):
-        rebuilt = c * table[:, j]
+        rebuilt = norms * table[:, j]
         reference = datum.eigenvector / datum.eigenvector[0]
         dist = float(np.sqrt(np.sum(np.abs(rebuilt - reference) ** 2 * spectrum.weights)))
         worst = max(worst, dist)

@@ -11,7 +11,6 @@ denominators with the Vandermonde factor, and the eigenvector that is monic
 at the top of the dominance order is then read off degree by degree.
 """
 
-import cmath
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .coeffs import ModelParams, norm_constant
 from .errors import ComparisonError, DegenerateSpecializationError
-from .partitions import LatticeBasis, dominance_leq, pad, trim, weight
+from .partitions import dominance_leq, pad, trim, weight
 
 __all__ = [
     "SymmetricPoly",
@@ -239,6 +238,11 @@ def _staircase_point(nu, params: ModelParams) -> tuple[complex, ...]:
     return tuple(vals)
 
 
+def _prefactor(order: int, nu, params: ModelParams) -> complex:
+    """Center-of-mass factor of the zero-nome eigenvalue of the given order at label nu."""
+    return params.q_pow(-order * (weight(nu) / (params.n + 1) + params.n * params.g / 2.0))
+
+
 def trig_joint_eigenvalue(nu, r: int, params: ModelParams) -> complex:
     """Closed-form joint eigenvalue at zero nome.
 
@@ -247,18 +251,14 @@ def trig_joint_eigenvalue(nu, r: int, params: ModelParams) -> complex:
     """
     if not 1 <= r <= params.n:
         raise ValueError(f"order {r} outside 1..{params.n}")
-    values = _staircase_point(nu, params)
-    prefactor = params.q_pow(-r * (weight(nu) / (params.n + 1) + params.n * params.g / 2.0))
-    return prefactor * _elementary_symmetric(values, r)
+    return _prefactor(r, nu, params) * _elementary_symmetric(_staircase_point(nu, params), r)
 
 
 def principal_eigenfunction_value(mu, nu, params: ModelParams) -> complex:
     """Value at mu of the normalized joint eigenfunction labeled nu, at zero nome."""
-    trig_params = replace(params, p=0.0)
     poly = macdonald_coeffs(mu, params.q, params.t, params.n + 1)
     value = poly.evaluate(_staircase_point(nu, params))
-    prefactor = params.q_pow(-weight(mu) * (weight(nu) / (params.n + 1) + params.n * params.g / 2.0))
-    return norm_constant(mu, trig_params) * prefactor * value
+    return norm_constant(mu, replace(params, p=0.0)) * _prefactor(weight(mu), nu, params) * value
 
 
 @dataclass(frozen=True)
@@ -271,21 +271,23 @@ class TrigComparison:
         return max(self.eigenvalue_residual, self.eigenfunction_residual)
 
 
-def compare_trig(params: ModelParams, seed: int = 0, basis: LatticeBasis | None = None) -> TrigComparison:
-    """Compare the zero-nome lattice diagonalization against the oracle.
-
-    ``basis`` reuses an existing enumeration of the box.
+def compare_trig(spectrum) -> TrigComparison:
+    """Compare a labeled zero-nome lattice ``Spectrum`` against the oracle.
 
     Returns the max-norm residuals between (a) lattice joint eigenvalues and
     the closed form, and (b) eigenvectors normalized at the empty partition
-    and the principally specialized Macdonald polynomials.
+    and the principally specialized Macdonald polynomials, each computed once
+    per shape.  The labels come from the same closed form, so (a) measures
+    how close each vector sits to its own label's closed form; (b) is the
+    independent half.
     """
+    params = spectrum.params
     if params.p != 0.0:
         raise ValueError("the trigonometric comparison is defined at p = 0")
-    from .spectral import joint_diagonalize, label_spectrum
-
-    spectrum = label_spectrum(joint_diagonalize(params, seed=seed, basis=basis), seed=seed)
-    basis = spectrum.basis
+    shapes = [
+        (weight(mu), macdonald_coeffs(mu, params.q, params.t, params.n + 1), norm_constant(mu, params))
+        for mu in spectrum.basis.order
+    ]
     ev_res = 0.0
     vec_res = 0.0
     mismatches = []
@@ -296,7 +298,8 @@ def compare_trig(params: ModelParams, seed: int = 0, basis: LatticeBasis | None 
         if gap > 1e-3:
             mismatches.append(nu)
         ev_res = max(ev_res, gap)
-        reference = np.array([principal_eigenfunction_value(mu, nu, params) for mu in basis.order])
+        point = _staircase_point(nu, params)
+        reference = np.array([c * _prefactor(size, nu, params) * poly.evaluate(point) for size, poly, c in shapes])
         normalized = datum.eigenvector / datum.eigenvector[0]
         vec_res = max(vec_res, float(np.max(np.abs(normalized - reference))))
     if mismatches:

@@ -98,51 +98,42 @@ def symmetrize(op: LatticeOperator, params: ModelParams) -> LatticeOperator:
     return LatticeOperator(kind, op.r, op.basis, mat)
 
 
-def commutator_residual(r: int, s: int, params: ModelParams, basis: LatticeBasis | None = None) -> float:
-    """Relative Frobenius norm of [D_r, D_s]."""
-    a = build_hop_operator(r, params, basis)
-    b = build_hop_operator(s, params, a.basis)
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    den = np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
-    return float(np.linalg.norm(comm) / den)
+def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Relative Frobenius norm of [A, B] for the matrices of D_r and D_s."""
+    comm = a @ b - b @ a
+    return float(np.linalg.norm(comm) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def transpose_residual(r: int, params: ModelParams, basis: LatticeBasis | None = None) -> float:
-    """Relative Frobenius defect of transpose(M_r) = M_{n+1-r}."""
-    a = build_hop_operator(r, params, basis)
-    b = build_hop_operator(params.n + 1 - r, params, a.basis)
-    w = weight_vector(a.basis, params)
-    ma = conjugate_by_weights(a.matrix, w)
-    mb = conjugate_by_weights(b.matrix, w)
+def transpose_residual(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
+    """Relative Frobenius defect of transpose(M_r) = M_{n+1-r}, from the matrices of D_r and D_{n+1-r}."""
+    ma = conjugate_by_weights(a, weights)
+    mb = conjugate_by_weights(b, weights)
     return float(np.linalg.norm(ma.T - mb) / np.linalg.norm(ma))
 
 
 def adjoint_residual(
-    r: int,
-    params: ModelParams,
-    basis: LatticeBasis | None = None,
+    a: np.ndarray,
+    b: np.ndarray,
+    weights: np.ndarray,
     seed: int = 1234,
     samples: int = 8,
 ) -> float:
-    """Bilinear-form defect of the adjoint pairing of D_r and D_{n+1-r}.
+    """Bilinear-form defect of the adjoint pairing of D_r and D_{n+1-r}, given as matrices.
 
     Tests <D_r f, g> = <f, D_{n+1-r} g> in the weighted inner product on a
     fixed batch of pseudo-random complex vectors; the seed is fixed for
     reproducibility.
     """
-    a = build_hop_operator(r, params, basis)
-    b = build_hop_operator(params.n + 1 - r, params, a.basis)
-    w = weight_vector(a.basis, params)
-    opnorm = np.linalg.norm(conjugate_by_weights(a.matrix, w), 2)
+    opnorm = np.linalg.norm(conjugate_by_weights(a, weights), 2)
     rng = np.random.default_rng(seed)
-    size = len(a.basis)
+    size = len(weights)
     worst = 0.0
     for _ in range(samples):
         f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        lhs = np.sum((a.matrix @ f) * np.conj(g) * w)
-        rhs = np.sum(f * np.conj(b.matrix @ g) * w)
-        den = weighted_norm(f, w) * weighted_norm(g, w) * opnorm
+        lhs = np.sum((a @ f) * np.conj(g) * weights)
+        rhs = np.sum(f * np.conj(b @ g) * weights)
+        den = weighted_norm(f, weights) * weighted_norm(g, weights) * opnorm
         worst = max(worst, abs(lhs - rhs) / den)
     return float(worst)
 

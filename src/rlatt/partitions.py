@@ -20,7 +20,6 @@ __all__ = [
     "pad",
     "weight",
     "is_partition",
-    "Move",
     "MoveArrays",
     "LatticeBasis",
     "enumerate_lattice",
@@ -62,18 +61,13 @@ def is_partition(parts) -> bool:
     return all(parts[j] >= parts[j + 1] for j in range(len(parts) - 1))
 
 
-class Move(NamedTuple):
-    """A strip added to basis point ``source``; ``target`` is the reduced index, None off the box."""
-
-    source: int
-    strip: tuple[int, ...]
-    target: int | None
-
-
 class MoveArrays(NamedTuple):
-    """The moves of one strip size as integer arrays, in the order of ``LatticeBasis.moves``.
+    """The moves of one strip size with a dominant target, as integer arrays.
 
-    ``strip`` has one 0/1 row of length n+1 per move; ``target`` is -1 off the box.
+    Rows run over source basis points in basis order and, for each source,
+    over its strips in ``vertical_strips`` order.  ``strip`` has one 0/1 row
+    of length n+1 per move; ``target`` is the basis index of the reduced
+    target, -1 off the box.
     """
 
     source: np.ndarray
@@ -102,33 +96,24 @@ class LatticeBasis:
         return iter(self.order)
 
     @cached_property
-    def moves(self) -> dict:
-        """Moves with a dominant target, keyed by (source index, strip size 1..n+1).
-
-        Each entry keeps the order of ``vertical_strips``; built once per box.
-        """
-        table = {}
-        for i, lam in enumerate(self.order):
-            for r in range(1, self.n + 2):
-                found = []
-                for strip in vertical_strips(r, self.n):
-                    mu, dominant = add_strip(lam, strip)
-                    if dominant:
-                        found.append(Move(i, strip, self.index.get(reduce_partition(mu, self.n))))
-                table[i, r] = tuple(found)
-        return table
-
-    @cached_property
     def move_arrays(self) -> dict:
-        """``moves`` as ``MoveArrays`` keyed by strip size 1..n+1, sources in basis order."""
+        """The move table: ``MoveArrays`` keyed by strip size 1..n+1, built once per box."""
+        n, parts = self.n, self.parts
+        # basis points are told apart by their first n parts; codes sort them for lookup
+        codes = np.ravel_multi_index(parts[:, :n].T, (self.m + 1,) * n)
+        sorter = np.argsort(codes)
         arrays = {}
-        for r in range(1, self.n + 2):
-            found = [move for i in range(len(self.order)) for move in self.moves[i, r]]
-            arrays[r] = MoveArrays(
-                np.array([move.source for move in found], dtype=np.intp),
-                np.array([move.strip for move in found], dtype=np.intp).reshape(len(found), self.n + 1),
-                np.array([-1 if move.target is None else move.target for move in found], dtype=np.intp),
-            )
+        for r in range(1, n + 2):
+            strips = np.array(vertical_strips(r, n), dtype=np.intp)
+            mu = parts[:, None, :] + strips[None, :, :]
+            source, which = np.nonzero(np.all(mu[:, :, :-1] >= mu[:, :, 1:], axis=2))
+            mu = mu[source, which]
+            reduced = mu[:, :n] - mu[:, n:]
+            inside = reduced[:, 0] <= self.m
+            target = np.full(len(source), -1, dtype=np.intp)
+            found = np.ravel_multi_index(reduced[inside].T, (self.m + 1,) * n)
+            target[inside] = sorter[np.searchsorted(codes, found, sorter=sorter)]
+            arrays[r] = MoveArrays(source, strips[which], target)
         return arrays
 
     @cached_property

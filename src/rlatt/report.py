@@ -9,18 +9,12 @@ exception is a bug and propagates.
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import cache
 
 import numpy as np
 
 from . import __version__
-from .coeffs import (
-    ModelParams,
-    hop_coefficient,
-    lattice_weight,
-    norm_constant,
-    pieri_coefficient,
-)
+from .coeffs import ModelParams, hop_amplitudes, norm_vector, pieri_coefficient, weight_vector
 from .eigenpoly import (
     build_polynomials,
     dual_orthogonality_residual,
@@ -29,9 +23,9 @@ from .eigenpoly import (
 )
 from .errors import RlattError
 from .macdonald import compare_trig
-from .operators import adjoint_residual, commutator_residual, transpose_residual
+from .operators import adjoint_residual, build_hop_operator, commutator_residual, transpose_residual
 from .partitions import enumerate_lattice
-from .spectral import joint_diagonalize, label_spectrum, orthogonality_residual
+from .spectral import continue_labels, joint_diagonalize, label_spectrum, orthogonality_residual
 from .weightlattice import crosscheck_hop_coefficients
 
 __all__ = [
@@ -125,65 +119,83 @@ class VerificationReport:
         }
 
 
-def check_commutators(params, basis) -> float:
+def check_commutators(hops) -> float:
     worst = 0.0
-    for r in range(1, params.n + 1):
-        for s in range(r + 1, params.n + 1):
-            worst = max(worst, commutator_residual(r, s, params, basis))
+    for r, a in enumerate(hops):
+        for b in hops[r + 1 :]:
+            worst = max(worst, commutator_residual(a, b))
     return worst
 
 
-def check_adjointness(params, basis) -> float:
+def check_adjointness(hops, weights) -> float:
     worst = 0.0
-    for r in range(1, params.n + 1):
-        worst = max(worst, transpose_residual(r, params, basis))
-        worst = max(worst, adjoint_residual(r, params, basis))
+    # D_r pairs with D_{n+1-r}
+    for a, b in zip(hops, reversed(hops)):
+        worst = max(worst, transpose_residual(a, b, weights))
+        worst = max(worst, adjoint_residual(a, b, weights))
     return worst
+
+
+def _worst_relative(a: np.ndarray, b: np.ndarray, worst: float) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the entries and ``worst``, skipping NaN quotients such as 0/0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.fmax.reduce(relative, initial=worst))
 
 
 def check_truncation_dichotomy(params, basis):
     max_outside = 0.0
     min_inside = np.inf
-    for move in chain.from_iterable(basis.moves.values()):
-        b = hop_coefficient(basis.order[move.source], move.strip, params)
-        if move.target is not None:
-            min_inside = min(min_inside, b)
-        else:
-            max_outside = max(max_outside, abs(b))
-    return max_outside, float(min_inside)
+    for r in range(1, params.n + 2):
+        amplitudes = hop_amplitudes(basis, r, params)
+        inside = basis.move_arrays[r].target >= 0
+        min_inside = np.fmin.reduce(amplitudes[inside], initial=min_inside)
+        max_outside = np.fmax.reduce(np.abs(amplitudes[~inside]), initial=max_outside)
+    return float(max_outside), float(min_inside)
 
 
-def check_weight_recurrence(params, basis) -> float:
+def _moves_on_box(basis, r: int):
+    """Sources, targets and strips of the size-r moves that stay on the box, for r = 1..n.
+
+    The size-(n+1) strip maps every point to itself with amplitude and Pieri
+    coefficient exactly 1, so the identities below leave it out.  For r <= n
+    no two strips from one point share a target, so D_r[s, t] is the
+    amplitude of the one move s -> t.
+    """
+    moves = basis.move_arrays[r]
+    inside = moves.target >= 0
+    return moves.source[inside], moves.target[inside], moves.strip[inside]
+
+
+def check_weight_recurrence(basis, hops, weights) -> float:
+    """Defect of D_r[s, t] w_s = D_{n+1-r}[t, s] w_t over the moves s -> t on the box."""
+    n = len(hops)
     worst = 0.0
-    for move in chain.from_iterable(basis.moves.values()):
-        if move.target is None:
-            continue
-        lam, reduced = basis.order[move.source], basis.order[move.target]
-        complement = tuple(1 - s for s in move.strip)
-        lhs = hop_coefficient(lam, move.strip, params) * lattice_weight(lam, params)
-        rhs = hop_coefficient(reduced, complement, params) * lattice_weight(reduced, params)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    for r in range(1, n + 1):
+        s, t, _ = _moves_on_box(basis, r)
+        worst = _worst_relative(hops[r - 1][s, t] * weights[s], hops[n - r][t, s] * weights[t], worst)
     return worst
 
 
-def check_psi_consistency(params, basis) -> float:
+def check_psi_consistency(params, basis, hops, norms) -> float:
+    """Defect of Pieri coefficient = D_r[s, t] c_t / c_s over the moves s -> t on the box."""
     worst = 0.0
-    for move in chain.from_iterable(basis.moves.values()):
-        if move.target is None:
-            continue
-        lam, reduced = basis.order[move.source], basis.order[move.target]
-        psi = pieri_coefficient(lam, move.strip, params)
-        via_ratio = (
-            hop_coefficient(lam, move.strip, params)
-            * norm_constant(reduced, params)
-            / norm_constant(lam, params)
+    for r in range(1, params.n + 1):
+        s, t, strips = _moves_on_box(basis, r)
+        psi = np.array(
+            [pieri_coefficient(basis.order[i], tuple(strip), params) for i, strip in zip(s.tolist(), strips.tolist())]
         )
-        worst = max(worst, abs(psi - via_ratio) / max(abs(psi), abs(via_ratio)))
+        worst = _worst_relative(psi, hops[r - 1][s, t] * norms[t] / norms[s], worst)
     return worst
 
 
 def run_verification(params: ModelParams, tolerances: dict | None = None, seed: int = 0) -> VerificationReport:
-    """Run every named check at the given parameter point."""
+    """Run every named check at the given parameter point.
+
+    The hop matrices, weights, norm constants, polynomials and spectra of the
+    point are each built once, on first use, and shared by every check; the
+    spectrum at ``p = 0`` labels the one at ``p`` and feeds the oracle.
+    """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -209,8 +221,27 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
                 CheckResult(name, residual_value, tol[name], passed, seconds, detail=detail)
             )
 
-    run("commutators", lambda: check_commutators(params, basis))
-    run("adjointness", lambda: check_adjointness(params, basis))
+    # cache keeps nothing of a call that raises, so each check that needs a
+    # quantity which cannot be built records the error of building it
+    hops = cache(lambda: [build_hop_operator(r, params, basis).matrix for r in range(1, params.n + 1)])
+    weights = cache(lambda: weight_vector(basis, params))
+    norms = cache(lambda: norm_vector(basis, params))
+    zero_nome = cache(
+        lambda: label_spectrum(joint_diagonalize(replace(params, p=0.0), seed=seed, basis=basis), seed=seed)
+    )
+
+    def label():
+        if params.p == 0.0:
+            return zero_nome()
+        target = joint_diagonalize(params, seed=seed, basis=basis)
+        return continue_labels(zero_nome(), target, seed=seed)
+
+    labeled = cache(label)
+    polys = cache(lambda: build_polynomials(params, basis))
+
+    # n = 1 has no pair to commute, so it needs no matrix
+    run("commutators", lambda: check_commutators(hops()) if params.n > 1 else 0.0)
+    run("adjointness", lambda: check_adjointness(hops(), weights()))
     run(
         "truncation-dichotomy",
         lambda: check_truncation_dichotomy(params, basis),
@@ -220,30 +251,13 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
             {"max_outside": pair[0], "min_inside": pair[1], "floor": DICHOTOMY_FLOOR},
         ),
     )
-    run("weight-recurrence", lambda: check_weight_recurrence(params, basis))
-    run("psi-consistency", lambda: check_psi_consistency(params, basis))
-
-    spectrum_holder = {}
-
-    def labeled_spectrum():
-        if "spectrum" not in spectrum_holder:
-            spectrum_holder["spectrum"] = label_spectrum(
-                joint_diagonalize(params, seed=seed, basis=basis), seed=seed
-            )
-        return spectrum_holder["spectrum"]
-
-    polys_holder = {}
-
-    def polynomials():
-        if "polys" not in polys_holder:
-            polys_holder["polys"] = build_polynomials(params, basis)
-        return polys_holder["polys"]
-
-    run("orthogonality", lambda: orthogonality_residual(labeled_spectrum()))
-    run("pieri", lambda: pieri_residual(polynomials(), labeled_spectrum(), params))
-    run("dual-orthogonality", lambda: dual_orthogonality_residual(polynomials(), labeled_spectrum(), params))
-    run("reconstruction", lambda: reconstruct_and_compare(polynomials(), labeled_spectrum(), params))
-    run("trig-comparison", lambda: compare_trig(replace(params, p=0.0), seed=seed, basis=basis).residual)
+    run("weight-recurrence", lambda: check_weight_recurrence(basis, hops(), weights()))
+    run("psi-consistency", lambda: check_psi_consistency(params, basis, hops(), norms()))
+    run("orthogonality", lambda: orthogonality_residual(labeled()))
+    run("pieri", lambda: pieri_residual(polys(), labeled(), params))
+    run("dual-orthogonality", lambda: dual_orthogonality_residual(polys(), labeled(), norms()))
+    run("reconstruction", lambda: reconstruct_and_compare(polys(), labeled(), norms()))
+    run("trig-comparison", lambda: compare_trig(zero_nome()).residual)
     run("appendix-crosscheck", lambda: crosscheck_hop_coefficients(params, basis))
 
     return VerificationReport(params, seed, checks)

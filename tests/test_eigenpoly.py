@@ -71,8 +71,9 @@ def test_pieri_two_state_exact(labeled, polys):
 
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 1.0, 0.3), (3, 2, 1.0, 0.5), (2, 2, 0.7, 0.0)])
 def test_dual_orthogonality(labeled, polys, n, m, g, p):
-    params = ModelParams(n, m, g, p)
-    assert dual_orthogonality_residual(polys(n, m, g, p), labeled(n, m, g, p), params) < 1e-8
+    spectrum = labeled(n, m, g, p)
+    norms = norm_vector(spectrum.basis, ModelParams(n, m, g, p))
+    assert dual_orthogonality_residual(polys(n, m, g, p), spectrum, norms) < 1e-8
 
 
 def test_dual_weights_row_sums_to_one(labeled):
@@ -97,10 +98,10 @@ def test_two_state_gram_identity_by_hand(labeled, polys):
 
 
 def test_reconstruction(labeled, polys):
-    params = ModelParams(1, 1, 1.0, 0.5)
-    assert reconstruct_and_compare(polys(1, 1, 1.0, 0.5), labeled(1, 1, 1.0, 0.5), params) < 1e-12
-    params = ModelParams(2, 2, 0.7, 0.5)
-    assert reconstruct_and_compare(polys(2, 2, 0.7, 0.5), labeled(2, 2, 0.7, 0.5), params) < 1e-7
+    for point, tol in (((1, 1, 1.0, 0.5), 1e-12), ((2, 2, 0.7, 0.5), 1e-7)):
+        spectrum = labeled(*point)
+        norms = norm_vector(spectrum.basis, ModelParams(*point))
+        assert reconstruct_and_compare(polys(*point), spectrum, norms) < tol
 
 
 def test_coefficients_vary_continuously_in_nome():

@@ -16,6 +16,11 @@ from rlatt.macdonald import (
     trig_joint_eigenvalue,
 )
 from rlatt.partitions import dominance_leq, enumerate_lattice, pad, weight
+from rlatt.spectral import joint_diagonalize, label_spectrum
+
+
+def zero_nome_spectrum(n, m, g):
+    return label_spectrum(joint_diagonalize(ModelParams(n, m, g, 0.0)))
 
 
 def apply_first_difference_operator(poly: SymmetricPoly, q, t, point):
@@ -136,26 +141,39 @@ def test_principal_values_match_2x2_diagonalization():
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
 @pytest.mark.parametrize("g", [0.5, 1.0, 1.3])
 def test_compare_trig_grid(n, m, g):
-    report = compare_trig(ModelParams(n, m, g, 0.0))
+    report = compare_trig(zero_nome_spectrum(n, m, g))
     assert report.eigenvalue_residual < 1e-8
     assert report.eigenfunction_residual < 1e-8
 
 
 def test_compare_trig_requires_zero_nome():
     with pytest.raises(ValueError):
-        compare_trig(ModelParams(2, 2, 1.0, 0.5))
+        compare_trig(joint_diagonalize(ModelParams(2, 2, 1.0, 0.5)))
 
 
 def test_oracle_code_does_not_touch_lattice_operators():
     source = Path(__file__).resolve().parents[1].joinpath("src/rlatt/macdonald.py").read_text()
-    head = source.split("def compare_trig", 1)[0]
-    assert "operators" not in head
-    assert "spectral" not in head
+    assert "operators" not in source
+    assert "spectral" not in source
+
+
+def test_compare_trig_solves_each_shape_once(monkeypatch):
+    spectrum = zero_nome_spectrum(3, 2, 0.8)
+    shapes = []
+    exact = macdonald.macdonald_coeffs
+
+    def counted(mu, q, t, nvars):
+        shapes.append(mu)
+        return exact(mu, q, t, nvars)
+
+    monkeypatch.setattr(macdonald, "macdonald_coeffs", counted)
+    compare_trig(spectrum)
+    assert shapes == list(spectrum.basis.order)
 
 
 def test_matrix_cache_keeps_only_the_current_point():
     for g in (0.7, 0.8, 0.9):
-        compare_trig(ModelParams(3, 2, g, 0.0))
+        compare_trig(zero_nome_spectrum(3, 2, g))
     last = ModelParams(3, 2, 0.9, 0.0)
     assert macdonald._matrix_cache
     assert {key[1:] for key in macdonald._matrix_cache} == {(last.q, last.t, 4)}

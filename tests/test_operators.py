@@ -112,10 +112,18 @@ def test_symmetrize_with_unit_weights():
     assert m.kind == "M" and m.label == "M1"
 
 
+def hop_pair_and_weights(params):
+    """D_1 and D_n with the weights, for n = 1 or 2."""
+    basis = enumerate_lattice(params.n, params.m)
+    d1 = build_hop_operator(1, params, basis).matrix
+    return d1, build_hop_operator(params.n, params, basis).matrix, weight_vector(basis, params)
+
+
 def test_transpose_pairing():
     params = ModelParams(2, 2, 0.7, 0.5)
-    for r in (1, 2):
-        assert transpose_residual(r, params) < 1e-11
+    d1, d2, w = hop_pair_and_weights(params)
+    assert transpose_residual(d1, d2, w) < 1e-11
+    assert transpose_residual(d2, d1, w) < 1e-11
 
 
 def test_adjoint_matrix_identity():
@@ -134,10 +142,11 @@ def test_commutators_on_grid():
     for n, m, g, p in GRID:
         params = ModelParams(n, m, g, p)
         basis = enumerate_lattice(n, m)
+        hops = [build_hop_operator(r, params, basis).matrix for r in range(1, n + 1)]
         for r in range(1, n + 1):
-            assert commutator_residual(r, r, params, basis) == 0.0
+            assert commutator_residual(hops[r - 1], hops[r - 1]) == 0.0
             for s in range(r + 1, n + 1):
-                assert commutator_residual(r, s, params, basis) < 1e-11
+                assert commutator_residual(hops[r - 1], hops[s - 1]) < 1e-11
 
 
 def test_symmetrized_commutators_on_grid():
@@ -152,7 +161,8 @@ def test_symmetrized_commutators_on_grid():
 
 
 def test_adjoint_residuals():
-    assert adjoint_residual(1, ModelParams(1, 1, 1.0, 0.5)) < 1e-12
-    params = ModelParams(2, 2, 0.7, 0.5)
-    for r in (1, 2):
-        assert adjoint_residual(r, params) < 1e-11
+    d1, _, w = hop_pair_and_weights(ModelParams(1, 1, 1.0, 0.5))
+    assert adjoint_residual(d1, d1, w) < 1e-12
+    d1, d2, w = hop_pair_and_weights(ModelParams(2, 2, 0.7, 0.5))
+    assert adjoint_residual(d1, d2, w) < 1e-11
+    assert adjoint_residual(d2, d1, w) < 1e-11

@@ -1,6 +1,7 @@
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from rlatt.partitions import (
@@ -144,22 +145,23 @@ def test_add_strip_reduce_closure():
                     assert all(red[j] >= red[j + 1] for j in range(len(red) - 1))
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 4), (4, 2)])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 4), (4, 2), (1, 8), (5, 5), (4, 8)])
 def test_move_table_matches_enumeration(n, m):
     basis = enumerate_lattice(n, m)
-    expected = {}
-    for i, lam in enumerate(basis.order):
-        for r in range(1, n + 2):
-            expected[i, r] = []
+    table = basis.move_arrays
+    assert sorted(table) == list(range(1, n + 2))
+    for r in range(1, n + 2):
+        expected = []
+        for i, lam in enumerate(basis.order):
             for strip in vertical_strips(r, n):
                 mu, dominant = add_strip(lam, strip)
-                if not dominant:
-                    continue
-                reduced = reduce_partition(mu, n)
-                target = basis.index[reduced] if reduced in basis.index else None
-                expected[i, r].append((i, strip, target))
-    table = basis.moves
-    assert {key: [tuple(move) for move in moves] for key, moves in table.items()} == expected
-    targets = [move.target for moves in table.values() for move in moves]
-    assert None in targets and any(t is not None for t in targets)
-    assert basis.moves is table
+                if dominant:
+                    expected.append((i, strip, basis.index.get(reduce_partition(mu, n), -1)))
+        moves = table[r]
+        found = zip(moves.source.tolist(), map(tuple, moves.strip.tolist()), moves.target.tolist())
+        assert list(found) == expected
+        assert moves.strip.shape == (len(expected), n + 1)
+    targets = np.concatenate([moves.target for moves in table.values()])
+    assert (targets < 0).any() and (targets >= 0).any()
+    assert basis.move_arrays is table
+    assert [tuple(row) for row in basis.parts.tolist()] == [lam + (0,) * (n + 1 - len(lam)) for lam in basis.order]

@@ -69,18 +69,6 @@ def test_hop_amplitudes_match_every_move(n, m, p):
         assert np.all((amplitudes == 0.0) == (scalar == 0.0))
 
 
-@pytest.mark.parametrize("n,m", BOXES)
-def test_move_arrays_follow_the_move_table(n, m):
-    basis = enumerate_lattice(n, m)
-    for r in range(1, n + 2):
-        table = [move for i in range(len(basis)) for move in basis.moves[i, r]]
-        arrays = basis.move_arrays[r]
-        assert arrays.source.tolist() == [move.source for move in table]
-        assert [tuple(row) for row in arrays.strip.tolist()] == [move.strip for move in table]
-        assert arrays.target.tolist() == [-1 if move.target is None else move.target for move in table]
-    assert [tuple(row) for row in basis.parts.tolist()] == [lam + (0,) * (n + 1 - len(lam)) for lam in basis.order]
-
-
 @pytest.mark.parametrize("n,m,p", POINTS)
 def test_weight_and_norm_vectors_match_scalar(n, m, p):
     params = ModelParams(n, m, G, p)
@@ -157,7 +145,7 @@ def test_closed_form_labels_reject_a_missed_match(monkeypatch):
 
 
 def test_linalg_error_fails_its_check_only(monkeypatch):
-    def broken(params, basis):
+    def broken(hops):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(report, "check_commutators", broken)
@@ -170,7 +158,7 @@ def test_linalg_error_fails_its_check_only(monkeypatch):
 
 
 def test_other_errors_still_propagate(monkeypatch):
-    def broken(params, basis):
+    def broken(hops):
         raise ValueError("a bug, not a failed check")
 
     monkeypatch.setattr(report, "check_commutators", broken)
