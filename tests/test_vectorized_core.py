@@ -25,7 +25,7 @@ from rlatt.coeffs import (
 )
 from rlatt.errors import LabelingError, TruncationViolationError
 from rlatt.operators import build_hop_operator, conjugate_by_weights
-from rlatt.partitions import enumerate_lattice
+from rlatt.partitions import add_strip, enumerate_lattice, reduce_partition, vertical_strips
 from rlatt.report import CHECK_NAMES, run_verification
 from rlatt.spectral import joint_diagonalize
 
@@ -67,6 +67,24 @@ def test_hop_amplitudes_match_every_move(n, m, p):
         np.testing.assert_allclose(amplitudes, scalar, rtol=1e-14, atol=0)
         assert np.all(amplitudes[moves.target < 0] == 0.0)
         assert np.all((amplitudes == 0.0) == (scalar == 0.0))
+
+
+@pytest.mark.parametrize("n,m", BOXES)
+def test_move_arrays_follow_the_move_table(n, m):
+    # every row of the array table is one dominant strip addition, reduced by
+    # the scalar functions to the row's target (-1 when it leaves the box)
+    basis = enumerate_lattice(n, m)
+    for r in range(1, n + 2):
+        arrays = basis.move_arrays[r]
+        assert np.all(np.diff(arrays.source) >= 0)
+        assert np.all(arrays.strip.sum(axis=1) == r)
+        for i, strip, target in zip(arrays.source.tolist(), map(tuple, arrays.strip.tolist()), arrays.target.tolist()):
+            mu, dominant = add_strip(basis.order[i], strip)
+            assert dominant
+            assert target == basis.index.get(reduce_partition(mu, n), -1)
+        per_source = [sum(add_strip(lam, s)[1] for s in vertical_strips(r, n)) for lam in basis.order]
+        assert np.bincount(arrays.source, minlength=len(basis)).tolist() == per_source
+    assert [tuple(row) for row in basis.parts.tolist()] == [lam + (0,) * (n + 1 - len(lam)) for lam in basis.order]
 
 
 @pytest.mark.parametrize("n,m,p", POINTS)
