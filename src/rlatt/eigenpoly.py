@@ -20,7 +20,6 @@ from .partitions import (
     min_column,
     partition_to_weight,
     trim,
-    weight_to_partition,
 )
 
 __all__ = [
@@ -47,9 +46,6 @@ class SpectralPolynomial:
 
     mu: tuple[int, ...]
     coeffs: dict
-
-    def support_partitions(self):
-        return [weight_to_partition(key) for key in self.coeffs]
 
 
 def monomial_key(nu, n: int) -> tuple[int, ...]:

@@ -7,8 +7,9 @@ Hermitian family; a pseudo-random combination separates the joint
 eigenspaces, and degenerate clusters are refined by successive restriction.
 
 Labels (partitions in the box) come from the zero-nome closed form and are
-carried to nonzero nome by continuation: small steps in p, matching
-eigenvectors between neighbouring steps by overlap.
+carried to nonzero nome by continuation, matching eigenvectors between
+neighbouring nomes by overlap.  The first step jumps to the target nome; a
+failed match halves the step and a clean one doubles it again.
 """
 
 from dataclasses import dataclass, replace
@@ -16,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as la
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import pdist
 
 from .coeffs import ModelParams, weight_vector
 from .errors import ContinuationError, DegenerateSpectrumError, LabelingError, NormalizationError
@@ -42,9 +44,8 @@ _RESIDUAL_TOL = 1e-9
 _CLUSTER_TOL = 1e-8
 _MATCH_TOL = 1e-6
 _ZERO_COMPONENT_TOL = 1e-10
-_DEFAULT_STEP = 0.05
 _MIN_OVERLAP = 0.9
-_MAX_HALVINGS = 6
+_MIN_STEP = 0.05 / 2**6
 
 
 @dataclass
@@ -216,74 +217,57 @@ def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
     return replace(spectrum, data=sorted(spectrum.data, key=lambda d: basis.index[d.label]))
 
 
-def _transfer_labels(previous: Spectrum, candidate: Spectrum, min_overlap: float):
+def _transfer_labels(previous: Spectrum, candidate: Spectrum):
     """Match candidate vectors to previous labels by overlap; None on failure."""
     overlap = np.abs(previous.frame_matrix().conj().T @ candidate.frame_matrix())
     rows, cols = linear_sum_assignment(-overlap)
-    if np.min(overlap[rows, cols]) <= min_overlap:
+    if np.min(overlap[rows, cols]) <= _MIN_OVERLAP:
         return None
     for i, j in zip(rows, cols):
         candidate.data[j].label = previous.data[i].label
     return replace(candidate, data=sorted(candidate.data, key=lambda d: candidate.basis.index[d.label]))
 
 
-def continue_labels(
-    labeled: Spectrum,
-    target: Spectrum | float,
-    seed: int = 0,
-    step: float = _DEFAULT_STEP,
-    min_overlap: float = _MIN_OVERLAP,
-    max_halvings: int = _MAX_HALVINGS,
-) -> Spectrum:
-    """Carry labels from a labeled spectrum to another nome by continuation.
+def continue_labels(labeled: Spectrum, target: Spectrum, seed: int = 0) -> Spectrum:
+    """Carry labels from a labeled spectrum to the target's nome by continuation.
 
-    target may be a Spectrum (already diagonalized) or a bare nome value.
-    Steps never exceed `step`; on a failed overlap match the step is halved,
-    up to max_halvings times.
+    The first step is the whole interval.  A clean overlap match doubles the
+    step, never past the target; a failed one halves it, and once the step
+    falls below _MIN_STEP the continuation raises ContinuationError.
+
+    A large step cannot pass a wrong match.  Both frames are orthonormal, so
+    F0^H F1 is unitary and the squared overlaps of each candidate with the
+    previous vectors sum to 1.  At most one previous vector can then overlap
+    a candidate by more than 1/sqrt(2) ~ 0.707, so an assignment whose every
+    overlap exceeds _MIN_OVERLAP = 0.9 is the only one that passes.  A step
+    over which some vector turns too far fails the match and is halved.
     """
-    if isinstance(target, Spectrum):
-        target_spectrum = target
-        target_p = target.params.p
-    else:
-        target_spectrum = None
-        target_p = float(target)
+    target_p = target.params.p
     current = labeled
-    current_p = labeled.params.p
-    while abs(target_p - current_p) > 1e-15:
-        remaining = target_p - current_p
-        h = np.sign(remaining) * min(step, abs(remaining))
-        halvings = 0
-        while True:
-            next_p = current_p + h
-            final = abs(target_p - next_p) <= 1e-15
-            if final and target_spectrum is not None:
-                candidate = target_spectrum
-            else:
-                candidate = joint_diagonalize(
-                    replace(current.params, p=float(next_p)), seed=seed, basis=current.basis
-                )
-            matched = _transfer_labels(current, candidate, min_overlap)
-            if matched is not None:
-                current = matched
-                current_p = next_p
-                break
-            halvings += 1
-            if halvings > max_halvings:
-                raise ContinuationError(
-                    f"overlap below {min_overlap} persisted after {max_halvings} halvings "
-                    f"near p = {current_p}"
-                )
+    h = target_p - labeled.params.p
+    while current.params.p != target_p:
+        remaining = target_p - current.params.p
+        if abs(h) >= abs(remaining):
+            h = remaining
+            candidate = target
+        else:
+            point = replace(current.params, p=float(current.params.p + h))
+            candidate = joint_diagonalize(point, seed=seed, basis=current.basis)
+        matched = _transfer_labels(current, candidate)
+        if matched is None:
             h /= 2
+            if abs(h) < _MIN_STEP:
+                raise ContinuationError(
+                    f"overlap below {_MIN_OVERLAP} persisted below the smallest step "
+                    f"{_MIN_STEP} near p = {current.params.p}"
+                )
+        else:
+            current = matched
+            h *= 2
     return current
 
 
-def label_spectrum(
-    spectrum: Spectrum,
-    seed: int = 0,
-    step: float = _DEFAULT_STEP,
-    min_overlap: float = _MIN_OVERLAP,
-    max_halvings: int = _MAX_HALVINGS,
-) -> Spectrum:
+def label_spectrum(spectrum: Spectrum, seed: int = 0) -> Spectrum:
     """Label a diagonalized spectrum by partitions in the box.
 
     At p = 0 labels come from the closed-form eigenvalues; otherwise the
@@ -293,12 +277,10 @@ def label_spectrum(
         return _closed_form_labels(spectrum)
     base = joint_diagonalize(replace(spectrum.params, p=0.0), seed=seed, basis=spectrum.basis)
     labeled = _closed_form_labels(base)
-    return continue_labels(
-        labeled, spectrum, seed=seed, step=step, min_overlap=min_overlap, max_halvings=max_halvings
-    )
+    return continue_labels(labeled, spectrum, seed=seed)
 
 
-def sweep_spectra(params: ModelParams, p_values, seed: int = 0, step: float = _DEFAULT_STEP) -> list:
+def sweep_spectra(params: ModelParams, p_values, seed: int = 0) -> list:
     """Labeled spectra along a nome sweep, propagating labels point to point."""
     basis = enumerate_lattice(params.n, params.m)
     spectra = []
@@ -307,9 +289,9 @@ def sweep_spectra(params: ModelParams, p_values, seed: int = 0, step: float = _D
         point = replace(params, p=float(p))
         target = joint_diagonalize(point, seed=seed, basis=basis)
         if current is None:
-            current = label_spectrum(target, seed=seed, step=step)
+            current = label_spectrum(target, seed=seed)
         else:
-            current = continue_labels(current, target, seed=seed, step=step)
+            current = continue_labels(current, target, seed=seed)
         spectra.append(current)
     return spectra
 
@@ -345,12 +327,10 @@ def conjugate_pairing_residual(spectrum: Spectrum) -> float:
 
 def min_eigenvalue_gap(spectrum: Spectrum) -> float:
     """Smallest pairwise distance between joint eigenvalue vectors."""
-    gaps = [
-        float(np.linalg.norm(a.eigenvalues - b.eigenvalues))
-        for i, a in enumerate(spectrum.data)
-        for b in spectrum.data[i + 1 :]
-    ]
-    return min(gaps) if gaps else np.inf
+    if len(spectrum) < 2:
+        return np.inf
+    e = np.array([d.eigenvalues for d in spectrum.data])
+    return float(np.min(pdist(np.hstack([e.real, e.imag]))))
 
 
 def eigenvalue_curves(spectra: list) -> dict:

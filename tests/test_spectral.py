@@ -1,10 +1,12 @@
 from dataclasses import replace
-from math import comb
+from math import comb, copysign
 
 import numpy as np
 import pytest
 
+from rlatt import spectral
 from rlatt.coeffs import ModelParams
+from rlatt.errors import ContinuationError
 from rlatt.macdonald import trig_joint_eigenvalue
 from rlatt.spectral import (
     Spectrum,
@@ -71,7 +73,14 @@ def test_conjugate_pairing(labeled, n, m, g, p):
 
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 0.7, 0.5), (3, 2, 1.0, 0.3)])
 def test_multiplicity_free(labeled, n, m, g, p):
-    assert min_eigenvalue_gap(labeled(n, m, g, p)) > 1e-6
+    spectrum = labeled(n, m, g, p)
+    brute = min(
+        np.linalg.norm(a.eigenvalues - b.eigenvalues)
+        for i, a in enumerate(spectrum.data)
+        for b in spectrum.data[i + 1 :]
+    )
+    assert min_eigenvalue_gap(spectrum) == pytest.approx(brute, rel=1e-14)
+    assert min_eigenvalue_gap(spectrum) > 1e-6
 
 
 def test_eigenvector_normalization(labeled):
@@ -151,3 +160,84 @@ def test_smoothness_statistic_flags_label_swaps():
         data[i], data[j] = data[j], data[i]
         swapped.append(Spectrum(spectrum.params, spectrum.basis, data))
     assert second_difference_residual(swapped) > 0.5
+
+
+def _record_solves(monkeypatch):
+    """Nomes passed to joint_diagonalize from inside the spectral module."""
+    nomes = []
+    solve = spectral.joint_diagonalize
+
+    def recording(params, *args, **kwargs):
+        nomes.append(params.p)
+        return solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "joint_diagonalize", recording)
+    return nomes
+
+
+def _refuse_matches(monkeypatch, count):
+    """Make the first `count` overlap matches fail."""
+    transfer = spectral._transfer_labels
+    refused = []
+
+    def refusing(previous, candidate):
+        if len(refused) < count:
+            refused.append(candidate.params.p)
+            return None
+        return transfer(previous, candidate)
+
+    monkeypatch.setattr(spectral, "_transfer_labels", refusing)
+    return refused
+
+
+@pytest.mark.parametrize("p", [0.3, -0.6])
+@pytest.mark.parametrize(
+    "refusals,fractions",
+    [(0, []), (1, [1 / 2]), (2, [1 / 2, 1 / 4, 3 / 4]), (3, [1 / 2, 1 / 4, 1 / 8, 3 / 8, 7 / 8])],
+)
+def test_failed_match_halves_the_step_and_a_clean_one_doubles_it(monkeypatch, labeled, p, refusals, fractions):
+    base = labeled(2, 2, 0.7, 0.0)
+    direct = continue_labels(base, joint_diagonalize(ModelParams(2, 2, 0.7, p)))
+    target = joint_diagonalize(ModelParams(2, 2, 0.7, p))
+    nomes = _record_solves(monkeypatch)
+    refused = _refuse_matches(monkeypatch, refusals)
+    carried = continue_labels(base, target)
+    assert nomes == pytest.approx([f * p for f in fractions], abs=1e-15)
+    assert refused == pytest.approx([p / 2**k for k in range(refusals)], abs=1e-15)
+    assert carried.params.p == p
+    # two solves of the same point, so each label must carry the same eigenvalues
+    for a, b in zip(carried.data, direct.data):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_refusing_every_match_raises_at_the_step_floor(monkeypatch, labeled):
+    base = labeled(2, 2, 0.7, 0.0)
+    target = joint_diagonalize(ModelParams(2, 2, 0.7, 0.3))
+    nomes = _record_solves(monkeypatch)
+    _refuse_matches(monkeypatch, 10**6)
+    with pytest.raises(ContinuationError, match=f"smallest step {spectral._MIN_STEP}"):
+        continue_labels(base, target)
+    # the target and every halved step down to the floor 0.05 / 2**6
+    assert nomes == pytest.approx([0.3 / 2**k for k in range(1, 9)], abs=1e-15)
+    assert min(nomes) >= spectral._MIN_STEP > min(nomes) / 2
+
+
+def test_label_spectrum_solves_only_the_zero_nome(monkeypatch):
+    target = joint_diagonalize(ModelParams(3, 4, 0.9814989379240225, 0.3))
+    nomes = _record_solves(monkeypatch)
+    label_spectrum(target)
+    assert nomes == [0.0]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.6, -0.6])
+@pytest.mark.parametrize("n,m", [(3, 4), (2, 8), (4, 5)])
+def test_one_jump_labels_equal_the_sweep_grid(n, m, p):
+    g = 0.9814989379240225
+    ps = [round(copysign(0.05 * k, p), 10) for k in range(round(abs(p) / 0.05) + 1)]
+    swept = sweep_spectra(ModelParams(n, m, g, 0.0), ps)[-1]
+    jumped = label_spectrum(joint_diagonalize(ModelParams(n, m, g, p)))
+    assert swept.params.p == jumped.params.p == p
+    # both label the same solve, so each label must carry the same eigenvalues
+    assert [d.label for d in jumped.data] == [d.label for d in swept.data]
+    for a, b in zip(jumped.data, swept.data):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
