@@ -20,10 +20,8 @@ from .coeffs import (
     weight_vector,
 )
 from .eigenpoly import (
-    SpectralPolynomial,
     build_polynomials,
     dual_orthogonality_residual,
-    evaluate_polynomial,
     pieri_residual,
     reconstruct_and_compare,
 )

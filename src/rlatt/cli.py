@@ -27,7 +27,7 @@ from .operators import (
     build_symmetric_operator,
     symmetrize,
 )
-from .partitions import enumerate_lattice, weight, weight_to_partition
+from .partitions import enumerate_lattice, weight
 from .report import CHECK_NAMES, DEFAULT_TOLERANCES, REPORT_SCHEMA_VERSION, run_verification
 from .spectral import joint_diagonalize, label_spectrum, sweep_spectra
 
@@ -349,16 +349,12 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_polys(config: RunConfig) -> int:
     params = config.model_params()
     basis = enumerate_lattice(config.n, config.m)
-    polys = build_polynomials(params, basis)
-    triples = []
-    for mu in basis.order:
-        poly = polys[mu]
-        entries = sorted(
-            ((weight_to_partition(key), value) for key, value in poly.coeffs.items()),
-            key=lambda item: basis.index[item[0]],
-        )
-        for nu, value in entries:
-            triples.append({"mu": list(mu), "nu": list(nu), "u": float(value)})
+    coeffs = build_polynomials(params, basis)
+    # nonzero entries row by row, each row in basis order
+    triples = [
+        {"mu": list(basis.order[row]), "nu": list(basis.order[col]), "u": float(coeffs[row, col])}
+        for row, col in zip(*np.nonzero(coeffs))
+    ]
     if config.format == "json":
         payload = {
             "schema": "rlatt/polys",

@@ -31,6 +31,7 @@ __all__ = [
     "hop_coefficient",
     "hop_amplitudes",
     "pieri_coefficient",
+    "box_pieri_coefficients",
     "lattice_weight",
     "norm_constant",
     "weight_vector",
@@ -228,6 +229,21 @@ def pieri_coefficient(lam, strip, params: ModelParams) -> float:
                 continue
             value *= th.bracket(num_arg) / den
     return 0.0 if vanished else value
+
+
+def box_pieri_coefficients(basis: LatticeBasis, r: int, params: ModelParams):
+    """Sources, targets and ``pieri_coefficient`` values of the size-r moves that stay on the box.
+
+    The moves come in ``basis.move_arrays[r]`` order.  The values are the
+    scalar reference, so the checks that read them stay independent of the
+    array amplitudes.
+    """
+    moves = basis.move_arrays[r]
+    inside = moves.target >= 0
+    source = moves.source[inside]
+    strips = moves.strip[inside].tolist()
+    psi = [pieri_coefficient(basis.order[s], tuple(strip), params) for s, strip in zip(source.tolist(), strips)]
+    return source, moves.target[inside], np.array(psi)
 
 
 def lattice_weight(lam, params: ModelParams) -> float:

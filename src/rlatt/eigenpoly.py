@@ -2,17 +2,18 @@
 
 Each lattice label mu carries a polynomial in the n joint eigenvalues that
 reproduces the corresponding eigenfunction value after multiplication by the
-normalization constant.  The polynomials are generated by a one-column
-recurrence processed in lexicographic (degree, minimal column) order; keys
-are the exponent vectors of the eigenvalue monomials, which are in bijection
-with partitions via suffix sums.
+normalization constant.  The whole family is one N x N coefficient matrix
+over the basis: column nu stands for the eigenvalue monomial whose exponent
+key is the dominant-weight vector of nu (``partition_to_weight``), and row mu
+holds the coefficients of the polynomial of mu.  The rows are generated by a
+one-column recurrence processed in lexicographic (degree, minimal column)
+order; multiplying a row by the r-th eigenvalue adds the column strip (1^r)
+to every column partition, an index map on the columns.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import ModelParams, pieri_coefficient
+from .coeffs import ModelParams, box_pieri_coefficients, pieri_coefficient
 from .errors import ConsistencyError
 from .partitions import (
     LatticeBasis,
@@ -23,9 +24,7 @@ from .partitions import (
 )
 
 __all__ = [
-    "SpectralPolynomial",
     "build_polynomials",
-    "evaluate_polynomial",
     "value_table",
     "pieri_residual",
     "dual_orthogonality_residual",
@@ -35,24 +34,6 @@ __all__ = [
 _CANCEL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpectralPolynomial:
-    """Polynomial in the joint eigenvalues attached to a lattice label.
-
-    coeffs maps exponent keys (length-n tuples) to real coefficients; the key
-    of mu itself carries coefficient 1 and every other key corresponds to a
-    lattice partition strictly below mu in dominance.
-    """
-
-    mu: tuple[int, ...]
-    coeffs: dict
-
-
-def monomial_key(nu, n: int) -> tuple[int, ...]:
-    """Exponent key of the eigenvalue monomial attached to a partition."""
-    return partition_to_weight(nu, n)
-
-
 def _moves_from(basis: LatticeBasis, source: int, r: int):
     """(strip, target) of the size-r moves from one basis point, in table order; target -1 off the box."""
     moves = basis.move_arrays[r]
@@ -60,138 +41,125 @@ def _moves_from(basis: LatticeBasis, source: int, r: int):
     return zip(map(tuple, moves.strip[lo:hi].tolist()), moves.target[lo:hi].tolist())
 
 
-def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) -> dict:
-    """Construct the full family of spectral polynomials over the box.
+def _column_shift(basis: LatticeBasis, r: int) -> np.ndarray:
+    """Basis index of nu + (1^r) for every column nu, -1 when nu_1 = m."""
+    moves = basis.move_arrays[r]
+    column = np.arange(basis.n + 1) < r
+    # the column strip is dominant from every point, so it picks one move per source
+    return moves.target[np.all(moves.strip == column, axis=1)]
 
-    Processing follows the lexicographic order in (degree, minimal column);
-    each step multiplies the predecessor by one eigenvalue variable and
-    subtracts the lower Pieri terms.  Exponent keys may transiently leave the
-    box during the multiplication; their final coefficients must cancel and a
-    ConsistencyError is raised if they fail to.
+
+def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) -> np.ndarray:
+    """Coefficient matrix C of the spectral polynomials over the box.
+
+    ``C[mu, nu]`` is the coefficient of the monomial with exponent key
+    ``partition_to_weight(nu)`` in the polynomial of mu.  Processing follows
+    the lexicographic order in (degree, minimal column); each step multiplies
+    the row of the predecessor by one eigenvalue variable and subtracts the
+    lower Pieri terms.  Columns pushed off the box by the multiplication must
+    carry coefficients that cancel, and a ConsistencyError is raised if they
+    do not.
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
-    n, m = params.n, params.m
-    zero_key = (0,) * n
-    polys: dict = {}
+    n, size = params.n, len(basis)
+    shifts = {r: _column_shift(basis, r) for r in range(1, n + 1)}
+    coeffs = np.zeros((size, size))
     ordering = sorted(
         basis.order, key=lambda mu: ((mu[0] if mu else 0), min_column(mu), basis.index[mu])
     )
     for mu in ordering:
+        row_mu = basis.index[mu]
         if not mu:
-            polys[mu] = SpectralPolynomial(mu, {zero_key: 1.0})
+            coeffs[row_mu, row_mu] = 1.0
             continue
         r = min_column(mu)
         lam = trim(tuple(x - 1 for x in mu[:r]) + mu[r:])
-        if lam not in polys:
+        row_lam = basis.index[lam]
+        # a built row is monic: its diagonal entry is 1, and 0 before it is built
+        if not coeffs[row_lam, row_lam]:
             raise ConsistencyError(f"recurrence for {mu} needs {lam} before it is built")
-        # multiplication by the r-th eigenvalue shifts every key
-        coeffs = {
-            key[: r - 1] + (key[r - 1] + 1,) + key[r:]: c
-            for key, c in polys[lam].coeffs.items()
-        }
-        for strip, target in _moves_from(basis, basis.index[lam], r):
-            if target < 0 or target == basis.index[mu]:
+        # multiplication by the r-th eigenvalue shifts every column
+        inside = shifts[r] >= 0
+        row = np.zeros(size)
+        row[shifts[r][inside]] = coeffs[row_lam, inside]
+        pushed_out = np.where(inside, 0.0, np.abs(coeffs[row_lam]))
+        for strip, target in _moves_from(basis, row_lam, r):
+            if target < 0 or target == row_mu:
                 continue
-            reduced = basis.order[target]
-            if reduced not in polys:
-                raise ConsistencyError(f"recurrence for {mu} needs {reduced} before it is built")
-            psi = pieri_coefficient(lam, strip, params)
-            for key, c in polys[reduced].coeffs.items():
-                coeffs[key] = coeffs.get(key, 0.0) - psi * c
-        scale = max(abs(c) for c in coeffs.values())
-        clean = {}
-        for key, c in coeffs.items():
-            if sum(key) > m:
-                if abs(c) > _CANCEL_TOL * scale:
-                    raise ConsistencyError(
-                        f"coefficient {c} survived on the out-of-box key {key} while building {mu}"
-                    )
-                continue
-            if abs(c) <= _CANCEL_TOL * scale and key != monomial_key(mu, n):
-                continue
-            clean[key] = c
-        polys[mu] = SpectralPolynomial(mu, clean)
-    return polys
+            if not coeffs[target, target]:
+                raise ConsistencyError(
+                    f"recurrence for {mu} needs {basis.order[target]} before it is built"
+                )
+            row -= pieri_coefficient(lam, strip, params) * coeffs[target]
+        scale = max(np.max(np.abs(row)), np.max(pushed_out))
+        survivors = np.flatnonzero(pushed_out > _CANCEL_TOL * scale)
+        if len(survivors):
+            key = list(partition_to_weight(basis.order[survivors[0]], n))
+            key[r - 1] += 1
+            raise ConsistencyError(
+                f"coefficient {coeffs[row_lam, survivors[0]]} survived on the out-of-box key "
+                f"{tuple(key)} while building {mu}"
+            )
+        cancelled = np.abs(row) <= _CANCEL_TOL * scale
+        cancelled[row_mu] = False
+        row[cancelled] = 0.0
+        coeffs[row_mu] = row
+    return coeffs
 
 
-def evaluate_polynomial(poly: SpectralPolynomial, e) -> complex:
-    """Value of the polynomial at a vector of joint eigenvalues."""
-    e = tuple(e)
-    total = 0j
-    for key, c in poly.coeffs.items():
-        term = complex(c)
-        for base, k in zip(e, key):
-            if k:
-                term *= base**k
-        total += term
-    return total
+def value_table(coeffs: np.ndarray, spectrum) -> np.ndarray:
+    """Matrix of polynomial values, rows indexed by mu, columns by spectrum labels.
 
-
-def value_table(polys: dict, spectrum) -> np.ndarray:
-    """Matrix of polynomial values, rows indexed by mu, columns by spectrum labels."""
+    Equals ``coeffs @ X`` with ``X[nu, j] = prod_r e_jr ** key(nu)_r``; X is
+    read from one table of the powers 0..m of each eigenvalue.
+    """
     basis = spectrum.basis
-    table = np.zeros((len(basis), len(spectrum)), dtype=complex)
-    for i, mu in enumerate(basis.order):
-        poly = polys[mu]
-        for j, datum in enumerate(spectrum.data):
-            table[i, j] = evaluate_polynomial(poly, datum.eigenvalues)
-    return table
+    parts = basis.parts
+    keys = parts[:, :-1] - parts[:, 1:]
+    eigenvalues = np.array([d.eigenvalues for d in spectrum.data]).T
+    powers = eigenvalues[:, None, :] ** np.arange(basis.m + 1)[None, :, None]
+    monomials = np.prod(powers[np.arange(basis.n), keys], axis=1)
+    return coeffs @ monomials
 
 
-def pieri_residual(polys: dict, spectrum, params: ModelParams) -> float:
-    """Defect of the strip-sum multiplication rule evaluated on the spectrum."""
+def pieri_residual(table: np.ndarray, spectrum, params: ModelParams) -> float:
+    """Defect of the strip-sum multiplication rule evaluated on the spectrum.
+
+    For each r, ``table[row(1^r)] * table`` must equal ``Psi_r @ table``,
+    where ``Psi_r[lam, nu]`` is the Pieri coefficient of the size-r move
+    lam -> nu; the residual is relative to the largest table entry.
+    """
     basis = spectrum.basis
-    n = params.n
-    table = value_table(polys, spectrum)
-    scale = float(np.max(np.abs(table)))
     worst = 0.0
-    for row_lam, lam in enumerate(basis.order):
-        for r in range(1, n + 1):
-            terms = [
-                (pieri_coefficient(lam, strip, params), target)
-                for strip, target in _moves_from(basis, row_lam, r)
-                if target >= 0
-            ]
-            row_er = basis.index[(1,) * r]
-            for j in range(len(spectrum)):
-                lhs = table[row_er, j] * table[row_lam, j]
-                rhs = sum(psi * table[row, j] for psi, row in terms)
-                worst = max(worst, abs(lhs - rhs))
-    return worst / scale
+    for r in range(1, params.n + 1):
+        source, target, psi = box_pieri_coefficients(basis, r, params)
+        pieri = np.zeros((len(basis), len(basis)))
+        np.add.at(pieri, (source, target), psi)
+        defect = table[basis.index[(1,) * r]] * table - pieri @ table
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst / float(np.max(np.abs(table)))
 
 
-def dual_orthogonality_residual(polys: dict, spectrum, norms: np.ndarray) -> float:
+def dual_orthogonality_residual(table: np.ndarray, spectrum, norms: np.ndarray) -> float:
     """Defect of the dual orthogonality of the polynomials on the spectrum.
 
     The Gram matrix with the dual weights must be diagonal with entries
     1/(c^2 * weight), c = ``norms``; the residual is relative to those entries row by row.
     """
-    basis = spectrum.basis
-    table = value_table(polys, spectrum)
     dual = np.array([d.norm_hat for d in spectrum.data])
     gram = (table * dual[None, :]) @ table.conj().T
     target = 1.0 / (norms * norms * spectrum.weights)
-    worst = 0.0
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            expected = target[i] if i == j else 0.0
-            worst = max(worst, abs(gram[i, j] - expected) / target[i])
-    return float(worst)
+    return float(np.max(np.abs(gram - np.diag(target)) / target[:, None]))
 
 
-def reconstruct_and_compare(polys: dict, spectrum, norms: np.ndarray) -> float:
+def reconstruct_and_compare(table: np.ndarray, spectrum, norms: np.ndarray) -> float:
     """Rebuild eigenvectors from the polynomials and measure the distance.
 
     For each label the normalization constants ``norms`` times the polynomial
     values are compared, in the weighted norm, with the numerically obtained
     eigenvector rescaled to unit value at the empty partition.
     """
-    table = value_table(polys, spectrum)
-    worst = 0.0
-    for j, datum in enumerate(spectrum.data):
-        rebuilt = norms * table[:, j]
-        reference = datum.eigenvector / datum.eigenvector[0]
-        dist = float(np.sqrt(np.sum(np.abs(rebuilt - reference) ** 2 * spectrum.weights)))
-        worst = max(worst, dist)
-    return worst
+    vectors = spectrum.eigenvector_matrix()
+    distance = np.abs(norms[:, None] * table - vectors / vectors[0]) ** 2
+    return float(np.sqrt(np.max(spectrum.weights @ distance)))

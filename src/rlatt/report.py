@@ -14,12 +14,13 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .coeffs import ModelParams, hop_amplitudes, norm_vector, pieri_coefficient, weight_vector
+from .coeffs import ModelParams, box_pieri_coefficients, hop_amplitudes, norm_vector, weight_vector
 from .eigenpoly import (
     build_polynomials,
     dual_orthogonality_residual,
     pieri_residual,
     reconstruct_and_compare,
+    value_table,
 )
 from .errors import RlattError
 from .macdonald import compare_trig
@@ -155,7 +156,7 @@ def check_truncation_dichotomy(params, basis):
 
 
 def _moves_on_box(basis, r: int):
-    """Sources, targets and strips of the size-r moves that stay on the box, for r = 1..n.
+    """Sources and targets of the size-r moves that stay on the box, for r = 1..n.
 
     The size-(n+1) strip maps every point to itself with amplitude and Pieri
     coefficient exactly 1, so the identities below leave it out.  For r <= n
@@ -164,7 +165,7 @@ def _moves_on_box(basis, r: int):
     """
     moves = basis.move_arrays[r]
     inside = moves.target >= 0
-    return moves.source[inside], moves.target[inside], moves.strip[inside]
+    return moves.source[inside], moves.target[inside]
 
 
 def check_weight_recurrence(basis, hops, weights) -> float:
@@ -172,7 +173,7 @@ def check_weight_recurrence(basis, hops, weights) -> float:
     n = len(hops)
     worst = 0.0
     for r in range(1, n + 1):
-        s, t, _ = _moves_on_box(basis, r)
+        s, t = _moves_on_box(basis, r)
         worst = _worst_relative(hops[r - 1][s, t] * weights[s], hops[n - r][t, s] * weights[t], worst)
     return worst
 
@@ -181,10 +182,7 @@ def check_psi_consistency(params, basis, hops, norms) -> float:
     """Defect of Pieri coefficient = D_r[s, t] c_t / c_s over the moves s -> t on the box."""
     worst = 0.0
     for r in range(1, params.n + 1):
-        s, t, strips = _moves_on_box(basis, r)
-        psi = np.array(
-            [pieri_coefficient(basis.order[i], tuple(strip), params) for i, strip in zip(s.tolist(), strips.tolist())]
-        )
+        s, t, psi = box_pieri_coefficients(basis, r, params)
         worst = _worst_relative(psi, hops[r - 1][s, t] * norms[t] / norms[s], worst)
     return worst
 
@@ -192,9 +190,10 @@ def check_psi_consistency(params, basis, hops, norms) -> float:
 def run_verification(params: ModelParams, tolerances: dict | None = None, seed: int = 0) -> VerificationReport:
     """Run every named check at the given parameter point.
 
-    The hop matrices, weights, norm constants, polynomials and spectra of the
-    point are each built once, on first use, and shared by every check; the
-    spectrum at ``p = 0`` labels the one at ``p`` and feeds the oracle.
+    The hop matrices, weights, norm constants, spectra and polynomial value
+    table of the point are each built once, on first use, and shared by every
+    check; the spectrum at ``p = 0`` labels the one at ``p`` and feeds the
+    oracle.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -237,7 +236,8 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
         return continue_labels(zero_nome(), target, seed=seed)
 
     labeled = cache(label)
-    polys = cache(lambda: build_polynomials(params, basis))
+    # the polynomial values on the labeled spectrum, read by the three polynomial checks
+    table = cache(lambda: value_table(build_polynomials(params, basis), labeled()))
 
     # n = 1 has no pair to commute, so it needs no matrix
     run("commutators", lambda: check_commutators(hops()) if params.n > 1 else 0.0)
@@ -254,9 +254,9 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
     run("weight-recurrence", lambda: check_weight_recurrence(basis, hops(), weights()))
     run("psi-consistency", lambda: check_psi_consistency(params, basis, hops(), norms()))
     run("orthogonality", lambda: orthogonality_residual(labeled()))
-    run("pieri", lambda: pieri_residual(polys(), labeled(), params))
-    run("dual-orthogonality", lambda: dual_orthogonality_residual(polys(), labeled(), norms()))
-    run("reconstruction", lambda: reconstruct_and_compare(polys(), labeled(), norms()))
+    run("pieri", lambda: pieri_residual(table(), labeled(), params))
+    run("dual-orthogonality", lambda: dual_orthogonality_residual(table(), labeled(), norms()))
+    run("reconstruction", lambda: reconstruct_and_compare(table(), labeled(), norms()))
     run("trig-comparison", lambda: compare_trig(zero_nome()).residual)
     run("appendix-crosscheck", lambda: crosscheck_hop_coefficients(params, basis))
 

@@ -28,7 +28,7 @@ def labeled():
 
 @pytest.fixture(scope="session")
 def polys():
-    """Cached polynomial families keyed by (n, m, g, p)."""
+    """Cached polynomial coefficient matrices keyed by (n, m, g, p)."""
     cache = {}
 
     def get(n, m, g, p):

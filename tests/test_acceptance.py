@@ -21,9 +21,9 @@ from rlatt.coeffs import (
 from rlatt.eigenpoly import (
     build_polynomials,
     dual_orthogonality_residual,
-    monomial_key,
     pieri_residual,
     reconstruct_and_compare,
+    value_table,
 )
 from rlatt.macdonald import compare_trig
 from rlatt.operators import adjoint_residual, build_hop_operator, commutator_residual, transpose_residual
@@ -31,6 +31,7 @@ from rlatt.partitions import (
     add_strip,
     dominance_leq,
     enumerate_lattice,
+    partition_to_weight,
     reduce_partition,
     vertical_strips,
     weight_to_partition,
@@ -170,16 +171,17 @@ def test_criterion_7_diagonalization_suite():
         params = ModelParams(n, m, g, p)
         basis = enumerate_lattice(n, m)
         spectrum = label_spectrum(joint_diagonalize(params, basis=basis))
-        polys = build_polynomials(params, basis)
+        coeffs = build_polynomials(params, basis)
+        table = value_table(coeffs, spectrum)
         worst_orth = max(worst_orth, orthogonality_residual(spectrum))
-        worst_pieri = max(worst_pieri, pieri_residual(polys, spectrum, params))
-        worst_reco = max(worst_reco, reconstruct_and_compare(polys, spectrum, norm_vector(basis, params)))
+        worst_pieri = max(worst_pieri, pieri_residual(table, spectrum, params))
+        worst_reco = max(worst_reco, reconstruct_and_compare(table, spectrum, norm_vector(basis, params)))
         for mu in basis.order:
-            poly = polys[mu]
-            if poly.coeffs[monomial_key(mu, n)] != 1.0:
+            row = coeffs[basis.index[mu]]
+            if row[basis.index[mu]] != 1.0:
                 support_ok = False
-            for key in poly.coeffs:
-                nu = weight_to_partition(key)
+            for col in np.flatnonzero(row):
+                nu = weight_to_partition(partition_to_weight(basis.order[col], n))
                 if nu not in basis.index or not dominance_leq(nu, mu, n):
                     support_ok = False
     ok = report("7a orthogonality", worst_orth, 1e-9)
@@ -195,8 +197,8 @@ def test_criterion_8_dual_orthogonality():
         params = ModelParams(n, m, g, p)
         basis = enumerate_lattice(n, m)
         spectrum = label_spectrum(joint_diagonalize(params, basis=basis))
-        polys = build_polynomials(params, basis)
-        worst = max(worst, dual_orthogonality_residual(polys, spectrum, norm_vector(basis, params)))
+        table = value_table(build_polynomials(params, basis), spectrum)
+        worst = max(worst, dual_orthogonality_residual(table, spectrum, norm_vector(basis, params)))
     assert report("8 dual-orthogonality", worst, 1e-8)
 
 

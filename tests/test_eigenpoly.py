@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,45 +7,59 @@ from rlatt.coeffs import ModelParams, norm_vector, weight_vector
 from rlatt.eigenpoly import (
     build_polynomials,
     dual_orthogonality_residual,
-    evaluate_polynomial,
-    monomial_key,
     pieri_residual,
     reconstruct_and_compare,
     value_table,
 )
-from rlatt.partitions import dominance_leq, enumerate_lattice, weight_to_partition
+from rlatt.partitions import dominance_leq, enumerate_lattice, partition_to_weight, weight_to_partition
+from rlatt.spectral import joint_diagonalize
+
+
+def _terms(coeffs, basis, mu):
+    """{exponent key: coefficient} of the polynomial of mu."""
+    row = coeffs[basis.index[mu]]
+    return {partition_to_weight(basis.order[k], basis.n): row[k] for k in np.flatnonzero(row)}
+
+
+def _value(coeffs, basis, mu, e):
+    """Value of the polynomial of mu at one vector of joint eigenvalues."""
+    points = SimpleNamespace(basis=basis, data=[SimpleNamespace(eigenvalues=np.asarray(e))])
+    return value_table(coeffs, points)[basis.index[mu], 0]
 
 
 def test_constant_polynomial():
-    polys = build_polynomials(ModelParams(2, 2, 0.7, 0.5))
-    assert polys[()].coeffs == {(0, 0): 1.0}
-    assert evaluate_polynomial(polys[()], (3.0 + 1j, -2.0)) == 1.0
+    basis = enumerate_lattice(2, 2)
+    coeffs = build_polynomials(ModelParams(2, 2, 0.7, 0.5), basis)
+    assert _terms(coeffs, basis, ()) == {(0, 0): 1.0}
+    assert _value(coeffs, basis, (), (3.0 + 1j, -2.0)) == 1.0
 
 
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 0.7, 0.5), (3, 2, 1.0, 0.3)])
 def test_columns_are_single_variables(n, m, g, p):
-    polys = build_polynomials(ModelParams(n, m, g, p))
+    basis = enumerate_lattice(n, m)
+    coeffs = build_polynomials(ModelParams(n, m, g, p), basis)
     for r in range(1, n + 1):
         key = tuple(1 if j == r - 1 else 0 for j in range(n))
-        assert polys[(1,) * r].coeffs == {key: 1.0}
+        assert _terms(coeffs, basis, (1,) * r) == {key: 1.0}
         e = tuple(float(k + 2) for k in range(n))
-        assert evaluate_polynomial(polys[(1,) * r], e) == e[r - 1]
+        assert _value(coeffs, basis, (1,) * r, e) == e[r - 1]
 
 
 def test_two_state_polynomial_has_no_lower_terms():
-    polys = build_polynomials(ModelParams(1, 1, 1.0, 0.6))
-    assert polys[(1,)].coeffs == {(1,): 1.0}
-    assert evaluate_polynomial(polys[(1,)], (-1.0,)) == -1.0
+    basis = enumerate_lattice(1, 1)
+    coeffs = build_polynomials(ModelParams(1, 1, 1.0, 0.6), basis)
+    assert _terms(coeffs, basis, (1,)) == {(1,): 1.0}
+    assert _value(coeffs, basis, (1,), (-1.0,)) == -1.0
 
 
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 0.7, 0.5), (3, 2, 1.0, 0.3), (2, 2, 1.7, 0.0)])
 def test_monic_triangular_support(n, m, g, p):
     basis = enumerate_lattice(n, m)
-    polys = build_polynomials(ModelParams(n, m, g, p), basis)
+    coeffs = build_polynomials(ModelParams(n, m, g, p), basis)
     for mu in basis.order:
-        poly = polys[mu]
-        assert poly.coeffs[monomial_key(mu, n)] == 1.0
-        for key in poly.coeffs:
+        terms = _terms(coeffs, basis, mu)
+        assert terms[partition_to_weight(mu, n)] == 1.0
+        for key in terms:
             nu = weight_to_partition(key)
             assert nu in basis.index
             assert dominance_leq(nu, mu, n)
@@ -52,28 +68,51 @@ def test_monic_triangular_support(n, m, g, p):
 
 
 def test_coefficients_are_real_floats():
-    polys = build_polynomials(ModelParams(2, 2, 0.7, 0.5))
-    for poly in polys.values():
-        for value in poly.coeffs.values():
-            assert isinstance(value, float)
+    coeffs = build_polynomials(ModelParams(2, 2, 0.7, 0.5))
+    for value in coeffs[coeffs != 0]:
+        assert isinstance(value, float)
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (2, 8)])
+@pytest.mark.parametrize("p", [0.0, 0.3, -0.6])
+def test_value_table_equals_the_sum_over_terms(n, m, p):
+    # sum_k C[i, k] prod_r e_jr ** key_kr, term by term in complex arithmetic
+    params = ModelParams(n, m, 0.7, p)
+    basis = enumerate_lattice(n, m)
+    spectrum = joint_diagonalize(params, basis=basis)
+    coeffs = build_polynomials(params, basis)
+    keys = [partition_to_weight(nu, n) for nu in basis.order]
+    expected = np.zeros((len(basis), len(spectrum)), dtype=complex)
+    for j, datum in enumerate(spectrum.data):
+        e = [complex(x) for x in datum.eigenvalues]
+        for i in range(len(basis)):
+            for k in np.flatnonzero(coeffs[i]):
+                term = complex(coeffs[i, k])
+                for base, power in zip(e, keys[k]):
+                    term *= base**power
+                expected[i, j] += term
+    table = value_table(coeffs, spectrum)
+    assert np.max(np.abs(table - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 0.7, 0.5), (3, 2, 1.0, 0.3)])
 def test_pieri_on_spectrum(labeled, polys, n, m, g, p):
     params = ModelParams(n, m, g, p)
-    assert pieri_residual(polys(n, m, g, p), labeled(n, m, g, p), params) < 1e-8
+    spectrum = labeled(n, m, g, p)
+    assert pieri_residual(value_table(polys(n, m, g, p), spectrum), spectrum, params) < 1e-8
 
 
 def test_pieri_two_state_exact(labeled, polys):
     params = ModelParams(1, 1, 1.0, 0.6)
-    assert pieri_residual(polys(1, 1, 1.0, 0.6), labeled(1, 1, 1.0, 0.6), params) < 1e-12
+    spectrum = labeled(1, 1, 1.0, 0.6)
+    assert pieri_residual(value_table(polys(1, 1, 1.0, 0.6), spectrum), spectrum, params) < 1e-12
 
 
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 1.0, 0.3), (3, 2, 1.0, 0.5), (2, 2, 0.7, 0.0)])
 def test_dual_orthogonality(labeled, polys, n, m, g, p):
     spectrum = labeled(n, m, g, p)
     norms = norm_vector(spectrum.basis, ModelParams(n, m, g, p))
-    assert dual_orthogonality_residual(polys(n, m, g, p), spectrum, norms) < 1e-8
+    assert dual_orthogonality_residual(value_table(polys(n, m, g, p), spectrum), spectrum, norms) < 1e-8
 
 
 def test_dual_weights_row_sums_to_one(labeled):
@@ -101,7 +140,7 @@ def test_reconstruction(labeled, polys):
     for point, tol in (((1, 1, 1.0, 0.5), 1e-12), ((2, 2, 0.7, 0.5), 1e-7)):
         spectrum = labeled(*point)
         norms = norm_vector(spectrum.basis, ModelParams(*point))
-        assert reconstruct_and_compare(polys(*point), spectrum, norms) < tol
+        assert reconstruct_and_compare(value_table(polys(*point), spectrum), spectrum, norms) < tol
 
 
 def test_coefficients_vary_continuously_in_nome():
@@ -109,10 +148,9 @@ def test_coefficients_vary_continuously_in_nome():
     values = {}
     ps = [round(0.1 * k, 10) for k in range(10)]
     for p in ps:
-        polys = build_polynomials(ModelParams(2, 2, 0.7, p))
-        for mu, poly in polys.items():
-            for key, u in poly.coeffs.items():
-                values.setdefault((mu, key), []).append(u)
+        coeffs = build_polynomials(ModelParams(2, 2, 0.7, p))
+        for row, col in zip(*np.nonzero(coeffs)):
+            values.setdefault((row, col), []).append(coeffs[row, col])
     for series in values.values():
         assert len(series) == len(ps)
         diffs = np.abs(np.diff(np.array(series)))

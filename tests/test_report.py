@@ -26,6 +26,19 @@ def test_verification_solves_zero_nome_once(monkeypatch):
     assert nomes.count(0.3) == 1
 
 
+def test_verification_builds_one_value_table(monkeypatch):
+    calls = []
+    exact = report.value_table
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(report, "value_table", counted)
+    assert run_verification(ModelParams(2, 3, 0.7, 0.3)).passed
+    assert len(calls) == 1
+
+
 def _errors(n, m):
     # at alpha = 2*pi and g = 1 every bracket argument in the box is an integer, a zero of the bracket
     checks = run_verification(ModelParams(n, m, 1.0, 0.0, alpha_override=2 * math.pi)).checks
