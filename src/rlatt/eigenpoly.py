@@ -13,7 +13,7 @@ to every column partition, an index map on the columns.
 
 import numpy as np
 
-from .coeffs import ModelParams, box_pieri_coefficients, pieri_coefficient
+from .coeffs import ModelParams, pieri_coefficient
 from .errors import ConsistencyError
 from .partitions import (
     LatticeBasis,
@@ -123,20 +123,21 @@ def value_table(coeffs: np.ndarray, spectrum) -> np.ndarray:
     return coeffs @ monomials
 
 
-def pieri_residual(table: np.ndarray, spectrum, params: ModelParams) -> float:
+def pieri_residual(table: np.ndarray, spectrum, pieri) -> float:
     """Defect of the strip-sum multiplication rule evaluated on the spectrum.
 
-    For each r, ``table[row(1^r)] * table`` must equal ``Psi_r @ table``,
-    where ``Psi_r[lam, nu]`` is the Pieri coefficient of the size-r move
-    lam -> nu; the residual is relative to the largest table entry.
+    ``pieri`` holds ``box_pieri_coefficients(basis, r, params)`` for
+    r = 1..n.  For each r, ``table[row(1^r)] * table`` must equal
+    ``Psi_r @ table``, where ``Psi_r[lam, nu]`` is the Pieri coefficient of
+    the size-r move lam -> nu; the residual is relative to the largest table
+    entry.
     """
     basis = spectrum.basis
     worst = 0.0
-    for r in range(1, params.n + 1):
-        source, target, psi = box_pieri_coefficients(basis, r, params)
-        pieri = np.zeros((len(basis), len(basis)))
-        np.add.at(pieri, (source, target), psi)
-        defect = table[basis.index[(1,) * r]] * table - pieri @ table
+    for r, (source, target, psi) in enumerate(pieri, start=1):
+        matrix = np.zeros((len(basis), len(basis)))
+        np.add.at(matrix, (source, target), psi)
+        defect = table[basis.index[(1,) * r]] * table - matrix @ table
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst / float(np.max(np.abs(table)))
 

@@ -5,16 +5,18 @@ never touches the lattice operator matrices, so the comparison with the
 lattice diagonalization at zero nome is a genuine cross-check.
 
 The polynomials are computed by a triangular eigen-solve in the monomial
-basis: the action of the first q-difference operator on a monomial symmetric
-function is obtained with exact polynomial arithmetic after clearing
-denominators with the Vandermonde factor, and the eigenvector that is monic
-at the top of the dominance order is then read off degree by degree.
+basis: the matrix of the first q-difference operator on the monomial
+symmetric functions of one degree is read off its antisymmetrized form,
+coefficient by coefficient over the permutations of the staircase, and the
+eigenvector that is monic at the top of the dominance order is then read off
+degree by degree.
 """
 
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .coeffs import ModelParams, norm_constant
 from .errors import ComparisonError, DegenerateSpecializationError
@@ -66,42 +68,6 @@ def _monomial_sym_eval(lam, values) -> complex:
     return total
 
 
-def _poly_mul(f: dict, g: dict) -> dict:
-    out = {}
-    for ea, ca in f.items():
-        for eb, cb in g.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0j) + ca * cb
-    return out
-
-
-def _poly_axpy(out: dict, scale: complex, f: dict) -> None:
-    for e, c in f.items():
-        out[e] = out.get(e, 0j) + scale * c
-
-
-def _monomial_sym_poly(lam, nvars: int) -> dict:
-    return {e: 1.0 + 0j for e in set(permutations(pad(lam, nvars)))}
-
-
-def _linear_factor(nvars: int, i: int, j: int, ci: complex, cj: complex) -> dict:
-    ei = [0] * nvars
-    ei[i] = 1
-    ej = [0] * nvars
-    ej[j] = 1
-    return {tuple(ei): ci, tuple(ej): cj}
-
-
-def _vandermonde(nvars: int, skip: int | None = None) -> dict:
-    poly = {(0,) * nvars: 1.0 + 0j}
-    for j in range(nvars):
-        for k in range(j + 1, nvars):
-            if skip is not None and (j == skip or k == skip):
-                continue
-            poly = _poly_mul(poly, _linear_factor(nvars, j, k, 1.0, -1.0))
-    return poly
-
-
 def _partitions_of_weight(d: int, max_len: int):
     """Partitions of d with at most max_len parts, descending lex order."""
     out = []
@@ -117,63 +83,45 @@ def _partitions_of_weight(d: int, max_len: int):
             rec(remaining - part, part, prefix)
             prefix.pop()
 
+    # larger parts are tried first, so the partitions come out in descending lex order
     rec(d, d, [])
-    out.sort(reverse=True)
     return out
-
-
-# keyed by (d, q, t, nvars), for one (q, t, nvars) at a time: a new point evicts the old one's
-_matrix_cache: dict = {}
 
 
 def _operator_matrix(d: int, q: complex, t: complex, nvars: int):
     """Matrix of the first q-difference operator on the degree-d monomial basis.
 
     Entry [row, col] is the coefficient of the monomial symmetric function of
-    the row partition in the image of the column one.
+    the row partition in the image of the column one.  Applied to ``m_lam``,
+    the identity ``a_delta D_1 = sum_i (T_{t,x_i} a_delta) T_{q,x_i}``
+    (Macdonald, ch. VI (3.4)), with ``a_delta = sum_w sign(w) x^(w delta)``
+    and ``delta = (nvars-1, ..., 1, 0)``, has ``(K @ M)[nu, lam]`` as the
+    coefficient of ``x^(nu + delta)`` on the left and ``B[nu, lam]`` on the
+    right: each permutation w of delta adds, for every row nu with
+    ``alpha = nu + delta - w delta >= 0`` and ``lam = sort(alpha)``, sign(w)
+    to ``K[nu, lam]`` and ``sign(w) * sum_i t^(w delta)_i q^alpha_i`` to
+    ``B[nu, lam]``.  K is unit lower triangular in the order of the
+    partitions, so M is one triangular solve.
     """
-    key = (d, q, t, nvars)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
-    parts = _partitions_of_weight(d, nvars) if d else [()]
-    delta = tuple(range(nvars - 1, 0, -1)) + (0,)
-    adelta = _vandermonde(nvars)
-    lead_products = [_poly_mul(_monomial_sym_poly(mu, nvars), adelta) for mu in parts]
-    # sign_i * prod_{j != i}(t z_i - z_j) * vandermonde-without-i clears every
-    # denominator of the i-th coefficient function
-    factors = []
-    for i in range(nvars):
-        f = _vandermonde(nvars, skip=i)
-        for j in range(nvars):
-            if j != i:
-                f = _poly_mul(f, _linear_factor(nvars, i, j, t, -1.0))
-        if i % 2:
-            f = {e: -c for e, c in f.items()}
-        factors.append(f)
-    size = len(parts)
-    mat = np.zeros((size, size), dtype=complex)
-    for col, lam in enumerate(parts):
-        m_lam = _monomial_sym_poly(lam, nvars)
-        num: dict = {}
-        for i in range(nvars):
-            shifted = {e: c * q ** e[i] for e, c in m_lam.items()}
-            _poly_axpy(num, 1.0, _poly_mul(factors[i], shifted))
-        scale = max((abs(c) for c in num.values()), default=1.0)
-        for row, mu in enumerate(parts):
-            coefficient = num.get(tuple(a + b for a, b in zip(pad(mu, nvars), delta)), 0j)
-            if coefficient:
-                _poly_axpy(num, -coefficient, lead_products[row])
-            mat[row, col] = coefficient
-        leftover = max((abs(c) for c in num.values()), default=0.0)
-        if leftover > 1e-9 * max(scale, 1.0):
-            raise ArithmeticError(
-                f"polynomial division left a remainder of size {leftover} for lam={lam}"
-            )
-    if any(other[1:] != key[1:] for other in _matrix_cache):
-        _matrix_cache.clear()
-    _matrix_cache[key] = (parts, mat)
-    return parts, mat
+    parts = _partitions_of_weight(d, nvars)
+    rows = np.array([pad(lam, nvars) for lam in parts])
+    delta = np.arange(nvars - 1, -1, -1)
+    # negated base-(d+1) codes of the padded partitions: ascending, as the partitions descend
+    place = (d + 1) ** delta
+    codes = -(rows @ place)
+    lead = np.zeros((len(parts), len(parts)))
+    image = np.zeros((len(parts), len(parts)), dtype=complex)
+    for perm in permutations(delta.tolist()):
+        sign = (-1) ** sum(a < b for a, b in combinations(perm, 2))
+        shifted = np.array(perm)
+        alpha = rows + delta - shifted
+        row = np.flatnonzero(np.all(alpha >= 0, axis=1))
+        alpha = alpha[row]
+        # one entry per row, so the fancy-indexed updates hit distinct cells
+        col = np.searchsorted(codes, -(np.sort(alpha, axis=1)[:, ::-1] @ place))
+        lead[row, col] += sign
+        image[row, col] += sign * (t**shifted * q**alpha).sum(axis=1)
+    return parts, solve_triangular(lead, image, lower=True)
 
 
 def macdonald_coeffs(mu, q: complex, t: complex, nvars: int) -> SymmetricPoly:
@@ -189,17 +137,17 @@ def macdonald_coeffs(mu, q: complex, t: complex, nvars: int) -> SymmetricPoly:
     ------
     DegenerateSpecializationError
         when two eigenvalues of the triangular solve collide at the supplied
-        (q, t), which can happen at roots of unity.
+        (q, t), which can happen at roots of unity.  The locked alpha of an
+        ``n x m`` box puts (q, t) on the curve ``t**(n+1) * q**m = 1`` for
+        every g, and on that curve the eigenvalues of (4, 2, 2) and
+        (3, 3, 1, 1) collide at (n, m) = (3, 4), and those of (5, 3, 2) and
+        (4, 4, 1, 1) at (3, 6).
     """
     mu = trim(mu)
     if len(mu) > nvars:
         raise ValueError(f"shape {mu} has more than {nvars} parts")
-    d = weight(mu)
-    if d == 0:
-        return SymmetricPoly(nvars, {(): 1.0 + 0j})
-    parts, mat = _operator_matrix(d, q, t, nvars)
-    idx = {lam: i for i, lam in enumerate(parts)}
-    top = idx[mu]
+    parts, mat = _operator_matrix(weight(mu), q, t, nvars)
+    top = parts.index(mu)
     eig = mat[top, top]
     coeffs = np.zeros(len(parts), dtype=complex)
     coeffs[top] = 1.0
@@ -207,10 +155,7 @@ def macdonald_coeffs(mu, q: complex, t: complex, nvars: int) -> SymmetricPoly:
         lam = parts[row]
         if not dominance_leq(lam, mu, nvars):
             continue
-        acc = 0j
-        for col in range(top, row):
-            if coeffs[col]:
-                acc += mat[row, col] * coeffs[col]
+        acc = mat[row, top:row] @ coeffs[top:row]
         den = eig - mat[row, row]
         if abs(den) < _EIG_COLLISION_TOL:
             raise DegenerateSpecializationError(

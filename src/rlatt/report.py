@@ -178,11 +178,13 @@ def check_weight_recurrence(basis, hops, weights) -> float:
     return worst
 
 
-def check_psi_consistency(params, basis, hops, norms) -> float:
-    """Defect of Pieri coefficient = D_r[s, t] c_t / c_s over the moves s -> t on the box."""
+def check_psi_consistency(hops, norms, pieri) -> float:
+    """Defect of Pieri coefficient = D_r[s, t] c_t / c_s over the moves s -> t on the box.
+
+    ``pieri`` holds ``box_pieri_coefficients(basis, r, params)`` for r = 1..n.
+    """
     worst = 0.0
-    for r in range(1, params.n + 1):
-        s, t, psi = box_pieri_coefficients(basis, r, params)
+    for r, (s, t, psi) in enumerate(pieri, start=1):
         worst = _worst_relative(psi, hops[r - 1][s, t] * norms[t] / norms[s], worst)
     return worst
 
@@ -190,10 +192,10 @@ def check_psi_consistency(params, basis, hops, norms) -> float:
 def run_verification(params: ModelParams, tolerances: dict | None = None, seed: int = 0) -> VerificationReport:
     """Run every named check at the given parameter point.
 
-    The hop matrices, weights, norm constants, spectra and polynomial value
-    table of the point are each built once, on first use, and shared by every
-    check; the spectrum at ``p = 0`` labels the one at ``p`` and feeds the
-    oracle.
+    The hop matrices, weights, norm constants, Pieri coefficients, spectra
+    and polynomial value table of the point are each built once, on first
+    use, and shared by every check; the spectrum at ``p = 0`` labels the one
+    at ``p`` and feeds the oracle.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -225,6 +227,8 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
     hops = cache(lambda: [build_hop_operator(r, params, basis).matrix for r in range(1, params.n + 1)])
     weights = cache(lambda: weight_vector(basis, params))
     norms = cache(lambda: norm_vector(basis, params))
+    # the scalar Pieri coefficients of the moves on the box, read by psi-consistency and pieri
+    pieri = cache(lambda: [box_pieri_coefficients(basis, r, params) for r in range(1, params.n + 1)])
     zero_nome = cache(
         lambda: label_spectrum(joint_diagonalize(replace(params, p=0.0), seed=seed, basis=basis), seed=seed)
     )
@@ -252,9 +256,9 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
         ),
     )
     run("weight-recurrence", lambda: check_weight_recurrence(basis, hops(), weights()))
-    run("psi-consistency", lambda: check_psi_consistency(params, basis, hops(), norms()))
+    run("psi-consistency", lambda: check_psi_consistency(hops(), norms(), pieri()))
     run("orthogonality", lambda: orthogonality_residual(labeled()))
-    run("pieri", lambda: pieri_residual(table(), labeled(), params))
+    run("pieri", lambda: pieri_residual(table(), labeled(), pieri()))
     run("dual-orthogonality", lambda: dual_orthogonality_residual(table(), labeled(), norms()))
     run("reconstruction", lambda: reconstruct_and_compare(table(), labeled(), norms()))
     run("trig-comparison", lambda: compare_trig(zero_nome()).residual)

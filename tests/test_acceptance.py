@@ -11,6 +11,7 @@ import pytest
 
 from rlatt.coeffs import (
     ModelParams,
+    box_pieri_coefficients,
     hop_coefficient,
     lattice_weight,
     norm_constant,
@@ -155,7 +156,7 @@ def test_criterion_5_two_state_anchor():
 
 def test_criterion_6_trigonometric_limit():
     worst = 0.0
-    for (n, m), g in product(((1, 1), (2, 1), (2, 2), (3, 2)), (0.5, 1.0, 1.3)):
+    for (n, m), g in product(((1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (4, 3)), (0.5, 1.0, 1.3)):
         comparison = compare_trig(label_spectrum(joint_diagonalize(ModelParams(n, m, g, 0.0))))
         worst = max(worst, comparison.eigenvalue_residual, comparison.eigenfunction_residual)
     assert report("6 trigonometric-limit", worst, 1e-8)
@@ -174,7 +175,8 @@ def test_criterion_7_diagonalization_suite():
         coeffs = build_polynomials(params, basis)
         table = value_table(coeffs, spectrum)
         worst_orth = max(worst_orth, orthogonality_residual(spectrum))
-        worst_pieri = max(worst_pieri, pieri_residual(table, spectrum, params))
+        pieri = [box_pieri_coefficients(basis, r, params) for r in range(1, n + 1)]
+        worst_pieri = max(worst_pieri, pieri_residual(table, spectrum, pieri))
         worst_reco = max(worst_reco, reconstruct_and_compare(table, spectrum, norm_vector(basis, params)))
         for mu in basis.order:
             row = coeffs[basis.index[mu]]

@@ -103,6 +103,30 @@ def test_triangular_support():
             assert poly.degree() == weight(mu)
 
 
+def bialternant(lam, point):
+    """Schur polynomial of lam at a point: det(x_i^(lam_j + N - j)) / det(x_i^(N - j))."""
+    point = np.asarray(point)
+    staircase = np.arange(len(point) - 1, -1, -1)
+    numerator = np.linalg.det(point[:, None] ** (np.array(pad(lam, len(point))) + staircase))
+    return numerator / np.linalg.det(point[:, None] ** staircase)
+
+
+@pytest.mark.parametrize(
+    "mu,nvars",
+    [((2, 1), 3), ((3, 1, 1), 3), ((2, 2), 3), ((3, 2, 1), 4), ((2, 2, 1, 1), 4), ((4, 1), 4),
+     ((3, 2, 1, 1), 5), ((2, 2, 2, 1, 1), 5), ((4, 2, 1), 5)],
+)
+def test_equal_parameters_give_schur_polynomials(mu, nvars):
+    # at q = t the Macdonald polynomial is the Schur polynomial
+    q = 0.45 + 0.3j
+    poly = macdonald_coeffs(mu, q, q, nvars)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        point = rng.uniform(0.5, 1.5, size=nvars) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=nvars))
+        expected = bialternant(mu, point)
+        assert abs(poly.evaluate(point) - expected) < 1e-10 * max(1.0, abs(expected))
+
+
 def test_degenerate_specialization_raises():
     # q = 1 collides the eigenvalues of (2) and (1,1)
     with pytest.raises(DegenerateSpecializationError):
@@ -169,11 +193,3 @@ def test_compare_trig_solves_each_shape_once(monkeypatch):
     monkeypatch.setattr(macdonald, "macdonald_coeffs", counted)
     compare_trig(spectrum)
     assert shapes == list(spectrum.basis.order)
-
-
-def test_matrix_cache_keeps_only_the_current_point():
-    for g in (0.7, 0.8, 0.9):
-        compare_trig(zero_nome_spectrum(3, 2, g))
-    last = ModelParams(3, 2, 0.9, 0.0)
-    assert macdonald._matrix_cache
-    assert {key[1:] for key in macdonald._matrix_cache} == {(last.q, last.t, 4)}
