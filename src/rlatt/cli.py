@@ -131,6 +131,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
             file_values = json.load(handle)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file must hold a JSON object, not {type(file_values).__name__}")
 
     def pick(name, default):
         flag = getattr(args, name, None)
@@ -160,8 +162,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     for name, value in tolerances.items():
         if name not in DEFAULT_TOLERANCES:
             raise ValueError(f"unknown tolerance name {name!r}")
-        if not value > 0:
-            raise ValueError(f"tolerance {name} must be positive, got {value}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+            raise ValueError(f"tolerance {name} must be a positive number, got {value!r}")
+    fmt = pick("format", "json")
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"format must be json or csv, got {fmt!r}")
     seed = pick("seed", 0)
     env_seed = os.environ.get("RLATT_SEED")
     if env_seed is not None:
@@ -176,7 +181,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         alpha_scale=float(pick("alpha_scale", 1.0)),
         tolerances=tolerances,
         out=pick("out", None),
-        format=pick("format", "json"),
+        format=fmt,
     )
 
 

@@ -24,6 +24,7 @@ __all__ = ["ThetaEvaluator", "bracket_trig"]
 _TERM_EPS = 1e-18
 _TERM_CAP = 600
 _ZERO_ARG_TOL = 1e-12
+_NOME_CAP = 0.99
 
 
 class ThetaEvaluator:
@@ -35,9 +36,7 @@ class ThetaEvaluator:
         Positive scaling; the bracket vanishes exactly on multiples of
         ``2*pi/alpha``.
     nome : float
-        Elliptic nome, |nome| <= nome_cap.
-    nome_cap : float
-        Hard cap on |nome| (default 0.99).
+        Elliptic nome, |nome| <= 0.99.
 
     Instances are immutable and evaluation is a pure function of the
     argument, so they are safe to share across threads.
@@ -45,11 +44,11 @@ class ThetaEvaluator:
 
     __slots__ = ("alpha", "nome", "truncation_depth", "period", "_cache")
 
-    def __init__(self, alpha: float, nome: float, nome_cap: float = 0.99):
+    def __init__(self, alpha: float, nome: float):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        if abs(nome) > nome_cap:
-            raise ValueError(f"|nome| = {abs(nome)} exceeds the cap {nome_cap}")
+        if abs(nome) > _NOME_CAP:
+            raise ValueError(f"|nome| = {abs(nome)} exceeds the cap {_NOME_CAP}")
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "nome", float(nome))
         if nome == 0.0:
@@ -108,15 +107,15 @@ class ThetaEvaluator:
             value *= self.bracket(z + l)
         return value
 
-    def is_zero_argument(self, z: float, tol: float = _ZERO_ARG_TOL) -> bool:
-        """True when z sits on a zero of the bracket (a multiple of the period)."""
+    def is_zero_argument(self, z: float) -> bool:
+        """True when z lies within _ZERO_ARG_TOL of a zero of the bracket (a multiple of the period)."""
         nearest = self.period * round(z / self.period)
-        return abs(z - nearest) < tol
+        return abs(z - nearest) < _ZERO_ARG_TOL
 
-    def is_zero_array(self, z, tol: float = _ZERO_ARG_TOL) -> np.ndarray:
+    def is_zero_array(self, z) -> np.ndarray:
         """Elementwise ``is_zero_argument``; np.round, like round, rounds half to even."""
         z = np.asarray(z, dtype=float)
-        return np.abs(z - self.period * np.round(z / self.period)) < tol
+        return np.abs(z - self.period * np.round(z / self.period)) < _ZERO_ARG_TOL
 
 
 def bracket_trig(z: float, alpha: float) -> float:

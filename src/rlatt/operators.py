@@ -26,6 +26,9 @@ __all__ = [
     "weighted_norm",
 ]
 
+_ADJOINT_SEED = 1234
+_ADJOINT_SAMPLES = 8
+
 
 @dataclass(frozen=True)
 class LatticeOperator:
@@ -111,24 +114,18 @@ def transpose_residual(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> flo
     return float(np.linalg.norm(ma.T - mb) / np.linalg.norm(ma))
 
 
-def adjoint_residual(
-    a: np.ndarray,
-    b: np.ndarray,
-    weights: np.ndarray,
-    seed: int = 1234,
-    samples: int = 8,
-) -> float:
+def adjoint_residual(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
     """Bilinear-form defect of the adjoint pairing of D_r and D_{n+1-r}, given as matrices.
 
     Tests <D_r f, g> = <f, D_{n+1-r} g> in the weighted inner product on a
-    fixed batch of pseudo-random complex vectors; the seed is fixed for
-    reproducibility.
+    fixed batch of _ADJOINT_SAMPLES pseudo-random complex vectors; the seed
+    is fixed for reproducibility.
     """
     opnorm = np.linalg.norm(conjugate_by_weights(a, weights), 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_ADJOINT_SEED)
     size = len(weights)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(_ADJOINT_SAMPLES):
         f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         lhs = np.sum((a @ f) * np.conj(g) * weights)

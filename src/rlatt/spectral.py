@@ -1,10 +1,11 @@
 """Joint diagonalization of the commuting family and labeling of the spectrum.
 
 The hop operators are conjugated by the square root of the lattice weights,
-which turns them into a commuting family of normal matrices closed under
-transposition.  Their Hermitian and anti-Hermitian parts form a commuting
-Hermitian family; a pseudo-random combination separates the joint
-eigenspaces, and degenerate clusters are refined by successive restriction.
+which turns them into commuting normal matrices with M_{n+1-r} = M_r^T.  One
+pseudo-random real symmetric combination of M_r + M_r^T, r <= ceil(n/2), is
+diagonalized; conjugate labels share its eigenvalues.  Eigenvalues closer than
+eigh can resolve form chains, each rotated by its restriction of one complex
+Hermitian combination, which also carries the M_r - M_r^T.
 
 Labels (partitions in the box) come from the zero-nome closed form and are
 carried to nonzero nome by continuation, matching eigenvectors between
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
-_CLUSTER_TOL = 1e-8
 _MATCH_TOL = 1e-6
 _ZERO_COMPONENT_TOL = 1e-10
 _MIN_OVERLAP = 0.9
@@ -91,21 +91,12 @@ class Spectrum:
         return np.sqrt(self.weights)[:, None] * self.eigenvector_matrix()
 
 
-def _refine(vecs: np.ndarray, hermitian_ops: list, i: int, tol: float) -> np.ndarray:
-    """Recursively split a degenerate block with the remaining Hermitian members."""
-    if i == len(hermitian_ops):
-        return vecs
-    small = vecs.conj().T @ hermitian_ops[i] @ vecs
-    vals, rot = la.eigh(0.5 * (small + small.conj().T))
-    vecs = vecs @ rot
-    k = 0
-    while k < len(vals):
-        ttol = max(tol, tol * abs(vals[k]))
-        (inds,) = np.where(np.abs(vals - vals[k]) < ttol)
-        if len(inds) > 1:
-            vecs[:, inds] = _refine(vecs[:, inds], hermitian_ops, i + 1, tol)
-        k = inds[-1] + 1
-    return vecs
+def _rotate(a: np.ndarray, rotations: list) -> np.ndarray:
+    """Copy of a with the columns of each chain multiplied by the chain's unitary."""
+    out = a.astype(complex)
+    for cols, u in rotations:
+        out[:, cols] = np.einsum("nki,kij->nkj", a[:, cols], u)
+    return out
 
 
 def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | None = None) -> Spectrum:
@@ -116,8 +107,9 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
     params : ModelParams
         Must lie in the truncation regime (positive weights).
     seed : int
-        Seed for the random Hermitian combination that separates joint
-        eigenspaces; results are deterministic given the seed.
+        Seed for the random coefficients of the real symmetric combination
+        and of the complex Hermitian one that splits its chains; results are
+        deterministic given the seed.
     basis : LatticeBasis, optional
         Reuse an existing enumeration.
 
@@ -128,7 +120,7 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
     Raises
     ------
     DegenerateSpectrumError
-        if some refined vector fails the per-operator residual tolerance.
+        if some vector fails the per-operator residual tolerance.
     NormalizationError
         if an eigenvector has no component at the empty partition.
     """
@@ -139,34 +131,39 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
         conjugate_by_weights(build_hop_operator(r, params, basis).matrix, w)
         for r in range(1, params.n + 1)
     ]
-    s = np.sqrt(w)
-    hermitian = []
-    for m in mats:
-        hermitian.append(0.5 * (m + m.T))
-        hermitian.append((m - m.T) / 2j)
-    rng = np.random.default_rng(seed)
-    coefs = rng.standard_normal(len(hermitian))
-    combo = sum(c * h for c, h in zip(coefs, hermitian)).astype(complex)
-    vals, vecs = la.eigh(combo)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    k = 0
-    while k < len(vals):
-        (inds,) = np.where(np.abs(vals - vals[k]) < _CLUSTER_TOL * scale)
-        if len(inds) > 1:
-            vecs[:, inds] = _refine(vecs[:, inds], hermitian, 0, _CLUSTER_TOL)
-        k = inds[-1] + 1
+    # M_{n+1-r} = M_r^T, so M_1..M_ceil(n/2) carry the whole family
+    half = mats[: (params.n + 1) // 2]
+    a, x, y = np.random.default_rng(seed).standard_normal((3, len(half)))
+    # conjugate labels share an eigenvalue 2 sum_r a_r Re e_r of this combination
+    vals, real_vecs = la.eigh(sum(c * (m + m.T) for c, m in zip(a, half)), driver="evd")
+    # eigh gets a vector right to eps ||A|| / gap (Davis-Kahan), so eigenvalues
+    # closer than the gap at which that reaches _RESIDUAL_TOL form one chain
+    gap = 10 * np.finfo(float).eps / _RESIDUAL_TOL * np.max(np.abs(vals))
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) >= gap)
+    sizes = np.diff(starts, append=len(vals))
+    # each chain is rotated by eigh of its restriction of the Hermitian
+    # sum_r x_r (M_r + M_r^T) + i y_r (M_r - M_r^T) = G + G^H, G = sum_r (x_r + i y_r) M_r;
+    # chains of one length are stacked, as columns (K, L) and unitaries (K, L, L)
+    gx, gy = (sum(c * m for c, m in zip(coefs, half)) @ real_vecs for coefs in (x, y))
+    rotations = []
+    for size in np.unique(sizes[sizes > 1]):
+        cols = starts[sizes == size, None] + np.arange(size)
+        block = np.einsum("nki,nkj->kij", real_vecs[:, cols], gx[:, cols] + 1j * gy[:, cols])
+        rotations.append((cols, np.linalg.eigh(block + block.conj().swapaxes(1, 2))[1]))
+    del gx, gy
+    vecs = _rotate(real_vecs, rotations)
     # M_r is real and commutes with its transpose M_{n+1-r}, so it is normal
     # and its 2-norm is its spectral radius max_k |e_rk|
     eigenvalues = np.empty((len(vals), len(mats)), dtype=complex)
     residuals = np.zeros(len(vals))
     for r0, m in enumerate(mats):
-        product = m @ vecs
+        product = _rotate(m @ real_vecs, rotations)
         e = np.einsum("ij,ij->j", vecs.conj(), product)
         product -= vecs * e
         residuals = np.maximum(residuals, np.linalg.norm(product, axis=0) / np.max(np.abs(e)))
         eigenvalues[:, r0] = e
         del product  # one N x N product alive at a time
-    u = vecs / s[:, None]
+    u = vecs / np.sqrt(w)[:, None]
     u0 = u[0]
     (small,) = np.nonzero(np.abs(u0) < _ZERO_COMPONENT_TOL)
     if len(small):

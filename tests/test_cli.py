@@ -251,7 +251,14 @@ def test_config_file_and_overrides(tmp_path, monkeypatch):
     assert payload["seed"] == 99
 
 
-def test_unknown_tolerance_in_config_is_usage_error(tmp_path):
+def test_unknown_tolerance_in_config_is_usage_error(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n": 1, "m": 1, "tolerances": {"bogus": 1e-3}}))
-    assert main(["verify", "--config", str(config)]) == 2
+    for command, contents, message in [
+        (["verify"], {"n": 1, "m": 1, "tolerances": {"bogus": 1e-3}}, "unknown tolerance name 'bogus'"),
+        (["verify", "--n", "1", "--m", "1"], [1, 2], "must hold a JSON object, not list"),
+        (["verify"], {"n": 1, "m": 1, "tolerances": {"pieri": "x"}}, "pieri must be a positive number, got 'x'"),
+        (["enumerate"], {"n": 1, "m": 1, "format": "xml"}, "format must be json or csv, got 'xml'"),
+    ]:
+        config.write_text(json.dumps(contents))
+        assert main(command + ["--config", str(config)]) == 2
+        assert message in capsys.readouterr().err

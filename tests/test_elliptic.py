@@ -110,8 +110,6 @@ def test_parameter_validation():
         ThetaEvaluator(0.0, 0.3)
     with pytest.raises(ValueError):
         ThetaEvaluator(1.0, 0.995)
-    # the cap is configurable
-    ThetaEvaluator(1.0, 0.995, nome_cap=0.999)
 
 
 def test_truncation_depth():

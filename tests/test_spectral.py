@@ -241,3 +241,32 @@ def test_one_jump_labels_equal_the_sweep_grid(n, m, p):
     assert [d.label for d in jumped.data] == [d.label for d in swept.data]
     for a, b in zip(jumped.data, swept.data):
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+# couplings and nomes where eigenvalues of the separating combination lie
+# closer than eigh's accuracy allows for a lone vector; (6, 6) is N = 924
+@pytest.mark.parametrize(
+    "n,m,g,p",
+    [
+        (5, 5, 0.62, 0.3),
+        (5, 5, 1.18, 0.2),
+        (5, 5, 1.0405311166566569, 0.1),
+        (4, 6, 1.34, 0.15),
+        (4, 5, 1.247711042332361, 0.05),
+        (5, 5, 0.78, 0.1),
+        (5, 5, 1.46, 0.0),
+        (6, 6, 0.7, 0.3),
+    ],
+)
+def test_close_eigenvalues_meet_the_residual_tolerance(n, m, g, p):
+    spectrum = joint_diagonalize(ModelParams(n, m, g, p))
+    assert len(spectrum) == comb(n + m, n)
+    assert max(d.residual for d in spectrum.data) < 1e-9
+
+
+def test_sweep_through_close_eigenvalues():
+    ps = [round(-0.05 * k, 10) for k in range(13)]
+    spectra = sweep_spectra(ModelParams(5, 4, 0.9927340406623589, 0.0), ps)
+    assert [s.params.p for s in spectra] == ps
+    for spectrum in spectra:
+        assert max(d.residual for d in spectrum.data) < 1e-9
