@@ -47,13 +47,9 @@ from .macdonald import (
     trig_joint_eigenvalue,
 )
 from .operators import (
-    LatticeOperator,
     adjoint_residual,
-    build_antisymmetric_operator,
     build_hop_operator,
-    build_symmetric_operator,
     commutator_residual,
-    symmetrize,
     transpose_residual,
 )
 from .partitions import (
@@ -68,11 +64,9 @@ from .partitions import (
     weight_to_partition,
 )
 from .spectral import (
-    SpectralDatum,
     Spectrum,
     conjugate_pairing_residual,
     continue_labels,
-    eigenvalue_curves,
     joint_diagonalize,
     label_spectrum,
     min_eigenvalue_gap,

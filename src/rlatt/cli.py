@@ -21,12 +21,7 @@ from . import __version__
 from .coeffs import ModelParams, weight_vector
 from .eigenpoly import build_polynomials
 from .errors import RlattError
-from .operators import (
-    build_antisymmetric_operator,
-    build_hop_operator,
-    build_symmetric_operator,
-    symmetrize,
-)
+from .operators import build_hop_operator, conjugate_by_weights
 from .partitions import enumerate_lattice, weight
 from .report import CHECK_NAMES, DEFAULT_TOLERANCES, REPORT_SCHEMA_VERSION, run_verification
 from .spectral import joint_diagonalize, label_spectrum, sweep_spectra
@@ -121,6 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the keys a config file may hold and the JSON type of each; a number may be
+# an integer, and no key takes a boolean or null
+_CONFIG_TYPES = {
+    "n": int, "m": int, "seed": int,
+    "g": float, "p": float, "p_start": float, "p_stop": float, "p_step": float, "alpha_scale": float,
+    "tolerances": dict, "out": str, "format": str,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", dict: "an object", str: "a string"}
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file, flags, and environment into a RunConfig.
 
@@ -133,6 +138,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             file_values = json.load(handle)
         if not isinstance(file_values, dict):
             raise ValueError(f"config file must hold a JSON object, not {type(file_values).__name__}")
+        for key, value in file_values.items():
+            if key not in _CONFIG_TYPES:
+                raise ValueError(f"unknown config key {key!r}")
+            kind = _CONFIG_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
     def pick(name, default):
         flag = getattr(args, name, None)
@@ -172,12 +183,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if env_seed is not None:
         seed = int(env_seed)
     return RunConfig(
-        n=int(n),
-        m=int(m),
+        n=n,
+        m=m,
         g=float(pick("g", 1.0)),
         p=float(pick("p", 0.0)),
         p_sweep=sweep,
-        seed=int(seed),
+        seed=seed,
         alpha_scale=float(pick("alpha_scale", 1.0)),
         tolerances=tolerances,
         out=pick("out", None),
@@ -234,20 +245,26 @@ def cmd_enumerate(config: RunConfig) -> int:
     return 0
 
 
-def _build_operator(config: RunConfig, r: int, kind: str):
-    params = config.model_params()
-    if kind == "D":
-        return build_hop_operator(r, params)
+def _operator_matrix(params: ModelParams, r: int, kind: str) -> np.ndarray:
+    """D_r, the self-adjoint combinations C_r and S_r, or the weight-conjugated M_r."""
+    n = params.n
+    if kind == "C" and not 1 <= r <= (n + 1) // 2:
+        raise ValueError(f"symmetric combination index {r} outside 1..{(n + 1) // 2}")
+    if kind == "S" and not 1 <= r <= n // 2:
+        raise ValueError(f"antisymmetric combination index {r} outside 1..{n // 2}")
+    basis = enumerate_lattice(n, params.m)
+    hop = build_hop_operator(r, params, basis)
     if kind == "C":
-        return build_symmetric_operator(r, params)
+        return 0.5 * (hop + build_hop_operator(n + 1 - r, params, basis))
     if kind == "S":
-        return build_antisymmetric_operator(r, params)
-    return symmetrize(build_hop_operator(r, params), params)
+        return (hop - build_hop_operator(n + 1 - r, params, basis)) / 2j
+    if kind == "M":
+        return conjugate_by_weights(hop, weight_vector(basis, params))
+    return hop
 
 
 def cmd_operator(config: RunConfig, r: int, kind: str) -> int:
-    op = _build_operator(config, r, kind)
-    mat = op.matrix
+    mat = _operator_matrix(config.model_params(), r, kind)
     is_complex = np.iscomplexobj(mat)
     if config.format == "json":
         entries = []
@@ -258,7 +275,7 @@ def cmd_operator(config: RunConfig, r: int, kind: str) -> int:
                 entries.append(float(value))
         payload = {
             "schema": "rlatt/operator",
-            "kind": op.kind,
+            "kind": kind,
             "r": r,
             "n": config.n,
             "m": config.m,
@@ -280,17 +297,21 @@ def cmd_operator(config: RunConfig, r: int, kind: str) -> int:
 
 
 def _spectrum_records(spectrum) -> list:
-    records = []
-    for datum in spectrum.data:
-        records.append(
-            {
-                "nu": list(datum.label),
-                "e": [[float(e.real), float(e.imag)] for e in datum.eigenvalues],
-                "norm_hat": float(datum.norm_hat),
-                "residual": float(datum.residual),
-            }
+    """One record per label of a labeled spectrum, in basis order."""
+    return [
+        {
+            "nu": list(nu),
+            "e": [[e.real, e.imag] for e in eigenvalues],
+            "norm_hat": norm_hat,
+            "residual": residual,
+        }
+        for nu, eigenvalues, norm_hat, residual in zip(
+            spectrum.basis.order,
+            spectrum.eigenvalues.tolist(),
+            spectrum.norm_hat.tolist(),
+            spectrum.residuals.tolist(),
         )
-    return records
+    ]
 
 
 def cmd_spectrum(config: RunConfig) -> int:

@@ -117,7 +117,7 @@ def value_table(coeffs: np.ndarray, spectrum) -> np.ndarray:
     basis = spectrum.basis
     parts = basis.parts
     keys = parts[:, :-1] - parts[:, 1:]
-    eigenvalues = np.array([d.eigenvalues for d in spectrum.data]).T
+    eigenvalues = spectrum.eigenvalues.T
     powers = eigenvalues[:, None, :] ** np.arange(basis.m + 1)[None, :, None]
     monomials = np.prod(powers[np.arange(basis.n), keys], axis=1)
     return coeffs @ monomials
@@ -148,8 +148,7 @@ def dual_orthogonality_residual(table: np.ndarray, spectrum, norms: np.ndarray) 
     The Gram matrix with the dual weights must be diagonal with entries
     1/(c^2 * weight), c = ``norms``; the residual is relative to those entries row by row.
     """
-    dual = np.array([d.norm_hat for d in spectrum.data])
-    gram = (table * dual[None, :]) @ table.conj().T
+    gram = (table * spectrum.norm_hat[None, :]) @ table.conj().T
     target = 1.0 / (norms * norms * spectrum.weights)
     return float(np.max(np.abs(gram - np.diag(target)) / target[:, None]))
 
@@ -161,6 +160,6 @@ def reconstruct_and_compare(table: np.ndarray, spectrum, norms: np.ndarray) -> f
     values are compared, in the weighted norm, with the numerically obtained
     eigenvector rescaled to unit value at the empty partition.
     """
-    vectors = spectrum.eigenvector_matrix()
+    vectors = spectrum.eigenvectors
     distance = np.abs(norms[:, None] * table - vectors / vectors[0]) ** 2
     return float(np.sqrt(np.max(spectrum.weights @ distance)))

@@ -6,19 +6,13 @@ form M = W^{1/2} A W^{-1/2} turns the adjoint relation into a plain
 transpose, which is what the residual checks below exercise.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .coeffs import ModelParams, hop_amplitudes, weight_vector
+from .coeffs import ModelParams, hop_amplitudes
 from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
-    "LatticeOperator",
     "build_hop_operator",
-    "build_symmetric_operator",
-    "build_antisymmetric_operator",
-    "symmetrize",
     "conjugate_by_weights",
     "commutator_residual",
     "adjoint_residual",
@@ -30,25 +24,7 @@ _ADJOINT_SEED = 1234
 _ADJOINT_SAMPLES = 8
 
 
-@dataclass(frozen=True)
-class LatticeOperator:
-    """A dense operator over the ordered lattice basis.
-
-    kind is one of "D" (hop), "C" (symmetric combination), "S"
-    (antisymmetric combination) or "M" (weight-conjugated hop).
-    """
-
-    kind: str
-    r: int
-    basis: LatticeBasis
-    matrix: np.ndarray
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}{self.r}"
-
-
-def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None = None) -> LatticeOperator:
+def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None = None) -> np.ndarray:
     """Matrix of the order-r hop operator over the bounded lattice.
 
     Row lam collects the amplitudes of all r-strips whose reduced target
@@ -63,42 +39,13 @@ def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None =
     inside = moves.target >= 0
     mat = np.zeros((len(basis), len(basis)))
     np.add.at(mat, (moves.source[inside], moves.target[inside]), hop_amplitudes(basis, r, params)[inside])
-    return LatticeOperator("D", r, basis, mat)
-
-
-def build_symmetric_operator(r: int, params: ModelParams, basis: LatticeBasis | None = None) -> LatticeOperator:
-    """Self-adjoint combination (D_r + D_{n+1-r})/2."""
-    n = params.n
-    if not 1 <= r <= (n + 1) // 2:
-        raise ValueError(f"symmetric combination index {r} outside 1..{(n + 1) // 2}")
-    first = build_hop_operator(r, params, basis)
-    if n + 1 - r == r:
-        return LatticeOperator("C", r, first.basis, first.matrix.copy())
-    second = build_hop_operator(n + 1 - r, params, first.basis)
-    return LatticeOperator("C", r, first.basis, 0.5 * (first.matrix + second.matrix))
-
-
-def build_antisymmetric_operator(r: int, params: ModelParams, basis: LatticeBasis | None = None) -> LatticeOperator:
-    """Self-adjoint combination (D_r - D_{n+1-r})/(2i); complex entries."""
-    n = params.n
-    if not 1 <= r <= n // 2:
-        raise ValueError(f"antisymmetric combination index {r} outside 1..{n // 2}")
-    first = build_hop_operator(r, params, basis)
-    second = build_hop_operator(n + 1 - r, params, first.basis)
-    return LatticeOperator("S", r, first.basis, (first.matrix - second.matrix) / 2j)
+    return mat
 
 
 def conjugate_by_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """W^{1/2} A W^{-1/2} for the diagonal matrix W of (positive) lattice weights."""
     s = np.sqrt(weights)
     return (s[:, None] * matrix) / s[None, :]
-
-
-def symmetrize(op: LatticeOperator, params: ModelParams) -> LatticeOperator:
-    """Weight-conjugated form W^{1/2} A W^{-1/2} of an operator."""
-    mat = conjugate_by_weights(op.matrix, weight_vector(op.basis, params))
-    kind = "M" if op.kind == "D" else "M" + op.kind
-    return LatticeOperator(kind, op.r, op.basis, mat)
 
 
 def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:

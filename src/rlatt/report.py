@@ -224,7 +224,7 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
 
     # cache keeps nothing of a call that raises, so each check that needs a
     # quantity which cannot be built records the error of building it
-    hops = cache(lambda: [build_hop_operator(r, params, basis).matrix for r in range(1, params.n + 1)])
+    hops = cache(lambda: [build_hop_operator(r, params, basis) for r in range(1, params.n + 1)])
     weights = cache(lambda: weight_vector(basis, params))
     norms = cache(lambda: norm_vector(basis, params))
     # the scalar Pieri coefficients of the moves on the box, read by psi-consistency and pieri

@@ -27,7 +27,6 @@ from .operators import build_hop_operator, conjugate_by_weights
 from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
-    "SpectralDatum",
     "Spectrum",
     "joint_diagonalize",
     "label_spectrum",
@@ -37,7 +36,6 @@ __all__ = [
     "unitarity_residual",
     "conjugate_pairing_residual",
     "min_eigenvalue_gap",
-    "eigenvalue_curves",
     "second_difference_residual",
 ]
 
@@ -48,47 +46,43 @@ _MIN_OVERLAP = 0.9
 _MIN_STEP = 0.05 / 2**6
 
 
-@dataclass
-class SpectralDatum:
-    """One joint eigenpair.
-
-    eigenvector is normalized to unit weighted norm with the component at the
-    empty partition real and positive; norm_hat is the dual weight attached
-    to the eigenvalue vector for the unit-value-at-zero normalization.
-    """
-
-    label: tuple | None
-    eigenvalues: np.ndarray
-    eigenvector: np.ndarray
-    norm_hat: float
-    residual: float
-
-
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
-    """Joint eigenpairs at one parameter point; weights default to its lattice weights."""
+    """Joint eigenpairs at one parameter point, as arrays indexed by eigenpair k.
+
+    ``eigenvalues[k, r - 1]`` is the eigenvalue of the order-r operator and
+    ``eigenvectors[:, k]`` the eigenvector, of unit weighted norm with its
+    component at the empty partition real and positive; ``norm_hat[k]`` is the
+    dual weight for the unit-value-at-zero normalization and ``residuals[k]``
+    the largest relative residual over the operators.  Labeling permutes the
+    eigenpairs so that eigenpair k carries the label ``basis.order[k]``.
+    """
 
     params: ModelParams
     basis: LatticeBasis
-    data: list
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.weights is None:
-            self.weights = weight_vector(self.basis, self.params)
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    norm_hat: np.ndarray
+    residuals: np.ndarray
+    weights: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.data)
-
-    def by_label(self) -> dict:
-        return {d.label: d for d in self.data}
-
-    def eigenvector_matrix(self) -> np.ndarray:
-        return np.column_stack([d.eigenvector for d in self.data])
+        return self.eigenvectors.shape[1]
 
     def frame_matrix(self) -> np.ndarray:
         """Columns in the weight-conjugated frame (orthonormal)."""
-        return np.sqrt(self.weights)[:, None] * self.eigenvector_matrix()
+        return np.sqrt(self.weights)[:, None] * self.eigenvectors
+
+
+def _permuted(spectrum: Spectrum, order: np.ndarray) -> Spectrum:
+    """New spectrum whose eigenpair k is eigenpair order[k] of the given one."""
+    return replace(
+        spectrum,
+        eigenvalues=spectrum.eigenvalues[order],
+        eigenvectors=spectrum.eigenvectors[:, order],
+        norm_hat=spectrum.norm_hat[order],
+        residuals=spectrum.residuals[order],
+    )
 
 
 def _rotate(a: np.ndarray, rotations: list) -> np.ndarray:
@@ -115,7 +109,8 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
 
     Returns
     -------
-    Spectrum with unlabeled data (labels are assigned by label_spectrum).
+    Spectrum with its eigenpairs in the solver's order (label_spectrum puts
+    them in label order).
 
     Raises
     ------
@@ -128,7 +123,7 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
         basis = enumerate_lattice(params.n, params.m)
     w = weight_vector(basis, params)
     mats = [
-        conjugate_by_weights(build_hop_operator(r, params, basis).matrix, w)
+        conjugate_by_weights(build_hop_operator(r, params, basis), w)
         for r in range(1, params.n + 1)
     ]
     # M_{n+1-r} = M_r^T, so M_1..M_ceil(n/2) carry the whole family
@@ -171,17 +166,13 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
         raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {abs(u0[k])}")
     u *= np.conj(u0) / np.abs(u0)
     norm_hat = 1.0 / np.sum(np.abs(u / u[0]) ** 2 * w[:, None], axis=0)
-    data = [
-        SpectralDatum(None, eigenvalues[k], u[:, k], float(norm_hat[k]), float(residuals[k]))
-        for k in range(len(vals))
-    ]
     offenders = [(int(k), float(residuals[k])) for k in np.nonzero(residuals > _RESIDUAL_TOL)[0]]
     if offenders:
         raise DegenerateSpectrumError(
             f"{len(offenders)} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}",
             clusters=offenders,
         )
-    return Spectrum(params, basis, data, w)
+    return Spectrum(params, basis, eigenvalues, u, norm_hat, residuals, w)
 
 
 def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,16 +193,16 @@ def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
     min_gap = np.min(gaps)
     if min_gap < 2 * _MATCH_TOL:
         raise LabelingError(f"closed-form eigenvalue vectors are ambiguous: min gap {min_gap:.3e}")
-    cost = _max_distances(np.array([d.eigenvalues for d in spectrum.data]), targets)
+    cost = _max_distances(spectrum.eigenvalues, targets)
     rows, cols = linear_sum_assignment(cost)
     for i, j in zip(rows, cols):
         if cost[i, j] > _MATCH_TOL:
             raise LabelingError(
                 f"no closed-form match within {_MATCH_TOL} for eigenvalue vector "
-                f"{spectrum.data[i].eigenvalues} (best gap {cost[i, j]:.3e})"
+                f"{spectrum.eigenvalues[i]} (best gap {cost[i, j]:.3e})"
             )
-        spectrum.data[i].label = basis.order[j]
-    return replace(spectrum, data=sorted(spectrum.data, key=lambda d: basis.index[d.label]))
+    # rows is 0..N-1: vector i takes label cols[i]
+    return _permuted(spectrum, np.argsort(cols))
 
 
 def _transfer_labels(previous: Spectrum, candidate: Spectrum):
@@ -220,9 +211,8 @@ def _transfer_labels(previous: Spectrum, candidate: Spectrum):
     rows, cols = linear_sum_assignment(-overlap)
     if np.min(overlap[rows, cols]) <= _MIN_OVERLAP:
         return None
-    for i, j in zip(rows, cols):
-        candidate.data[j].label = previous.data[i].label
-    return replace(candidate, data=sorted(candidate.data, key=lambda d: candidate.basis.index[d.label]))
+    # rows is 0..N-1 and previous is in label order: candidate vector cols[i] takes label i
+    return _permuted(candidate, cols)
 
 
 def continue_labels(labeled: Spectrum, target: Spectrum, seed: int = 0) -> Spectrum:
@@ -297,7 +287,7 @@ def orthogonality_residual(spectrum: Spectrum) -> float:
     """Largest off-diagonal weighted inner product between eigenvectors."""
     if len(spectrum) < 2:
         return 0.0
-    u = spectrum.eigenvector_matrix()
+    u = spectrum.eigenvectors
     gram = (u.T * spectrum.weights) @ np.conj(u)
     off = gram - np.diag(np.diag(gram))
     return float(np.max(np.abs(off)))
@@ -305,62 +295,41 @@ def orthogonality_residual(spectrum: Spectrum) -> float:
 
 def unitarity_residual(spectrum: Spectrum) -> float:
     """Deviation from unitarity of the weighted eigenfunction value matrix."""
-    u = spectrum.eigenvector_matrix()
+    u = spectrum.eigenvectors
     values = u / u[0, :]
-    dual = np.array([d.norm_hat for d in spectrum.data])
-    mat = np.sqrt(spectrum.weights)[:, None] * values * np.sqrt(dual)[None, :]
+    mat = np.sqrt(spectrum.weights)[:, None] * values * np.sqrt(spectrum.norm_hat)[None, :]
     eye = mat.conj().T @ mat
     return float(np.max(np.abs(eye - np.eye(len(spectrum)))))
 
 
 def conjugate_pairing_residual(spectrum: Spectrum) -> float:
     """Defect of eigenvalue pairing e_{n+1-r} = conj(e_r)."""
-    worst = 0.0
-    for datum in spectrum.data:
-        e = datum.eigenvalues
-        worst = max(worst, float(np.max(np.abs(e[::-1] - np.conj(e)))))
-    return worst
+    e = spectrum.eigenvalues
+    return float(np.max(np.abs(e[:, ::-1] - np.conj(e))))
 
 
 def min_eigenvalue_gap(spectrum: Spectrum) -> float:
     """Smallest pairwise distance between joint eigenvalue vectors."""
     if len(spectrum) < 2:
         return np.inf
-    e = np.array([d.eigenvalues for d in spectrum.data])
+    e = spectrum.eigenvalues
     return float(np.min(pdist(np.hstack([e.real, e.imag]))))
-
-
-def eigenvalue_curves(spectra: list) -> dict:
-    """Curves (label, r) -> eigenvalue array over a sweep of labeled spectra."""
-    curves: dict = {}
-    for spectrum in spectra:
-        for datum in spectrum.data:
-            for r0, e in enumerate(datum.eigenvalues):
-                curves.setdefault((datum.label, r0 + 1), []).append(e)
-    return {key: np.array(vals) for key, vals in curves.items()}
 
 
 def second_difference_residual(spectra: list) -> float:
     """Largest second difference over all envelope-normalized eigenvalue curves.
 
-    All curves of a given order share a steep common growth as |p| increases,
-    so each is divided pointwise by the envelope max(1, max_label |e|) before
-    differencing.  A labeling jump then contributes on the order of the gap
-    between branches relative to the envelope, while a smooth curve sampled
-    at step h contributes O(h^2); values below 0.5 indicate a clean sweep.
+    The curves are the eigenvalues of each label and order along a sweep of
+    labeled spectra.  All curves of a given order share a steep common growth
+    as |p| increases, so each is divided pointwise by the envelope
+    max(1, max_label |e|) before differencing.  A labeling jump then
+    contributes on the order of the gap between branches relative to the
+    envelope, while a smooth curve sampled at step h contributes O(h^2);
+    values below 0.5 indicate a clean sweep.
     """
-    curves = eigenvalue_curves(spectra)
-    by_order: dict = {}
-    for (label, r), curve in curves.items():
-        by_order.setdefault(r, {})[label] = curve
-    worst = 0.0
-    for group in by_order.values():
-        stacked = np.array(list(group.values()))
-        if stacked.shape[1] < 3:
-            continue
-        envelope = np.maximum(np.max(np.abs(stacked), axis=0), 1.0)
-        for curve in group.values():
-            ratio = curve / envelope
-            second = np.abs(ratio[2:] - 2.0 * ratio[1:-1] + ratio[:-2])
-            worst = max(worst, float(np.max(second)))
-    return worst
+    # (point, label, order)
+    curves = np.array([s.eigenvalues for s in spectra])
+    if len(curves) < 3:
+        return 0.0
+    ratio = curves / np.maximum(np.max(np.abs(curves), axis=1, keepdims=True), 1.0)
+    return float(np.max(np.abs(ratio[2:] - 2.0 * ratio[1:-1] + ratio[:-2])))

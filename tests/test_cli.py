@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from rlatt.cli import main
+from rlatt.coeffs import ModelParams, weight_vector
+from rlatt.operators import build_hop_operator, conjugate_by_weights
+from rlatt.partitions import enumerate_lattice
 from rlatt.report import REPORT_SCHEMA_VERSION
 
 
@@ -52,10 +55,7 @@ def test_operator_json_roundtrip_is_bit_exact(tmp_path):
     args = ["operator", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.5", "--r", "2"]
     code, payload = run_json(tmp_path, args)
     assert code == 0
-    from rlatt.coeffs import ModelParams
-    from rlatt.operators import build_hop_operator
-
-    direct = build_hop_operator(2, ModelParams(2, 2, 0.7, 0.5)).matrix
+    direct = build_hop_operator(2, ModelParams(2, 2, 0.7, 0.5))
     reloaded = np.array(payload["entries"]).reshape(payload["size"], payload["size"])
     assert np.array_equal(reloaded, direct)
 
@@ -69,6 +69,87 @@ def test_complex_operator_export(tmp_path):
     assert payload["dtype"] == "complex"
     entries = np.array([complex(re, im) for re, im in payload["entries"]])
     assert np.all(np.abs(entries.real) < 1e-15)
+
+
+def operator_matrix(tmp_path, params, r, kind):
+    """The matrix that `rlatt operator` writes for one kind, read back bit for bit."""
+    args = [
+        "operator", "--n", str(params.n), "--m", str(params.m), "--g", repr(params.g),
+        "--p", repr(params.p), "--r", str(r), "--kind", kind,
+    ]
+    code, payload = run_json(tmp_path, args, f"{kind}{r}.json")
+    assert code == 0
+    assert payload["kind"] == kind
+    entries = np.array(payload["entries"])
+    if payload["dtype"] == "complex":
+        entries = entries.view(complex)
+    return entries.reshape(payload["size"], payload["size"])
+
+
+# (n, m, g, p); the n = 1 point has unit weights
+OPERATOR_POINTS = [(1, 1, 1.0, 0.0), (2, 2, 0.7, 0.3), (3, 3, 0.7, 0.5), (4, 2, 1.3, -0.4)]
+
+
+@pytest.mark.parametrize("n,m,g,p", OPERATOR_POINTS)
+def test_operator_kind_c_is_the_half_sum(tmp_path, n, m, g, p):
+    # r = n + 1 - r included: C is then D_r itself, as (D_r + D_r) / 2
+    params = ModelParams(n, m, g, p)
+    for r in range(1, (n + 1) // 2 + 1):
+        pair = build_hop_operator(r, params) + build_hop_operator(n + 1 - r, params)
+        assert np.array_equal(operator_matrix(tmp_path, params, r, "C"), 0.5 * pair)
+    if n % 2:
+        middle = (n + 1) // 2
+        assert np.array_equal(operator_matrix(tmp_path, params, middle, "C"), build_hop_operator(middle, params))
+
+
+@pytest.mark.parametrize("n,m,g,p", OPERATOR_POINTS)
+def test_operator_kind_s_is_the_half_difference(tmp_path, n, m, g, p):
+    params = ModelParams(n, m, g, p)
+    for r in range(1, n // 2 + 1):
+        pair = build_hop_operator(r, params) - build_hop_operator(n + 1 - r, params)
+        assert np.array_equal(operator_matrix(tmp_path, params, r, "S"), pair / 2j)
+
+
+@pytest.mark.parametrize("n,m,g,p", OPERATOR_POINTS)
+def test_operator_kind_m_is_the_weight_conjugated_hop(tmp_path, n, m, g, p):
+    params = ModelParams(n, m, g, p)
+    w = weight_vector(enumerate_lattice(n, m), params)
+    for r in range(1, n + 1):
+        hop = build_hop_operator(r, params)
+        exported = operator_matrix(tmp_path, params, r, "M")
+        assert np.array_equal(exported, conjugate_by_weights(hop, w))
+        if n == 1:  # unit weights
+            assert exported == pytest.approx(hop, abs=1e-14)
+
+
+@pytest.mark.parametrize("n,m,g,p", OPERATOR_POINTS)
+def test_weight_conjugated_combinations_are_self_adjoint(tmp_path, n, m, g, p):
+    params = ModelParams(n, m, g, p)
+    w = weight_vector(enumerate_lattice(n, m), params)
+    for r in range(1, (n + 1) // 2 + 1):
+        c = conjugate_by_weights(operator_matrix(tmp_path, params, r, "C"), w)
+        assert np.max(np.abs(c - c.T)) < 1e-11
+    for r in range(1, n // 2 + 1):
+        s = conjugate_by_weights(operator_matrix(tmp_path, params, r, "S"), w)
+        assert np.max(np.abs(s + s.T)) < 1e-11  # antisymmetric
+        assert np.max(np.abs(s - s.conj().T)) < 1e-11  # and Hermitian
+
+
+@pytest.mark.parametrize(
+    "n,kind,r,message",
+    [
+        (2, "C", 0, "symmetric combination index 0 outside 1..1"),
+        (2, "C", 2, "symmetric combination index 2 outside 1..1"),
+        (3, "C", 3, "symmetric combination index 3 outside 1..2"),
+        (2, "S", 0, "antisymmetric combination index 0 outside 1..1"),
+        (2, "S", 2, "antisymmetric combination index 2 outside 1..1"),
+        (1, "S", 1, "antisymmetric combination index 1 outside 1..0"),
+        (3, "M", 4, "operator order 4 outside 1..3"),
+    ],
+)
+def test_operator_kind_out_of_range_is_usage_error(capsys, n, kind, r, message):
+    assert main(["operator", "--n", str(n), "--m", "2", "--r", str(r), "--kind", kind]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_spectrum_sweep_two_state(tmp_path):
@@ -104,7 +185,6 @@ def test_spectrum_labels_match_trig_table(tmp_path):
         tmp_path, ["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0"]
     )
     assert code == 0
-    from rlatt.coeffs import ModelParams
     from rlatt.macdonald import trig_joint_eigenvalue
 
     params = ModelParams(2, 2, 0.7, 0.0)
@@ -217,7 +297,7 @@ def test_csv_output(tmp_path):
     assert rows[0] == ["index", "partition", "weight", "delta"]
     assert len(rows) == 7
     # full precision survives the csv round trip
-    from rlatt.coeffs import ModelParams, lattice_weight
+    from rlatt.coeffs import lattice_weight
 
     assert float(rows[2][3]) == lattice_weight((1,), ModelParams(2, 2, 1.0, 0.0))
 
@@ -258,6 +338,15 @@ def test_unknown_tolerance_in_config_is_usage_error(tmp_path, capsys):
         (["verify", "--n", "1", "--m", "1"], [1, 2], "must hold a JSON object, not list"),
         (["verify"], {"n": 1, "m": 1, "tolerances": {"pieri": "x"}}, "pieri must be a positive number, got 'x'"),
         (["enumerate"], {"n": 1, "m": 1, "format": "xml"}, "format must be json or csv, got 'xml'"),
+        (["enumerate"], {"n": [1], "m": 1}, "config key 'n' must be an integer, got [1]"),
+        (["verify"], {"n": 1, "m": 1, "tolerances": [1]}, "config key 'tolerances' must be an object, got [1]"),
+        (["enumerate"], {"n": 1, "m": 1, "g": None}, "config key 'g' must be a number, got None"),
+        (["enumerate"], {"n": 1.5, "m": 1}, "config key 'n' must be an integer, got 1.5"),
+        (["enumerate"], {"n": True, "m": 1}, "config key 'n' must be an integer, got True"),
+        (["enumerate"], {"n": 1, "m": 1, "out": 5}, "config key 'out' must be a string, got 5"),
+        (["enumerate"], {"n": 1, "m": 1, "p": False}, "config key 'p' must be a number, got False"),
+        (["enumerate"], {"n": 1, "m": 1, "seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
+        (["verify"], {"n": 1, "m": 1, "tolerance": {"pieri": 1e-3}}, "unknown config key 'tolerance'"),
     ]:
         config.write_text(json.dumps(contents))
         assert main(command + ["--config", str(config)]) == 2

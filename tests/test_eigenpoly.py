@@ -27,7 +27,7 @@ def _pieri(basis, params):
 
 def _value(coeffs, basis, mu, e):
     """Value of the polynomial of mu at one vector of joint eigenvalues."""
-    points = SimpleNamespace(basis=basis, data=[SimpleNamespace(eigenvalues=np.asarray(e))])
+    points = SimpleNamespace(basis=basis, eigenvalues=np.asarray(e)[None, :])
     return value_table(coeffs, points)[basis.index[mu], 0]
 
 
@@ -87,8 +87,8 @@ def test_value_table_equals_the_sum_over_terms(n, m, p):
     coeffs = build_polynomials(params, basis)
     keys = [partition_to_weight(nu, n) for nu in basis.order]
     expected = np.zeros((len(basis), len(spectrum)), dtype=complex)
-    for j, datum in enumerate(spectrum.data):
-        e = [complex(x) for x in datum.eigenvalues]
+    for j, eigenvalues in enumerate(spectrum.eigenvalues):
+        e = [complex(x) for x in eigenvalues]
         for i in range(len(basis)):
             for k in np.flatnonzero(coeffs[i]):
                 term = complex(coeffs[i, k])
@@ -122,7 +122,7 @@ def test_dual_orthogonality(labeled, polys, n, m, g, p):
 def test_dual_weights_row_sums_to_one(labeled):
     # the (0,0) entry of the dual Gram identity: sum of dual weights is 1
     spectrum = labeled(2, 2, 1.0, 0.3)
-    assert sum(d.norm_hat for d in spectrum.data) == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(spectrum.norm_hat) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_state_gram_identity_by_hand(labeled, polys):
@@ -133,8 +133,7 @@ def test_two_state_gram_identity_by_hand(labeled, polys):
     family = polys(1, 1, 1.0, 0.0)
     table = value_table(family, spectrum)
     assert table == pytest.approx(np.array([[1.0, 1.0], [1.0, -1.0]]), abs=1e-12)
-    dual = np.array([d.norm_hat for d in spectrum.data])
-    gram = (table * dual) @ table.conj().T
+    gram = (table * spectrum.norm_hat) @ table.conj().T
     assert gram == pytest.approx(np.eye(2), abs=1e-12)
     assert norm_vector(spectrum.basis, params) == pytest.approx(np.ones(2), abs=1e-12)
     assert weight_vector(spectrum.basis, params) == pytest.approx(np.ones(2), abs=1e-12)

@@ -5,11 +5,9 @@ from rlatt.coeffs import ModelParams, weight_vector
 from rlatt.elliptic import bracket_trig
 from rlatt.operators import (
     adjoint_residual,
-    build_antisymmetric_operator,
     build_hop_operator,
-    build_symmetric_operator,
     commutator_residual,
-    symmetrize,
+    conjugate_by_weights,
     transpose_residual,
 )
 from rlatt.partitions import add_strip, enumerate_lattice, pad, reduce_partition, vertical_strips
@@ -24,7 +22,7 @@ GRID = [
 
 def test_hop_operator_2x2():
     params = ModelParams(1, 1, 1.0, 0.0)
-    mat = build_hop_operator(1, params).matrix
+    mat = build_hop_operator(1, params)
     assert mat == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0]]), abs=1e-14)
     assert mat[0, 0] == 0.0 and mat[1, 1] == 0.0
 
@@ -58,7 +56,7 @@ def trig_hop_matrix(r, params):
 def test_zero_nome_matches_trig_assembly(n, m, g):
     params = ModelParams(n, m, g, 0.0)
     for r in range(1, n + 1):
-        built = build_hop_operator(r, params).matrix
+        built = build_hop_operator(r, params)
         assert built == pytest.approx(trig_hop_matrix(r, params), abs=1e-12)
 
 
@@ -67,7 +65,7 @@ def test_entries_nonnegative_on_grid():
         params = ModelParams(n, m, g, p)
         basis = enumerate_lattice(n, m)
         for r in range(1, n + 1):
-            assert np.all(build_hop_operator(r, params, basis).matrix >= 0.0)
+            assert np.all(build_hop_operator(r, params, basis) >= 0.0)
 
 
 def test_operator_index_validation():
@@ -76,47 +74,13 @@ def test_operator_index_validation():
         build_hop_operator(0, params)
     with pytest.raises(ValueError):
         build_hop_operator(3, params)
-    with pytest.raises(ValueError):
-        build_symmetric_operator(2, params)
-    with pytest.raises(ValueError):
-        build_antisymmetric_operator(2, params)
-
-
-def test_symmetric_combination():
-    params = ModelParams(1, 1, 1.0, 0.5)
-    c1 = build_symmetric_operator(1, params)
-    d1 = build_hop_operator(1, params)
-    assert np.array_equal(c1.matrix, d1.matrix)
-
-    params = ModelParams(2, 2, 0.7, 0.3)
-    c1 = build_symmetric_operator(1, params)
-    d1 = build_hop_operator(1, params)
-    d2 = build_hop_operator(2, params)
-    assert c1.matrix == pytest.approx(0.5 * (d1.matrix + d2.matrix))
-
-
-def test_symmetrized_combinations_are_self_adjoint():
-    params = ModelParams(2, 2, 0.7, 0.5)
-    c = symmetrize(build_symmetric_operator(1, params), params).matrix
-    assert np.max(np.abs(c - c.T)) < 1e-11
-    s = symmetrize(build_antisymmetric_operator(1, params), params).matrix
-    assert np.max(np.abs(s + s.T)) < 1e-11  # antisymmetric
-    assert np.max(np.abs(s - s.conj().T)) < 1e-11  # and Hermitian
-
-
-def test_symmetrize_with_unit_weights():
-    params = ModelParams(1, 1, 1.0, 0.0)
-    d = build_hop_operator(1, params)
-    m = symmetrize(d, params)
-    assert m.matrix == pytest.approx(d.matrix, abs=1e-14)
-    assert m.kind == "M" and m.label == "M1"
 
 
 def hop_pair_and_weights(params):
     """D_1 and D_n with the weights, for n = 1 or 2."""
     basis = enumerate_lattice(params.n, params.m)
-    d1 = build_hop_operator(1, params, basis).matrix
-    return d1, build_hop_operator(params.n, params, basis).matrix, weight_vector(basis, params)
+    d1 = build_hop_operator(1, params, basis)
+    return d1, build_hop_operator(params.n, params, basis), weight_vector(basis, params)
 
 
 def test_transpose_pairing():
@@ -131,8 +95,8 @@ def test_adjoint_matrix_identity():
     params = ModelParams(2, 2, 0.7, 0.5)
     basis = enumerate_lattice(2, 2)
     w = weight_vector(basis, params)
-    d1 = build_hop_operator(1, params, basis).matrix
-    d2 = build_hop_operator(2, params, basis).matrix
+    d1 = build_hop_operator(1, params, basis)
+    d2 = build_hop_operator(2, params, basis)
     lhs = d1 * w[:, None]
     rhs = d2.T * w[None, :]
     assert lhs == pytest.approx(rhs, rel=1e-11)
@@ -142,7 +106,7 @@ def test_commutators_on_grid():
     for n, m, g, p in GRID:
         params = ModelParams(n, m, g, p)
         basis = enumerate_lattice(n, m)
-        hops = [build_hop_operator(r, params, basis).matrix for r in range(1, n + 1)]
+        hops = [build_hop_operator(r, params, basis) for r in range(1, n + 1)]
         for r in range(1, n + 1):
             assert commutator_residual(hops[r - 1], hops[r - 1]) == 0.0
             for s in range(r + 1, n + 1):
@@ -153,7 +117,8 @@ def test_symmetrized_commutators_on_grid():
     for n, m, g, p in GRID:
         params = ModelParams(n, m, g, p)
         basis = enumerate_lattice(n, m)
-        mats = [symmetrize(build_hop_operator(r, params, basis), params).matrix for r in range(1, n + 1)]
+        w = weight_vector(basis, params)
+        mats = [conjugate_by_weights(build_hop_operator(r, params, basis), w) for r in range(1, n + 1)]
         for i, a in enumerate(mats):
             for b in mats[i + 1 :]:
                 res = np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))

@@ -9,7 +9,6 @@ from rlatt.coeffs import ModelParams
 from rlatt.errors import ContinuationError
 from rlatt.macdonald import trig_joint_eigenvalue
 from rlatt.spectral import (
-    Spectrum,
     conjugate_pairing_residual,
     continue_labels,
     joint_diagonalize,
@@ -27,33 +26,82 @@ def test_two_state_anchor(p):
     # at g = 1 the off-diagonal product is identically 1, so the spectrum is
     # exactly {+1, -1} for every nome
     spectrum = label_spectrum(joint_diagonalize(ModelParams(1, 1, 1.0, p)))
-    by_label = spectrum.by_label()
-    assert by_label[()].eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
-    assert by_label[(1,)].eigenvalues[0] == pytest.approx(-1.0, abs=1e-12)
+    assert spectrum.basis.order == ((), (1,))
+    assert spectrum.eigenvalues[:, 0] == pytest.approx([1.0, -1.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 0.7, 0.5), (3, 2, 1.0, 0.3), (2, 3, 1.7, 0.7)])
 def test_spectrum_size(n, m, g, p):
     spectrum = joint_diagonalize(ModelParams(n, m, g, p))
     assert len(spectrum) == comb(n + m, n)
-    for datum in spectrum.data:
-        assert datum.residual < 1e-9
+    assert spectrum.eigenvalues.shape == (len(spectrum), n)
+    assert spectrum.eigenvectors.shape == (len(spectrum), len(spectrum))
+    assert np.all(spectrum.residuals < 1e-9)
 
 
 def test_labels_match_closed_form_at_zero_nome(labeled):
     spectrum = labeled(2, 2, 0.7, 0.0)
-    for datum in spectrum.data:
+    for nu, eigenvalues in zip(spectrum.basis.order, spectrum.eigenvalues):
         for r in range(1, 3):
-            closed = trig_joint_eigenvalue(datum.label, r, spectrum.params)
-            assert abs(datum.eigenvalues[r - 1] - closed) < 1e-8
+            closed = trig_joint_eigenvalue(nu, r, spectrum.params)
+            assert abs(eigenvalues[r - 1] - closed) < 1e-8
+
+
+ARRAYS = ("eigenvalues", "eigenvectors", "norm_hat", "residuals", "weights")
+
+
+def _copy(spectrum):
+    return replace(spectrum, **{name: getattr(spectrum, name).copy() for name in ARRAYS})
+
+
+def _same_arrays(a, b):
+    """Whether two spectra hold bitwise equal arrays."""
+    return a.params == b.params and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ARRAYS)
+
+
+def _columns_in(unlabeled, labeled_spectrum):
+    """Eigenpair of the unlabeled solve that each labeled eigenpair is, bitwise, or None."""
+    order = []
+    for e in labeled_spectrum.eigenvalues:
+        matches = [j for j, f in enumerate(unlabeled.eigenvalues) if np.array_equal(e, f)]
+        if len(matches) != 1:
+            return None
+        order.append(matches[0])
+    return order
+
+
+@pytest.mark.parametrize("n,m,g,p", [(3, 4, 0.7, 0.0), (3, 2, 1.0, 0.3), (3, 4, 0.7, 0.5)])
+def test_labeled_columns_permute_the_solve(n, m, g, p):
+    # labeling reorders the solve's eigenpairs and changes no bit of them
+    unlabeled = joint_diagonalize(ModelParams(n, m, g, p))
+    spectrum = label_spectrum(unlabeled)
+    order = _columns_in(unlabeled, spectrum)
+    assert order is not None and sorted(order) == list(range(len(unlabeled)))
+    assert np.array_equal(spectrum.eigenvalues, unlabeled.eigenvalues[order])
+    assert np.array_equal(spectrum.eigenvectors, unlabeled.eigenvectors[:, order])
+    assert np.array_equal(spectrum.norm_hat, unlabeled.norm_hat[order])
+    assert np.array_equal(spectrum.residuals, unlabeled.residuals[order])
+    assert np.array_equal(spectrum.weights, unlabeled.weights)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_labeling_and_continuation_leave_their_arguments_unchanged(p):
+    params = ModelParams(3, 4, 0.7, p)
+    solved = joint_diagonalize(params)
+    base = label_spectrum(joint_diagonalize(replace(params, p=0.0)))
+    kept, kept_base = _copy(solved), _copy(base)
+    label_spectrum(solved)
+    continue_labels(base, solved)
+    assert _same_arrays(solved, kept)
+    assert _same_arrays(base, kept_base)
 
 
 def test_zero_nome_labels_are_a_permutation(labeled):
     for n, m, g in ((2, 2, 0.7), (3, 2, 1.0)):
         spectrum = labeled(n, m, g, 0.0)
-        labels = [d.label for d in spectrum.data]
-        assert sorted(labels, key=spectrum.basis.index.get) == list(spectrum.basis.order)
-        assert len(set(labels)) == len(labels)
+        unlabeled = joint_diagonalize(ModelParams(n, m, g, 0.0))
+        order = _columns_in(unlabeled, spectrum)
+        assert order is not None and sorted(order) == list(range(len(spectrum)))
 
 
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 0.7, 0.5), (3, 2, 1.0, 0.3)])
@@ -75,9 +123,9 @@ def test_conjugate_pairing(labeled, n, m, g, p):
 def test_multiplicity_free(labeled, n, m, g, p):
     spectrum = labeled(n, m, g, p)
     brute = min(
-        np.linalg.norm(a.eigenvalues - b.eigenvalues)
-        for i, a in enumerate(spectrum.data)
-        for b in spectrum.data[i + 1 :]
+        np.linalg.norm(a - b)
+        for i, a in enumerate(spectrum.eigenvalues)
+        for b in spectrum.eigenvalues[i + 1 :]
     )
     assert min_eigenvalue_gap(spectrum) == pytest.approx(brute, rel=1e-14)
     assert min_eigenvalue_gap(spectrum) > 1e-6
@@ -88,25 +136,23 @@ def test_eigenvector_normalization(labeled):
     from rlatt.coeffs import weight_vector
 
     w = weight_vector(spectrum.basis, spectrum.params)
-    for datum in spectrum.data:
-        u = datum.eigenvector
+    for u, norm_hat in zip(spectrum.eigenvectors.T, spectrum.norm_hat):
         assert np.sum(np.abs(u) ** 2 * w) == pytest.approx(1.0, abs=1e-12)
         assert u[0].imag == pytest.approx(0.0, abs=1e-14)
         assert u[0].real > 0
-        assert datum.norm_hat == pytest.approx(float(u[0].real) ** 2, rel=1e-10)
+        assert norm_hat == pytest.approx(float(u[0].real) ** 2, rel=1e-10)
 
 
 def test_dual_weights_sum_to_one(labeled):
     for point in ((2, 2, 0.7, 0.5), (3, 2, 1.0, 0.3)):
         spectrum = labeled(*point)
-        assert sum(d.norm_hat for d in spectrum.data) == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(spectrum.norm_hat) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_labels_constant_in_nome_for_two_state_model():
     spectra = sweep_spectra(ModelParams(1, 1, 1.0, 0.0), [0.1 * k for k in range(10)])
     for spectrum in spectra:
-        by_label = spectrum.by_label()
-        assert by_label[()].eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
+        assert spectrum.eigenvalues[spectrum.basis.index[()], 0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,m,g", [(2, 2, 0.7), (3, 2, 1.0)])
@@ -114,9 +160,6 @@ def test_sweep_smoothness(n, m, g):
     ps = [round(0.05 * k, 10) for k in range(19)]
     spectra = sweep_spectra(ModelParams(n, m, g, 0.0), ps)
     assert second_difference_residual(spectra) < 0.5
-    first = [d.label for d in spectra[0].data]
-    for spectrum in spectra:
-        assert [d.label for d in spectrum.data] == first
 
 
 def test_continuation_agrees_with_direct_labeling(labeled):
@@ -124,23 +167,19 @@ def test_continuation_agrees_with_direct_labeling(labeled):
     target = joint_diagonalize(ModelParams(2, 2, 0.7, 0.5))
     carried = continue_labels(base, target)
     direct = labeled(2, 2, 0.7, 0.5)
-    for a, b in zip(carried.data, direct.data):
-        assert a.label == b.label
-        assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
+    assert np.allclose(carried.eigenvalues, direct.eigenvalues, atol=1e-12)
 
 
 def test_negative_nome_equals_positive():
     # only even nome powers enter the bracket, so the spectra coincide
     plus = label_spectrum(joint_diagonalize(ModelParams(2, 2, 0.7, 0.5)))
     minus = label_spectrum(joint_diagonalize(ModelParams(2, 2, 0.7, -0.5)))
-    for a, b in zip(plus.data, minus.data):
-        assert a.label == b.label
-        assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-13)
+    assert np.allclose(plus.eigenvalues, minus.eigenvalues, atol=1e-13)
 
 
 def test_single_datum_orthogonality_is_zero(labeled):
     spectrum = labeled(2, 2, 0.7, 0.5)
-    single = Spectrum(spectrum.params, spectrum.basis, spectrum.data[:1])
+    single = replace(spectrum, eigenvectors=spectrum.eigenvectors[:, :1])
     assert orthogonality_residual(single) == 0.0
 
 
@@ -152,13 +191,11 @@ def test_smoothness_statistic_flags_label_swaps():
         if k < 10:
             swapped.append(spectrum)
             continue
-        data = list(spectrum.data)
+        order = np.arange(len(spectrum))
         i = spectrum.basis.index[(2,)]
         j = spectrum.basis.index[(1, 1)]
-        data[i] = replace(data[i], label=(1, 1))
-        data[j] = replace(data[j], label=(2,))
-        data[i], data[j] = data[j], data[i]
-        swapped.append(Spectrum(spectrum.params, spectrum.basis, data))
+        order[i], order[j] = j, i
+        swapped.append(replace(spectrum, eigenvalues=spectrum.eigenvalues[order]))
     assert second_difference_residual(swapped) > 0.5
 
 
@@ -206,8 +243,7 @@ def test_failed_match_halves_the_step_and_a_clean_one_doubles_it(monkeypatch, la
     assert refused == pytest.approx([p / 2**k for k in range(refusals)], abs=1e-15)
     assert carried.params.p == p
     # two solves of the same point, so each label must carry the same eigenvalues
-    for a, b in zip(carried.data, direct.data):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(carried.eigenvalues, direct.eigenvalues)
 
 
 def test_refusing_every_match_raises_at_the_step_floor(monkeypatch, labeled):
@@ -238,9 +274,7 @@ def test_one_jump_labels_equal_the_sweep_grid(n, m, p):
     jumped = label_spectrum(joint_diagonalize(ModelParams(n, m, g, p)))
     assert swept.params.p == jumped.params.p == p
     # both label the same solve, so each label must carry the same eigenvalues
-    assert [d.label for d in jumped.data] == [d.label for d in swept.data]
-    for a, b in zip(jumped.data, swept.data):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(jumped.eigenvalues, swept.eigenvalues)
 
 
 # couplings and nomes where eigenvalues of the separating combination lie
@@ -261,7 +295,7 @@ def test_one_jump_labels_equal_the_sweep_grid(n, m, p):
 def test_close_eigenvalues_meet_the_residual_tolerance(n, m, g, p):
     spectrum = joint_diagonalize(ModelParams(n, m, g, p))
     assert len(spectrum) == comb(n + m, n)
-    assert max(d.residual for d in spectrum.data) < 1e-9
+    assert np.max(spectrum.residuals) < 1e-9
 
 
 def test_sweep_through_close_eigenvalues():
@@ -269,4 +303,4 @@ def test_sweep_through_close_eigenvalues():
     spectra = sweep_spectra(ModelParams(5, 4, 0.9927340406623589, 0.0), ps)
     assert [s.params.p for s in spectra] == ps
     for spectrum in spectra:
-        assert max(d.residual for d in spectrum.data) < 1e-9
+        assert np.max(spectrum.residuals) < 1e-9

@@ -105,10 +105,9 @@ def test_spectral_radius_is_the_two_norm(n, m, p):
     # that is its 2-norm
     params = ModelParams(n, m, G, p)
     spectrum = joint_diagonalize(params)
-    eigenvalues = np.array([d.eigenvalues for d in spectrum.data])
     for r in range(1, n + 1):
-        mat = conjugate_by_weights(build_hop_operator(r, params, spectrum.basis).matrix, spectrum.weights)
-        radius = np.max(np.abs(eigenvalues[:, r - 1]))
+        mat = conjugate_by_weights(build_hop_operator(r, params, spectrum.basis), spectrum.weights)
+        radius = np.max(np.abs(spectrum.eigenvalues[:, r - 1]))
         assert radius == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
 
 
