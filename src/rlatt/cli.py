@@ -1,9 +1,10 @@
 """Command-line interface: enumeration, operator export, spectra, verification.
 
 JSON is the canonical output format (floats keep full precision through the
-shortest round-trip representation); CSV flattens complex numbers into
-re/im columns.  Exit codes: 0 success, 1 verification or continuation
-failure, 2 usage error.
+shortest round-trip representation); ``spectrum`` renders it from the
+spectrum arrays with the same bytes as ``json.dumps(sort_keys=True,
+indent=2)``.  CSV flattens complex numbers into re/im columns.  Exit codes:
+0 success, 1 verification or continuation failure, 2 usage error.
 """
 
 import argparse
@@ -266,13 +267,9 @@ def _operator_matrix(params: ModelParams, r: int, kind: str) -> np.ndarray:
 def cmd_operator(config: RunConfig, r: int, kind: str) -> int:
     mat = _operator_matrix(config.model_params(), r, kind)
     is_complex = np.iscomplexobj(mat)
+    # (i, j, re/im); a real matrix has imaginary parts 0.0
+    pairs = np.stack([mat.real, mat.imag], axis=-1)
     if config.format == "json":
-        entries = []
-        for value in mat.flat:
-            if is_complex:
-                entries.append([float(value.real), float(value.imag)])
-            else:
-                entries.append(float(value))
         payload = {
             "schema": "rlatt/operator",
             "kind": kind,
@@ -283,35 +280,90 @@ def cmd_operator(config: RunConfig, r: int, kind: str) -> int:
             "p": config.p,
             "size": int(mat.shape[0]),
             "dtype": "complex" if is_complex else "real",
-            "entries": entries,
+            "entries": pairs.reshape(-1, 2).tolist() if is_complex else mat.ravel().tolist(),
         }
         _emit(_to_json(payload), config.out)
     else:
-        rows = []
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                value = complex(mat[i, j])
-                rows.append([i, j, repr(value.real), repr(value.imag)])
+        rows = [
+            [i, j, repr(re), repr(im)]
+            for i, row in enumerate(pairs.tolist())
+            for j, (re, im) in enumerate(row)
+        ]
         _emit(_csv_text(["i", "j", "re", "im"], rows), config.out)
     return 0
 
 
-def _spectrum_records(spectrum) -> list:
-    """One record per label of a labeled spectrum, in basis order."""
-    return [
-        {
-            "nu": list(nu),
-            "e": [[e.real, e.imag] for e in eigenvalues],
-            "norm_hat": norm_hat,
-            "residual": residual,
-        }
-        for nu, eigenvalues, norm_hat, residual in zip(
-            spectrum.basis.order,
-            spectrum.eigenvalues.tolist(),
-            spectrum.norm_hat.tolist(),
-            spectrum.residuals.tolist(),
-        )
+# json's spellings of the floats that float.__repr__ writes as nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_array(items: list, depth: int) -> str:
+    """Rendered items as a JSON array opened at nesting depth ``depth``, laid out as indent=2."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_object(fields: dict, depth: int) -> str:
+    """Rendered values as a JSON object opened at nesting depth ``depth``, keys sorted, laid out as indent=2."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(f"{json.dumps(key)}: {value}" for key, value in sorted(fields.items()))
+    return "{" + inner + body + "\n" + "  " * depth + "}"
+
+
+def _spectrum_table(spectrum) -> np.ndarray:
+    """Per label in basis order: e_1..e_n as re/im pairs, then norm_hat and residual."""
+    e = spectrum.eigenvalues
+    pairs = np.stack([e.real, e.imag], axis=-1).reshape(len(e), -1)
+    return np.column_stack([pairs, spectrum.norm_hat, spectrum.residuals])
+
+
+def _json_floats(table: np.ndarray) -> tuple:
+    """json's text of every float of the table, row by row."""
+    texts = list(map(float.__repr__, table.ravel().tolist()))
+    if not np.isfinite(table).all():
+        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+    return tuple(texts)
+
+
+def _render_spectrum(config: RunConfig, values: list, spectra: list) -> str:
+    """The labeled spectra at the nomes ``values``, in the configured format.
+
+    JSON is rendered from the arrays, byte for byte as ``_to_json`` renders
+    {"schema", "n", "m", "g", "seed", "points": [{"p", "records": [{"nu",
+    "e": [[re, im], ...], "norm_hat", "residual"}, ...]}, ...]}: the labels
+    are filled into the record template once, and each point's floats into
+    the result in one substitution.
+    """
+    if config.format == "csv":
+        header = ["p", "nu", "norm_hat", "residual"]
+        for r in range(1, config.n + 1):
+            header += [f"e{r}_re", f"e{r}_im"]
+        rows = [
+            [repr(float(p)), " ".join(map(str, nu)), *map(repr, row[-2:] + row[:-2])]
+            for p, s in zip(values, spectra)
+            for nu, row in zip(s.basis.order, _spectrum_table(s).tolist())
+        ]
+        return _csv_text(header, rows)
+    pair = _json_array(["%s", "%s"], 6)
+    record = _json_object(
+        {"e": _json_array([pair] * config.n, 5), "norm_hat": "%s", "nu": "%s", "residual": "%s"}, 4
+    )
+    # every point of one call has the same labels; the float slots stay "%s"
+    slots = ("%s",) * (2 * config.n + 1)
+    records = _json_array(
+        [record % (*slots, _json_array(list(map(str, nu)), 5), "%s") for nu in spectra[0].basis.order], 3
+    )
+    points = [
+        _json_object({"p": json.dumps(float(p)), "records": records % _json_floats(_spectrum_table(s))}, 2)
+        for p, s in zip(values, spectra)
     ]
+    envelope = {"schema": "rlatt/spectrum", "n": config.n, "m": config.m, "g": config.g, "seed": config.seed}
+    fields = {key: json.dumps(value) for key, value in envelope.items()}
+    # one substitution makes the text the only string of its size
+    document = _json_object({**fields, "points": _json_array(["%s"] * len(points), 1)}, 0) + "\n"
+    return document % tuple(points)
 
 
 def cmd_spectrum(config: RunConfig) -> int:
@@ -322,36 +374,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         spectra = [label_spectrum(joint_diagonalize(point, seed=config.seed), seed=config.seed)]
     else:
         spectra = sweep_spectra(params, values, seed=config.seed)
-    points = [
-        {"p": float(p), "records": _spectrum_records(s)} for p, s in zip(values, spectra)
-    ]
-    if config.format == "json":
-        payload = {
-            "schema": "rlatt/spectrum",
-            "n": config.n,
-            "m": config.m,
-            "g": config.g,
-            "seed": config.seed,
-            "points": points,
-        }
-        _emit(_to_json(payload), config.out)
-    else:
-        header = ["p", "nu", "norm_hat", "residual"]
-        for r in range(1, config.n + 1):
-            header += [f"e{r}_re", f"e{r}_im"]
-        rows = []
-        for point in points:
-            for record in point["records"]:
-                row = [
-                    repr(point["p"]),
-                    " ".join(map(str, record["nu"])),
-                    repr(record["norm_hat"]),
-                    repr(record["residual"]),
-                ]
-                for e_re, e_im in record["e"]:
-                    row += [repr(e_re), repr(e_im)]
-                rows.append(row)
-        _emit(_csv_text(header, rows), config.out)
+    _emit(_render_spectrum(config, values, spectra), config.out)
     return 0
 
 

@@ -22,7 +22,7 @@ from scipy.spatial.distance import pdist
 
 from .coeffs import ModelParams, weight_vector
 from .errors import ContinuationError, DegenerateSpectrumError, LabelingError, NormalizationError
-from .macdonald import trig_joint_eigenvalue
+from .macdonald import trig_joint_eigenvalues
 from .operators import build_hop_operator, conjugate_by_weights
 from .partitions import LatticeBasis, enumerate_lattice
 
@@ -185,9 +185,7 @@ def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
     """Assign labels at p = 0 by nearest closed-form eigenvalue vector."""
-    params, basis = spectrum.params, spectrum.basis
-    n = params.n
-    targets = np.array([[trig_joint_eigenvalue(nu, r, params) for r in range(1, n + 1)] for nu in basis.order])
+    targets = trig_joint_eigenvalues(spectrum.basis, spectrum.params)
     gaps = _max_distances(targets, targets)
     np.fill_diagonal(gaps, np.inf)
     min_gap = np.min(gaps)

@@ -14,6 +14,7 @@ from rlatt.macdonald import (
     macdonald_coeffs,
     principal_eigenfunction_value,
     trig_joint_eigenvalue,
+    trig_joint_eigenvalues,
 )
 from rlatt.partitions import dominance_leq, enumerate_lattice, pad, weight
 from rlatt.spectral import joint_diagonalize, label_spectrum
@@ -193,3 +194,17 @@ def test_compare_trig_solves_each_shape_once(monkeypatch):
     monkeypatch.setattr(macdonald, "macdonald_coeffs", counted)
     compare_trig(spectrum)
     assert shapes == list(spectrum.basis.order)
+
+
+@pytest.mark.parametrize(
+    "n,m,g,alpha_override",
+    [(1, 8, 0.7, None), (3, 4, 0.9814989379240225, None), (5, 5, 1.3, None), (4, 8, 0.7, None),
+     (2, 9, 1.6, None), (3, 3, 0.8, 0.61)],
+)
+def test_array_closed_form_matches_the_scalar_one(n, m, g, alpha_override):
+    params = ModelParams(n, m, g, alpha_override=alpha_override)
+    basis = enumerate_lattice(n, m)
+    closed = trig_joint_eigenvalues(basis, params)
+    scalar = np.array([[trig_joint_eigenvalue(nu, r, params) for r in range(1, n + 1)] for nu in basis.order])
+    assert closed.shape == (len(basis), n)
+    assert np.max(np.abs(closed - scalar)) <= 1e-14 * np.max(np.abs(scalar))

@@ -148,15 +148,15 @@ def test_weight_vector_names_the_first_overflowing_weight(g):
 
 def test_closed_form_labels_reject_colliding_targets(monkeypatch):
     spectrum = joint_diagonalize(ModelParams(2, 2, G, 0.0))
-    monkeypatch.setattr(spectral, "trig_joint_eigenvalue", lambda nu, r, params: 1.0 + 0j)
+    monkeypatch.setattr(spectral, "trig_joint_eigenvalues", lambda basis, params: np.ones((len(basis), 2), complex))
     with pytest.raises(LabelingError, match="ambiguous"):
         spectral._closed_form_labels(spectrum)
 
 
 def test_closed_form_labels_reject_a_missed_match(monkeypatch):
     spectrum = joint_diagonalize(ModelParams(2, 2, G, 0.0))
-    exact = spectral.trig_joint_eigenvalue
-    monkeypatch.setattr(spectral, "trig_joint_eigenvalue", lambda nu, r, params: exact(nu, r, params) + 1e-3)
+    exact = spectral.trig_joint_eigenvalues
+    monkeypatch.setattr(spectral, "trig_joint_eigenvalues", lambda basis, params: exact(basis, params) + 1e-3)
     with pytest.raises(LabelingError, match="no closed-form match"):
         spectral._closed_form_labels(spectrum)
 
