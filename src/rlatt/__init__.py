@@ -13,8 +13,6 @@ from .coeffs import (
     ModelParams,
     hop_amplitudes,
     hop_coefficient,
-    lattice_weight,
-    norm_constant,
     norm_vector,
     pieri_coefficient,
     weight_vector,
@@ -25,7 +23,7 @@ from .eigenpoly import (
     pieri_residual,
     reconstruct_and_compare,
 )
-from .elliptic import ThetaEvaluator, bracket_trig
+from .elliptic import ThetaEvaluator
 from .errors import (
     ComparisonError,
     ConsistencyError,
@@ -43,8 +41,6 @@ from .macdonald import (
     TrigComparison,
     compare_trig,
     macdonald_coeffs,
-    principal_eigenfunction_value,
-    trig_joint_eigenvalue,
 )
 from .operators import (
     adjoint_residual,
@@ -75,9 +71,4 @@ from .spectral import (
     sweep_spectra,
     unitarity_residual,
 )
-from .weightlattice import (
-    crosscheck_hop_coefficients,
-    rho_shift,
-    strip_from_subset,
-    translation_coefficient,
-)
+from .weightlattice import crosscheck_hop_coefficients

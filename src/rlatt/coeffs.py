@@ -1,16 +1,16 @@
-"""Model parameters and the scalar coefficient data of the lattice model.
+"""Model parameters and the coefficient data of the lattice model.
 
 Everything downstream is built from four families of numbers indexed by
 partitions in the n x m box: hopping amplitudes, their Pieri-normalized
 variants, the positive lattice weights defining the inner product, and the
 eigenfunction normalization constants.
 
-The scalar functions evaluate one partition or one move; ``hop_amplitudes``,
-``weight_vector`` and ``norm_vector`` evaluate the same products as arrays
-over a whole box, factor by factor in the same order.  They read their
-brackets from ``ModelParams.brackets``: part differences in the box lie in
-0..m, so every bracket they need is one of a few small tables, evaluated
-once per parameter point.
+Each family has one evaluator, over a whole box as arrays: ``hop_amplitudes``,
+``box_pieri_coefficients``, ``weight_vector`` and ``norm_vector``.  Part
+differences in the box lie in 0..m, so every bracket they need is read from
+the small tables of ``ModelParams.brackets``, evaluated once per point.
+``hop_coefficient`` and ``pieri_coefficient`` evaluate one move with the
+scalar bracket; nothing in the package calls them: they are test references.
 """
 
 import cmath
@@ -32,8 +32,6 @@ __all__ = [
     "hop_amplitudes",
     "pieri_coefficient",
     "box_pieri_coefficients",
-    "lattice_weight",
-    "norm_constant",
     "weight_vector",
     "norm_vector",
 ]
@@ -94,11 +92,6 @@ class ModelParams:
         return 2.0 * math.pi / ((self.n + 1) * self.g + self.m)
 
     @property
-    def period(self) -> float:
-        """2*pi/alpha, the first positive zero of the bracket."""
-        return 2.0 * math.pi / self.alpha
-
-    @property
     def q(self) -> complex:
         return cmath.exp(1j * self.alpha)
 
@@ -131,13 +124,14 @@ class ModelParams:
 
 
 def _pair_range(n1: int):
+    """Pairs j < k of 0..n1-1 in row-major order, the order of every product over pairs."""
     for j in range(n1):
         for k in range(j + 1, n1):
             yield j, k
 
 
 def hop_coefficient(lam, strip, params: ModelParams) -> float:
-    """Amplitude of the hop from lam along a 0/1 strip.
+    """Amplitude of the hop from lam along a 0/1 strip: the scalar reference for ``hop_amplitudes``.
 
     Defined for any strip; the value is exactly 0.0 whenever the target
     composition fails to be weakly decreasing or its reduction leaves the
@@ -200,7 +194,7 @@ def hop_amplitudes(basis: LatticeBasis, r: int, params: ModelParams) -> np.ndarr
 
 
 def pieri_coefficient(lam, strip, params: ModelParams) -> float:
-    """Pieri-normalized hop amplitude for nu = lam + strip.
+    """Pieri-normalized hop amplitude for nu = lam + strip: the scalar reference for ``box_pieri_coefficients``.
 
     Equals the hop amplitude times the ratio of normalization constants of
     the reduced target and the source.
@@ -231,69 +225,55 @@ def pieri_coefficient(lam, strip, params: ModelParams) -> float:
     return 0.0 if vanished else value
 
 
-def box_pieri_coefficients(basis: LatticeBasis, r: int, params: ModelParams):
-    """Sources, targets and ``pieri_coefficient`` values of the size-r moves that stay on the box.
+def _pieri_terms(basis: LatticeBasis, r: int, params: ModelParams):
+    """Sources, targets and Pieri coefficients of the size-r moves on the box, in table order, and errors.
 
-    The moves come in ``basis.move_arrays[r]`` order.  The values are the
-    scalar reference, so the checks that read them stay independent of the
-    array amplitudes.
+    The coefficient of lam -> nu = lam + strip is the product form of
+    ``pieri_coefficient``: over the pairs j < k with strip_k - strip_j = 1,
+    [nu_jk + g(k-j+1)] / [nu_jk + g(k-j)] times [lam_jk + g(k-j-1)] / [lam_jk + g(k-j)],
+    x_jk = x_j - x_k; exactly 0.0 where a numerator sits on a zero.  The
+    errors map each move with a denominator below DENOM_TOL to the message
+    ``pieri_coefficient`` raises for it.
     """
     moves = basis.move_arrays[r]
     inside = moves.target >= 0
-    source = moves.source[inside]
-    strips = moves.strip[inside].tolist()
-    psi = [pieri_coefficient(basis.order[s], tuple(strip), params) for s, strip in zip(source.tolist(), strips)]
-    return source, moves.target[inside], np.array(psi)
+    source, strip = moves.source[inside], moves.strip[inside]
+    table = params.brackets
+    j, k, dist, diffs = _pair_differences(basis)
+    lam = diffs[source]
+    inverted = (strip[:, k] - strip[:, j] == 1)[..., None]
+    # the nu factor, then the lam factor, of each pair; nu_jk = lam_jk - 1 >= 0 on an
+    # inverted pair, since nu is dominant
+    base = np.stack([lam - 1, lam], axis=-1)
+    den = table.shifted[dist[:, None], base]
+    num_rows = dist[:, None] + np.array([1, -1])
+    vanished = inverted & table.on_zero[num_rows, base]
+    errors = {}
+    # argwhere runs in C order, so each move keeps its first vanished denominator
+    for move, pair, _ in np.argwhere(inverted & (np.abs(den) < DENOM_TOL)).tolist():
+        where = f"pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[source[move]]}"
+        errors.setdefault(move, f"Pieri denominator vanished at {where}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(inverted & ~vanished, table.shifted[num_rows, base] / den, 1.0)
+    value = np.ones(len(source))
+    for column in ratios.reshape(len(source), -1).T:
+        value *= column
+    return source, moves.target[inside], np.where(vanished.any(axis=(1, 2)), 0.0, value), errors
 
 
-def lattice_weight(lam, params: ModelParams) -> float:
-    """Positive weight of a lattice point in the discrete inner product."""
-    n1 = params.n + 1
-    lam_p = pad(lam, n1)
-    th = params.theta
-    g = params.g
-    value = 1.0
-    for j, k in _pair_range(n1):
-        dl = lam_p[j] - lam_p[k]
-        den = th.bracket((k - j) * g)
-        den_f = th.bracket_factorial(1.0 + (k - j - 1) * g, dl)
-        if abs(den) < DENOM_TOL or abs(den_f) < DENOM_TOL:
-            raise TruncationViolationError(
-                f"weight denominator vanished at pair ({j + 1},{k + 1}) for lam={trim(lam)}"
-            )
-        value *= th.bracket(dl + (k - j) * g) / den
-        value *= th.bracket_factorial((k - j + 1) * g, dl) / den_f
-    if not 0.0 < value < math.inf:
-        raise TruncationViolationError(
-            f"weight of lam={trim(lam)} is {value}, not finite and positive: off the truncation regime"
-        )
-    return value
+def box_pieri_coefficients(basis: LatticeBasis, r: int, params: ModelParams):
+    """``_pieri_terms`` without the errors; raises the first one as TruncationViolationError.
 
-
-def norm_constant(mu, params: ModelParams) -> float:
-    """Normalization constant relating eigenfunction values to the monic polynomials."""
-    n1 = params.n + 1
-    mu_p = pad(mu, n1)
-    th = params.theta
-    g = params.g
-    value = 1.0
-    for j, k in _pair_range(n1):
-        dm = mu_p[j] - mu_p[k]
-        den_f = th.bracket_factorial((k - j + 1) * g, dm)
-        if abs(den_f) < DENOM_TOL:
-            raise TruncationViolationError(
-                f"norm denominator vanished at pair ({j + 1},{k + 1}) for mu={trim(mu)}"
-            )
-        value *= th.bracket_factorial((k - j) * g, dm) / den_f
-    if not 0.0 < value < math.inf:
-        raise TruncationViolationError(
-            f"norm constant of mu={trim(mu)} is {value}, not finite and positive: off the truncation regime"
-        )
-    return value
+    Not computed as D_r[s, t] c_t / c_s: the psi-consistency check compares the two.
+    """
+    source, target, psi, errors = _pieri_terms(basis, r, params)
+    if errors:
+        raise TruncationViolationError(errors[min(errors)])
+    return source, target, psi
 
 
 def _box_product(basis: LatticeBasis, factors, bad: np.ndarray, what: str, name: str, label: str) -> np.ndarray:
-    """Row products of the per-pair factors, guarded as the scalar functions guard them.
+    """Row products of the per-pair factors, with the guards of the weights and norm constants.
 
     The error names the first basis point, in basis order, with a vanishing
     denominator (``bad``, per pair) or a product that is not finite and positive.
@@ -320,7 +300,11 @@ def _box_product(basis: LatticeBasis, factors, bad: np.ndarray, what: str, name:
 
 
 def weight_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
-    """``lattice_weight`` over the whole basis, in basis order."""
+    """Positive weight of each basis point in the discrete inner product, in basis order.
+
+    Over the pairs j < k, with d = k - j and l = lam_j - lam_k, the product of
+    [l + d g] / [d g] times [(d+1)g]_l / [1 + (d-1)g]_l, [z]_l = [z][z+1]...[z+l-1].
+    """
     table = params.brackets
     _, _, dist, diffs = _pair_differences(basis)
     den = table.shifted[dist, 0]
@@ -333,7 +317,10 @@ def weight_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
 
 
 def norm_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
-    """``norm_constant`` over the whole basis, in basis order."""
+    """Constants relating eigenfunction values to the monic polynomials: prod_{j<k} [d g]_l / [(d+1) g]_l.
+
+    Here d = k - j and l = mu_j - mu_k, as in ``weight_vector``; in basis order.
+    """
     table = params.brackets
     _, _, dist, diffs = _pair_differences(basis)
     den_f = table.rising[dist + 1, diffs]

@@ -13,8 +13,8 @@ to every column partition, an index map on the columns.
 
 import numpy as np
 
-from .coeffs import ModelParams, pieri_coefficient
-from .errors import ConsistencyError
+from .coeffs import ModelParams, _pieri_terms
+from .errors import ConsistencyError, TruncationViolationError
 from .partitions import (
     LatticeBasis,
     enumerate_lattice,
@@ -34,13 +34,6 @@ __all__ = [
 _CANCEL_TOL = 1e-10
 
 
-def _moves_from(basis: LatticeBasis, source: int, r: int):
-    """(strip, target) of the size-r moves from one basis point, in table order; target -1 off the box."""
-    moves = basis.move_arrays[r]
-    lo, hi = np.searchsorted(moves.source, (source, source + 1))
-    return zip(map(tuple, moves.strip[lo:hi].tolist()), moves.target[lo:hi].tolist())
-
-
 def _column_shift(basis: LatticeBasis, r: int) -> np.ndarray:
     """Basis index of nu + (1^r) for every column nu, -1 when nu_1 = m."""
     moves = basis.move_arrays[r]
@@ -56,14 +49,16 @@ def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) ->
     ``partition_to_weight(nu)`` in the polynomial of mu.  Processing follows
     the lexicographic order in (degree, minimal column); each step multiplies
     the row of the predecessor by one eigenvalue variable and subtracts the
-    lower Pieri terms.  Columns pushed off the box by the multiplication must
-    carry coefficients that cancel, and a ConsistencyError is raised if they
-    do not.
+    lower Pieri terms, in move-table order.  Columns pushed off the box by the
+    multiplication must carry coefficients that cancel, and a ConsistencyError
+    is raised if they do not; a Pieri coefficient with a vanished denominator
+    raises TruncationViolationError when the recurrence first needs it.
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
     n, size = params.n, len(basis)
     shifts = {r: _column_shift(basis, r) for r in range(1, n + 1)}
+    pieri = {r: _pieri_terms(basis, r, params) for r in range(1, n + 1)}
     coeffs = np.zeros((size, size))
     ordering = sorted(
         basis.order, key=lambda mu: ((mu[0] if mu else 0), min_column(mu), basis.index[mu])
@@ -84,14 +79,19 @@ def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) ->
         row = np.zeros(size)
         row[shifts[r][inside]] = coeffs[row_lam, inside]
         pushed_out = np.where(inside, 0.0, np.abs(coeffs[row_lam]))
-        for strip, target in _moves_from(basis, row_lam, r):
-            if target < 0 or target == row_mu:
+        sources, targets, psi, errors = pieri[r]
+        lo, hi = np.searchsorted(sources, (row_lam, row_lam + 1))
+        for move in range(lo, hi):
+            target = targets[move]
+            if target == row_mu:
                 continue
             if not coeffs[target, target]:
                 raise ConsistencyError(
                     f"recurrence for {mu} needs {basis.order[target]} before it is built"
                 )
-            row -= pieri_coefficient(lam, strip, params) * coeffs[target]
+            if move in errors:
+                raise TruncationViolationError(errors[move])
+            row -= psi[move] * coeffs[target]
         scale = max(np.max(np.abs(row)), np.max(pushed_out))
         survivors = np.flatnonzero(pushed_out > _CANCEL_TOL * scale)
         if len(survivors):
@@ -133,13 +133,14 @@ def pieri_residual(table: np.ndarray, spectrum, pieri) -> float:
     entry.
     """
     basis = spectrum.basis
-    worst = 0.0
+    largest = []
     for r, (source, target, psi) in enumerate(pieri, start=1):
         matrix = np.zeros((len(basis), len(basis)))
         np.add.at(matrix, (source, target), psi)
         defect = table[basis.index[(1,) * r]] * table - matrix @ table
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return worst / float(np.max(np.abs(table)))
+        largest.append(np.max(np.abs(defect)))
+    # np.max, unlike the builtin max, lets a NaN through
+    return float(np.max(largest, initial=0.0)) / float(np.max(np.abs(table)))
 
 
 def dual_orthogonality_residual(table: np.ndarray, spectrum, norms: np.ndarray) -> float:

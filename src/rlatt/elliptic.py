@@ -1,4 +1,4 @@
-"""Rescaled theta bracket and elliptic factorials.
+"""Rescaled theta bracket.
 
 The bracket ``[z]`` is the odd theta quotient normalized so that
 ``[z] = z + O(z^3)`` near the origin.  It is computed from the canceled
@@ -10,16 +10,16 @@ which involves only even powers of the nome, so negative nomes are supported
 on the same footing as positive ones.  At ``p = 0`` the product is empty and
 the bracket degenerates to the plain sine quotient.
 
-``bracket_array`` and ``is_zero_array`` evaluate the same product and the
-same zero test elementwise over an array, for code that works on a whole
-move table at once; the scalar methods stay for per-move checks.
+Every production path reads its brackets from ``bracket_array`` and
+``is_zero_array``.  The scalar ``bracket`` and ``is_zero_argument`` are the
+references they are tested against, and serve the scalar functions of ``coeffs``.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["ThetaEvaluator", "bracket_trig"]
+__all__ = ["ThetaEvaluator"]
 
 _TERM_EPS = 1e-18
 _TERM_CAP = 600
@@ -42,7 +42,7 @@ class ThetaEvaluator:
     argument, so they are safe to share across threads.
     """
 
-    __slots__ = ("alpha", "nome", "truncation_depth", "period", "_cache")
+    __slots__ = ("alpha", "nome", "truncation_depth", "period")
 
     def __init__(self, alpha: float, nome: float):
         if alpha <= 0:
@@ -58,8 +58,6 @@ class ThetaEvaluator:
             depth = min(_TERM_CAP, 1 + math.ceil(0.5 * math.log(_TERM_EPS) / math.log(abs(nome))))
         object.__setattr__(self, "truncation_depth", depth)
         object.__setattr__(self, "period", 2.0 * math.pi / float(alpha))
-        # kept: without it, verify on nine small benchmark boxes takes 6-16% longer (2-CPU VM)
-        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaEvaluator is immutable")
@@ -68,10 +66,7 @@ class ThetaEvaluator:
         return f"ThetaEvaluator(alpha={self.alpha!r}, nome={self.nome!r})"
 
     def bracket(self, z: float) -> float:
-        """Value of [z]; real for real z, odd in z."""
-        cached = self._cache.get(z)
-        if cached is not None:
-            return cached
+        """Value of [z]; real for real z, odd in z.  The scalar reference for ``bracket_array``."""
         half = 0.5 * self.alpha
         value = math.sin(half * z) / half
         if self.truncation_depth:
@@ -81,7 +76,6 @@ class ThetaEvaluator:
             for _ in range(self.truncation_depth):
                 pl *= p2
                 value *= (1.0 - 2.0 * pl * c + pl * pl) / ((1.0 - pl) * (1.0 - pl))
-        self._cache[z] = value
         return value
 
     def bracket_array(self, z) -> np.ndarray:
@@ -98,15 +92,6 @@ class ThetaEvaluator:
                 value *= (1.0 - 2.0 * pl * c + pl * pl) / ((1.0 - pl) * (1.0 - pl))
         return value
 
-    def bracket_factorial(self, z: float, k: int) -> float:
-        """Product [z][z+1]...[z+k-1]; 1 for k = 0."""
-        if k < 0:
-            raise ValueError(f"factorial length must be nonnegative, got {k}")
-        value = 1.0
-        for l in range(k):
-            value *= self.bracket(z + l)
-        return value
-
     def is_zero_argument(self, z: float) -> bool:
         """True when z lies within _ZERO_ARG_TOL of a zero of the bracket (a multiple of the period)."""
         nearest = self.period * round(z / self.period)
@@ -117,10 +102,3 @@ class ThetaEvaluator:
         z = np.asarray(z, dtype=float)
         return np.abs(z - self.period * np.round(z / self.period)) < _ZERO_ARG_TOL
 
-
-def bracket_trig(z: float, alpha: float) -> float:
-    """Zero-nome bracket sin(alpha*z/2)/(alpha/2)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    half = 0.5 * alpha
-    return math.sin(half * z) / half

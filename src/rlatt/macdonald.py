@@ -12,22 +12,20 @@ eigenvector that is monic at the top of the dominance order is then read off
 degree by degree.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .coeffs import ModelParams, norm_constant
+from .coeffs import ModelParams, norm_vector
 from .errors import ComparisonError, DegenerateSpecializationError
 from .partitions import dominance_leq, pad, trim, weight
 
 __all__ = [
     "SymmetricPoly",
     "macdonald_coeffs",
-    "trig_joint_eigenvalue",
     "trig_joint_eigenvalues",
-    "principal_eigenfunction_value",
     "compare_trig",
     "TrigComparison",
 ]
@@ -166,16 +164,6 @@ def macdonald_coeffs(mu, q: complex, t: complex, nvars: int) -> SymmetricPoly:
     return SymmetricPoly(nvars, {parts[i]: coeffs[i] for i in range(len(parts)) if coeffs[i] != 0})
 
 
-def _elementary_symmetric(values, r: int) -> complex:
-    total = 0j
-    for combo in combinations(values, r):
-        term = 1.0 + 0j
-        for v in combo:
-            term *= v
-        total += term
-    return total
-
-
 def _staircase_point(nu, params: ModelParams) -> tuple[complex, ...]:
     n = params.n
     nu_p = pad(nu, n)
@@ -189,23 +177,12 @@ def _prefactor(order: int, nu, params: ModelParams) -> complex:
     return params.q_pow(-order * (weight(nu) / (params.n + 1) + params.n * params.g / 2.0))
 
 
-def trig_joint_eigenvalue(nu, r: int, params: ModelParams) -> complex:
-    """Closed-form joint eigenvalue at zero nome.
-
-    The elementary symmetric polynomial of order r evaluated on the
-    g-shifted geometric staircase of nu, with the center-of-mass prefactor.
-    The scalar reference for ``trig_joint_eigenvalues``.
-    """
-    if not 1 <= r <= params.n:
-        raise ValueError(f"order {r} outside 1..{params.n}")
-    return _prefactor(r, nu, params) * _elementary_symmetric(_staircase_point(nu, params), r)
-
-
 def trig_joint_eigenvalues(basis, params: ModelParams) -> np.ndarray:
-    """``trig_joint_eigenvalue`` at every label of the box, as an (N, n) complex array.
+    """Closed-form joint eigenvalues at zero nome at every label of the box, as an (N, n) complex array.
 
-    Row k holds the orders r = 1..n at ``basis.order[k]``: the running
-    product ``prod_j (1 + x_j z)`` over the staircase columns gives e_1..e_n.
+    Row k holds r = 1..n at nu = ``basis.order[k]``: e_r of the staircase
+    ``x_j = q^(nu_j + (n - j) g)``, ``x_{n+1} = 1``, from the running product
+    ``prod_j (1 + x_j z)``, times ``q^(-r (|nu|/(n+1) + n g/2))``.
     """
     n = params.n
     x = np.ones((len(basis), n + 1), dtype=complex)
@@ -218,13 +195,6 @@ def trig_joint_eigenvalues(basis, params: ModelParams) -> np.ndarray:
     return np.exp(1j * params.alpha * (-np.arange(1, n + 1) * sizes)) * e[:, 1:]
 
 
-def principal_eigenfunction_value(mu, nu, params: ModelParams) -> complex:
-    """Value at mu of the normalized joint eigenfunction labeled nu, at zero nome."""
-    poly = macdonald_coeffs(mu, params.q, params.t, params.n + 1)
-    value = poly.evaluate(_staircase_point(nu, params))
-    return norm_constant(mu, replace(params, p=0.0)) * _prefactor(weight(mu), nu, params) * value
-
-
 @dataclass(frozen=True)
 class TrigComparison:
     eigenvalue_residual: float
@@ -232,7 +202,8 @@ class TrigComparison:
 
     @property
     def residual(self) -> float:
-        return max(self.eigenvalue_residual, self.eigenfunction_residual)
+        # np.maximum, unlike the builtin max, lets a NaN through
+        return float(np.maximum(self.eigenvalue_residual, self.eigenfunction_residual))
 
 
 def compare_trig(spectrum) -> TrigComparison:
@@ -248,20 +219,18 @@ def compare_trig(spectrum) -> TrigComparison:
     params = spectrum.params
     if params.p != 0.0:
         raise ValueError("the trigonometric comparison is defined at p = 0")
-    shapes = [
-        (weight(mu), macdonald_coeffs(mu, params.q, params.t, params.n + 1), norm_constant(mu, params))
-        for mu in spectrum.basis.order
-    ]
+    basis = spectrum.basis
+    polys = [macdonald_coeffs(mu, params.q, params.t, params.n + 1) for mu in basis.order]
+    shapes = list(zip(norm_vector(basis, params), map(weight, basis.order), polys))
     # row k: the eigenvalues of label basis.order[k] against their closed form
-    gaps = np.max(np.abs(spectrum.eigenvalues - trig_joint_eigenvalues(spectrum.basis, params)), axis=1)
-    mismatches = [nu for nu, gap in zip(spectrum.basis.order, gaps.tolist()) if gap > 1e-3]
-    vec_res = 0.0
+    gaps = np.max(np.abs(spectrum.eigenvalues - trig_joint_eigenvalues(basis, params)), axis=1)
+    mismatches = [nu for nu, gap in zip(basis.order, gaps.tolist()) if gap > 1e-3]
     # column k: the eigenvector of label basis.order[k], normalized at the empty partition
-    normalized = spectrum.eigenvectors / spectrum.eigenvectors[0]
-    for k, nu in enumerate(spectrum.basis.order):
+    reference = np.empty((len(basis), len(basis)), dtype=complex)
+    for k, nu in enumerate(basis.order):
         point = _staircase_point(nu, params)
-        reference = np.array([c * _prefactor(size, nu, params) * poly.evaluate(point) for size, poly, c in shapes])
-        vec_res = max(vec_res, float(np.max(np.abs(normalized[:, k] - reference))))
+        reference[:, k] = [c * _prefactor(size, nu, params) * poly.evaluate(point) for c, size, poly in shapes]
+    vec_res = float(np.max(np.abs(spectrum.eigenvectors / spectrum.eigenvectors[0] - reference)))
     if mismatches:
         raise ComparisonError(
             f"lattice eigenvalues do not match the closed form for labels {mismatches}",

@@ -120,28 +120,25 @@ class VerificationReport:
         }
 
 
+# np.max, unlike the builtin max, lets a NaN residual through to a FAIL
 def check_commutators(hops) -> float:
-    worst = 0.0
-    for r, a in enumerate(hops):
-        for b in hops[r + 1 :]:
-            worst = max(worst, commutator_residual(a, b))
-    return worst
+    residuals = [commutator_residual(a, b) for r, a in enumerate(hops) for b in hops[r + 1 :]]
+    return float(np.max(residuals, initial=0.0))
 
 
 def check_adjointness(hops, weights) -> float:
-    worst = 0.0
     # D_r pairs with D_{n+1-r}
-    for a, b in zip(hops, reversed(hops)):
-        worst = max(worst, transpose_residual(a, b, weights))
-        worst = max(worst, adjoint_residual(a, b, weights))
-    return worst
+    pairs = zip(hops, reversed(hops))
+    residuals = [check(a, b, weights) for a, b in pairs for check in (transpose_residual, adjoint_residual)]
+    return float(np.max(residuals, initial=0.0))
 
 
 def _worst_relative(a: np.ndarray, b: np.ndarray, worst: float) -> float:
-    """Largest |a - b| / max(|a|, |b|) over the entries and ``worst``, skipping NaN quotients such as 0/0."""
+    """Largest |a - b| / max(|a|, |b|) over the entries and ``worst``; 0 where a = b = 0, NaN on a NaN entry."""
+    scale = np.maximum(np.abs(a), np.abs(b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        relative = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    return float(np.fmax.reduce(relative, initial=worst))
+        relative = np.where(scale == 0.0, 0.0, np.abs(a - b) / scale)
+    return float(np.max(relative, initial=worst))
 
 
 def check_truncation_dichotomy(params, basis):
@@ -150,8 +147,8 @@ def check_truncation_dichotomy(params, basis):
     for r in range(1, params.n + 2):
         amplitudes = hop_amplitudes(basis, r, params)
         inside = basis.move_arrays[r].target >= 0
-        min_inside = np.fmin.reduce(amplitudes[inside], initial=min_inside)
-        max_outside = np.fmax.reduce(np.abs(amplitudes[~inside]), initial=max_outside)
+        min_inside = np.min(amplitudes[inside], initial=min_inside)
+        max_outside = np.max(np.abs(amplitudes[~inside]), initial=max_outside)
     return float(max_outside), float(min_inside)
 
 

@@ -7,92 +7,55 @@ compares it with the partition-indexed amplitudes; agreement is the whole
 point of the module.
 """
 
-from itertools import combinations
-
 import numpy as np
 
-from .coeffs import ModelParams, hop_coefficient
+from .coeffs import ModelParams, hop_amplitudes
 from .errors import GenericityViolationError
-from .partitions import LatticeBasis, enumerate_lattice, is_partition, pad, trim
+from .partitions import LatticeBasis, enumerate_lattice
 
-__all__ = [
-    "rho_shift",
-    "translation_coefficient",
-    "strip_from_subset",
-    "crosscheck_hop_coefficients",
-]
+__all__ = ["crosscheck_hop_coefficients"]
 
 GENERICITY_TOL = 1e-10
 
 
-def rho_shift(lam, params: ModelParams) -> np.ndarray:
-    """Coordinates of a partition shifted by the coupling-deformed Weyl vector.
-
-    Component j (1-based) is lam_j + g*(n/2 + 1 - j); the shift components
-    sum to zero.
-    """
-    lam = trim(lam)
-    if not is_partition(lam) or len(lam) > params.n:
-        raise ValueError(f"{lam} is not a partition with at most {params.n} parts")
-    n = params.n
-    padded = pad(lam, n + 1)
-    return np.array([padded[j] + params.g * (n / 2.0 + 1.0 - (j + 1)) for j in range(n + 1)])
-
-
-def translation_coefficient(x, subset, params: ModelParams) -> float:
-    """Bracket-form coefficient of the translation along an index subset.
-
-    x is a coordinate vector of length n+1 and subset a collection of
-    0-based indices.  Depends on x only through differences x_j - x_k.
-    """
-    x = np.asarray(x, dtype=float)
-    n1 = params.n + 1
-    if x.shape != (n1,):
-        raise ValueError(f"coordinate vector must have length {n1}")
-    inside = sorted(set(subset))
-    if inside and not (0 <= inside[0] and inside[-1] < n1):
-        raise ValueError(f"subset {inside} outside 0..{n1 - 1}")
-    outside = [k for k in range(n1) if k not in inside]
-    th = params.theta
-    g = params.g
-    value = 1.0
-    vanished = False
-    for j in inside:
-        for k in outside:
-            diff = x[j] - x[k]
-            den = th.bracket(diff)
-            if abs(den) < GENERICITY_TOL:
-                raise GenericityViolationError(
-                    f"denominator bracket vanished for pair ({j}, {k}) at x={x}"
-                )
-            if th.is_zero_argument(diff + g):
-                vanished = True
-                continue
-            value *= th.bracket(diff + g) / den
-    return 0.0 if vanished else value
-
-
-def strip_from_subset(subset, n: int) -> tuple[int, ...]:
-    """0/1 mask of length n+1 with ones on the subset."""
-    inside = set(subset)
-    return tuple(1 if j in inside else 0 for j in range(n + 1))
-
-
 def crosscheck_hop_coefficients(params: ModelParams, basis: LatticeBasis | None = None) -> float:
-    """Largest gap between the coordinate form and the partition form.
+    """Largest gap between the coordinate form and the partition form, over all points and subsets.
 
-    Runs over every lattice point and every index subset (all strip sizes,
-    including the trivial ones).
+    At x_j = lam_j + g (n/2 - j), the coordinate form along an index subset J
+    is the product over j in J, k outside J of [x_j - x_k + g] / [x_j - x_k]
+    in row-major (j, k) order, 0.0 where a numerator sits on a zero.  The
+    partition form is ``hop_amplitudes`` along the strip of J, placed by the
+    code sum_{j in J} 2^j: 1 for J empty, 0 where the target is not a
+    partition.  A NaN gap makes the result NaN.  Raises GenericityViolationError
+    when some |[x_j - x_k]|, j != k, is below GENERICITY_TOL.
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
     n1 = params.n + 1
-    worst = 0.0
-    for lam in basis.order:
-        x = rho_shift(lam, params)
-        for size in range(n1 + 1):
-            for subset in combinations(range(n1), size):
-                v = translation_coefficient(x, subset, params)
-                b = hop_coefficient(lam, strip_from_subset(subset, params.n), params)
-                worst = max(worst, abs(v - b))
-    return worst
+    th = params.theta
+    place = 2 ** np.arange(n1)
+    partition = np.zeros((len(basis), 2**n1))
+    partition[:, 0] = 1.0
+    for r in range(1, n1 + 1):
+        moves = basis.move_arrays[r]
+        partition[moves.source, moves.strip @ place] = hop_amplitudes(basis, r, params)
+    x = basis.parts + params.g * (params.n / 2 - np.arange(n1))
+    diff = x[:, :, None] - x[:, None, :]
+    den = th.bracket_array(diff)
+    singular = (np.abs(den) < GENERICITY_TOL) & ~np.eye(n1, dtype=bool)
+    if singular.any():
+        row, j, k = np.argwhere(singular)[0]
+        raise GenericityViolationError(f"denominator bracket vanished for pair ({j}, {k}) at x={x[row]}")
+    vanished = th.is_zero_array(diff + params.g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(vanished, 1.0, th.bracket_array(diff + params.g) / den)
+    # row S: which indices the subset with code S holds
+    members = (np.arange(2**n1)[:, None] & place) > 0
+    coordinate = np.ones_like(partition)
+    zero = np.zeros(partition.shape, dtype=bool)
+    for j, k in np.ndindex(n1, n1):
+        subsets = members[:, j] & ~members[:, k]
+        coordinate[:, subsets] *= ratio[:, j, k, None]
+        zero[:, subsets] |= vanished[:, j, k, None]
+    coordinate[zero] = 0.0
+    return float(np.max(np.abs(coordinate - partition)))

@@ -1,0 +1,235 @@
+"""Scalar references for the array evaluators of rlatt, used by the tests only.
+
+Each function evaluates one partition, move, subset or label with the
+scalar bracket ``ThetaEvaluator.bracket``, factor by factor in the order of
+the array form it is the reference for:
+
+- ``lattice_weight`` and ``norm_constant`` for ``coeffs.weight_vector`` and
+  ``coeffs.norm_vector``;
+- ``rho_shift``, ``translation_coefficient``, ``strip_from_subset`` and
+  ``crosscheck_loop`` for ``weightlattice.crosscheck_hop_coefficients``;
+- ``trig_joint_eigenvalue`` for ``macdonald.trig_joint_eigenvalues``;
+- ``principal_eigenfunction_value`` for the eigenvector side of
+  ``macdonald.compare_trig``.
+
+``coeffs.hop_coefficient`` and ``coeffs.pieri_coefficient``, the references
+for ``hop_amplitudes`` and ``box_pieri_coefficients``, stay in the package.
+``memoized`` gives a parameter point whose scalar bracket remembers its
+values, for tests that run a scalar loop over a whole box.
+"""
+
+import math
+from dataclasses import replace
+from itertools import combinations
+
+import numpy as np
+
+from rlatt.coeffs import DENOM_TOL, ModelParams, _pair_range, hop_coefficient
+from rlatt.elliptic import ThetaEvaluator
+from rlatt.errors import GenericityViolationError, TruncationViolationError
+from rlatt.macdonald import _prefactor, _staircase_point, macdonald_coeffs
+from rlatt.partitions import enumerate_lattice, is_partition, pad, trim, weight
+from rlatt.weightlattice import GENERICITY_TOL
+
+
+class _MemoTheta(ThetaEvaluator):
+    """A ThetaEvaluator whose scalar bracket and zero test remember the value of each argument."""
+
+    __slots__ = ("_values", "_zeros")
+
+    def __init__(self, alpha: float, nome: float):
+        super().__init__(alpha, nome)
+        object.__setattr__(self, "_values", {})
+        object.__setattr__(self, "_zeros", {})
+
+    def bracket(self, z: float) -> float:
+        value = self._values.get(z)
+        if value is None:
+            value = self._values[z] = super().bracket(z)
+        return value
+
+    def is_zero_argument(self, z: float) -> bool:
+        zero = self._zeros.get(z)
+        if zero is None:
+            zero = self._zeros[z] = super().is_zero_argument(z)
+        return zero
+
+
+def memoized(params: ModelParams) -> ModelParams:
+    """A copy of params whose ``theta`` remembers its scalar brackets and zero tests.
+
+    A scalar loop over a box evaluates a few hundred distinct bracket
+    arguments tens of thousands of times, and at p = 0.3 each evaluation is
+    a product of 19 factors; the values are the same as without the memo.
+    """
+    copy = replace(params)
+    # theta is a cached_property: a value in the instance dict takes its place
+    copy.__dict__["theta"] = _MemoTheta(params.alpha, params.p)
+    return copy
+
+
+def bracket_trig(z: float, alpha: float) -> float:
+    """Zero-nome bracket sin(alpha*z/2)/(alpha/2)."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    half = 0.5 * alpha
+    return math.sin(half * z) / half
+
+
+def bracket_factorial(theta, z: float, k: int) -> float:
+    """Product [z][z+1]...[z+k-1] of the brackets of ``theta``; 1 for k = 0."""
+    if k < 0:
+        raise ValueError(f"factorial length must be nonnegative, got {k}")
+    value = 1.0
+    for l in range(k):
+        value *= theta.bracket(z + l)
+    return value
+
+
+def lattice_weight(lam, params: ModelParams) -> float:
+    """Positive weight of a lattice point in the discrete inner product."""
+    n1 = params.n + 1
+    lam_p = pad(lam, n1)
+    th = params.theta
+    g = params.g
+    value = 1.0
+    for j, k in _pair_range(n1):
+        dl = lam_p[j] - lam_p[k]
+        den = th.bracket((k - j) * g)
+        den_f = bracket_factorial(th, 1.0 + (k - j - 1) * g, dl)
+        if abs(den) < DENOM_TOL or abs(den_f) < DENOM_TOL:
+            raise TruncationViolationError(
+                f"weight denominator vanished at pair ({j + 1},{k + 1}) for lam={trim(lam)}"
+            )
+        value *= th.bracket(dl + (k - j) * g) / den
+        value *= bracket_factorial(th, (k - j + 1) * g, dl) / den_f
+    if not 0.0 < value < math.inf:
+        raise TruncationViolationError(
+            f"weight of lam={trim(lam)} is {value}, not finite and positive: off the truncation regime"
+        )
+    return value
+
+
+def norm_constant(mu, params: ModelParams) -> float:
+    """Normalization constant relating eigenfunction values to the monic polynomials."""
+    n1 = params.n + 1
+    mu_p = pad(mu, n1)
+    th = params.theta
+    g = params.g
+    value = 1.0
+    for j, k in _pair_range(n1):
+        dm = mu_p[j] - mu_p[k]
+        den_f = bracket_factorial(th, (k - j + 1) * g, dm)
+        if abs(den_f) < DENOM_TOL:
+            raise TruncationViolationError(
+                f"norm denominator vanished at pair ({j + 1},{k + 1}) for mu={trim(mu)}"
+            )
+        value *= bracket_factorial(th, (k - j) * g, dm) / den_f
+    if not 0.0 < value < math.inf:
+        raise TruncationViolationError(
+            f"norm constant of mu={trim(mu)} is {value}, not finite and positive: off the truncation regime"
+        )
+    return value
+
+
+def rho_shift(lam, params: ModelParams) -> np.ndarray:
+    """Coordinates of a partition shifted by the coupling-deformed Weyl vector.
+
+    Component j (1-based) is lam_j + g*(n/2 + 1 - j); the shift components
+    sum to zero.
+    """
+    lam = trim(lam)
+    if not is_partition(lam) or len(lam) > params.n:
+        raise ValueError(f"{lam} is not a partition with at most {params.n} parts")
+    n = params.n
+    padded = pad(lam, n + 1)
+    return np.array([padded[j] + params.g * (n / 2.0 + 1.0 - (j + 1)) for j in range(n + 1)])
+
+
+def translation_coefficient(x, subset, params: ModelParams) -> float:
+    """Bracket-form coefficient of the translation along an index subset.
+
+    x is a coordinate vector of length n+1 and subset a collection of
+    0-based indices.  Depends on x only through differences x_j - x_k.
+    """
+    x = np.asarray(x, dtype=float)
+    n1 = params.n + 1
+    if x.shape != (n1,):
+        raise ValueError(f"coordinate vector must have length {n1}")
+    inside = sorted(set(subset))
+    if inside and not (0 <= inside[0] and inside[-1] < n1):
+        raise ValueError(f"subset {inside} outside 0..{n1 - 1}")
+    outside = [k for k in range(n1) if k not in inside]
+    th = params.theta
+    g = params.g
+    value = 1.0
+    vanished = False
+    coordinates = x.tolist()
+    for j in inside:
+        for k in outside:
+            diff = coordinates[j] - coordinates[k]
+            den = th.bracket(diff)
+            if abs(den) < GENERICITY_TOL:
+                raise GenericityViolationError(
+                    f"denominator bracket vanished for pair ({j}, {k}) at x={x}"
+                )
+            if th.is_zero_argument(diff + g):
+                vanished = True
+                continue
+            value *= th.bracket(diff + g) / den
+    return 0.0 if vanished else value
+
+
+def strip_from_subset(subset, n: int) -> tuple[int, ...]:
+    """0/1 mask of length n+1 with ones on the subset."""
+    inside = set(subset)
+    return tuple(1 if j in inside else 0 for j in range(n + 1))
+
+
+def crosscheck_loop(params: ModelParams, basis=None) -> float:
+    """Largest gap between ``translation_coefficient`` and ``hop_coefficient``.
+
+    One pair of scalar calls per lattice point and index subset (all strip
+    sizes, including the trivial ones).  The builtin max drops a NaN gap
+    that follows a finite one; the array form does not.
+    """
+    if basis is None:
+        basis = enumerate_lattice(params.n, params.m)
+    n1 = params.n + 1
+    worst = 0.0
+    for lam in basis.order:
+        x = rho_shift(lam, params)
+        for size in range(n1 + 1):
+            for subset in combinations(range(n1), size):
+                v = translation_coefficient(x, subset, params)
+                b = hop_coefficient(lam, strip_from_subset(subset, params.n), params)
+                worst = max(worst, abs(v - b))
+    return worst
+
+
+def _elementary_symmetric(values, r: int) -> complex:
+    total = 0j
+    for combo in combinations(values, r):
+        term = 1.0 + 0j
+        for v in combo:
+            term *= v
+        total += term
+    return total
+
+
+def trig_joint_eigenvalue(nu, r: int, params: ModelParams) -> complex:
+    """Closed-form joint eigenvalue at zero nome.
+
+    The elementary symmetric polynomial of order r evaluated on the
+    g-shifted geometric staircase of nu, with the center-of-mass prefactor.
+    """
+    if not 1 <= r <= params.n:
+        raise ValueError(f"order {r} outside 1..{params.n}")
+    return _prefactor(r, nu, params) * _elementary_symmetric(_staircase_point(nu, params), r)
+
+
+def principal_eigenfunction_value(mu, nu, params: ModelParams) -> complex:
+    """Value at mu of the normalized joint eigenfunction labeled nu, at zero nome."""
+    poly = macdonald_coeffs(mu, params.q, params.t, params.n + 1)
+    value = poly.evaluate(_staircase_point(nu, params))
+    return norm_constant(mu, replace(params, p=0.0)) * _prefactor(weight(mu), nu, params) * value

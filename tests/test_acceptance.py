@@ -13,8 +13,6 @@ from rlatt.coeffs import (
     ModelParams,
     box_pieri_coefficients,
     hop_coefficient,
-    lattice_weight,
-    norm_constant,
     norm_vector,
     pieri_coefficient,
     weight_vector,
@@ -45,6 +43,7 @@ from rlatt.spectral import (
     sweep_spectra,
 )
 from rlatt.weightlattice import crosscheck_hop_coefficients
+from scalar_reference import lattice_weight, memoized, norm_constant
 
 GRID = [
     (n, m, g, p)
@@ -97,7 +96,7 @@ def test_criterion_2_truncation_dichotomy():
     worst_outside = 0.0
     floor_ok = True
     for n, m, g, p in GRID:
-        params = ModelParams(n, m, g, p)
+        params = memoized(ModelParams(n, m, g, p))
         basis = enumerate_lattice(n, m)
         for lam, strip, reduced in moves(params, basis):
             b = hop_coefficient(lam, strip, params)
@@ -112,7 +111,7 @@ def test_criterion_2_truncation_dichotomy():
 def test_criterion_3_weight_recurrence_and_psi():
     worst = 0.0
     for n, m, g, p in GRID:
-        params = ModelParams(n, m, g, p)
+        params = memoized(ModelParams(n, m, g, p))
         basis = enumerate_lattice(n, m)
         for lam, strip, reduced in moves(params, basis):
             if reduced not in basis.index:

@@ -185,7 +185,7 @@ def test_spectrum_labels_match_trig_table(tmp_path):
         tmp_path, ["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0"]
     )
     assert code == 0
-    from rlatt.macdonald import trig_joint_eigenvalue
+    from scalar_reference import trig_joint_eigenvalue
 
     params = ModelParams(2, 2, 0.7, 0.0)
     for record in payload["points"][0]["records"]:
@@ -297,7 +297,7 @@ def test_csv_output(tmp_path):
     assert rows[0] == ["index", "partition", "weight", "delta"]
     assert len(rows) == 7
     # full precision survives the csv round trip
-    from rlatt.coeffs import lattice_weight
+    from scalar_reference import lattice_weight
 
     assert float(rows[2][3]) == lattice_weight((1,), ModelParams(2, 2, 1.0, 0.0))
 

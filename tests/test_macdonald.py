@@ -12,12 +12,11 @@ from rlatt.macdonald import (
     SymmetricPoly,
     compare_trig,
     macdonald_coeffs,
-    principal_eigenfunction_value,
-    trig_joint_eigenvalue,
     trig_joint_eigenvalues,
 )
 from rlatt.partitions import dominance_leq, enumerate_lattice, pad, weight
 from rlatt.spectral import joint_diagonalize, label_spectrum
+from scalar_reference import principal_eigenfunction_value, trig_joint_eigenvalue
 
 
 def zero_nome_spectrum(n, m, g):
@@ -208,3 +207,7 @@ def test_array_closed_form_matches_the_scalar_one(n, m, g, alpha_override):
     scalar = np.array([[trig_joint_eigenvalue(nu, r, params) for r in range(1, n + 1)] for nu in basis.order])
     assert closed.shape == (len(basis), n)
     assert np.max(np.abs(closed - scalar)) <= 1e-14 * np.max(np.abs(scalar))
+
+
+def test_nan_eigenfunction_residual_reaches_the_comparison_residual():
+    assert math.isnan(macdonald.TrigComparison(1e-15, float("nan")).residual)

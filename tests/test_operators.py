@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rlatt.coeffs import ModelParams, weight_vector
-from rlatt.elliptic import bracket_trig
 from rlatt.operators import (
     adjoint_residual,
     build_hop_operator,
@@ -11,6 +10,7 @@ from rlatt.operators import (
     transpose_residual,
 )
 from rlatt.partitions import add_strip, enumerate_lattice, pad, reduce_partition, vertical_strips
+from scalar_reference import bracket_trig
 
 GRID = [
     (n, m, g, p)

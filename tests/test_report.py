@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from rlatt import report, spectral
 from rlatt.coeffs import ModelParams
 from rlatt.report import CHECK_NAMES, run_verification
@@ -9,6 +11,7 @@ from rlatt.report import CHECK_NAMES, run_verification
 HOP = "hop denominator vanished at pair (1,2) for lam=()"
 WEIGHT = "weight denominator vanished at pair (1,2) for lam=()"
 PIERI = "Pieri denominator vanished at pair (1,2) for lam=(1,)"
+NAN = float("nan")
 
 
 def test_verification_solves_zero_nome_once(monkeypatch):
@@ -70,3 +73,46 @@ def test_shared_data_fails_every_check_at_two_parts():
     expected.update({"orthogonality": WEIGHT, "trig-comparison": WEIGHT})
     expected.update(dict.fromkeys(("pieri", "dual-orthogonality", "reconstruction"), PIERI))
     assert _errors(2, 2) == {name: (False, None, error) for name, error in expected.items()}
+
+
+def _failed_checks(params):
+    return {c.name for c in run_verification(params).checks if not c.passed}
+
+
+# a NaN residual after a finite one fails its check: the builtin max would drop it
+
+
+def test_nan_commutator_residual_fails(monkeypatch):
+    # (3, 2) has three pairs of operators
+    residuals = iter([1e-16, NAN, 1e-16])
+    monkeypatch.setattr(report, "commutator_residual", lambda a, b: next(residuals))
+    assert _failed_checks(ModelParams(3, 2, 0.7, 0.3)) == {"commutators"}
+
+
+def test_nan_adjoint_residual_fails(monkeypatch):
+    # each pair gives its finite transpose residual before its adjoint one
+    monkeypatch.setattr(report, "adjoint_residual", lambda a, b, weights: NAN)
+    assert _failed_checks(ModelParams(3, 2, 0.7, 0.3)) == {"adjointness"}
+
+
+def test_nan_pieri_coefficient_fails_its_checks(monkeypatch):
+    exact = report.box_pieri_coefficients
+
+    def poisoned(basis, r, params):
+        source, target, psi = exact(basis, r, params)
+        return source, target, np.where(np.arange(len(psi)) == len(psi) - 1, NAN, psi) if r == 2 else psi
+
+    monkeypatch.setattr(report, "box_pieri_coefficients", poisoned)
+    assert _failed_checks(ModelParams(3, 2, 0.7, 0.3)) == {"pieri", "psi-consistency"}
+
+
+def test_nan_amplitude_off_the_box_fails_the_dichotomy(monkeypatch):
+    exact = report.hop_amplitudes
+
+    def poisoned(basis, r, params):
+        amplitudes = exact(basis, r, params)
+        # the size-1 moves off the box come first, with finite amplitudes
+        return np.where(basis.move_arrays[r].target < 0, NAN, amplitudes) if r == 2 else amplitudes
+
+    monkeypatch.setattr(report, "hop_amplitudes", poisoned)
+    assert _failed_checks(ModelParams(2, 2, 0.7, 0.3)) == {"truncation-dichotomy"}

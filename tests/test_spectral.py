@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from rlatt import spectral
-from rlatt.coeffs import ModelParams
+from rlatt.coeffs import ModelParams, weight_vector
 from rlatt.errors import ContinuationError
-from rlatt.macdonald import trig_joint_eigenvalue
+from rlatt.operators import build_hop_operator, conjugate_by_weights
+from rlatt.partitions import enumerate_lattice
 from rlatt.spectral import (
     conjugate_pairing_residual,
     continue_labels,
@@ -19,6 +20,7 @@ from rlatt.spectral import (
     sweep_spectra,
     unitarity_residual,
 )
+from scalar_reference import trig_joint_eigenvalue
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.9, -0.5])
@@ -304,3 +306,48 @@ def test_sweep_through_close_eigenvalues():
     assert [s.params.p for s in spectra] == ps
     for spectrum in spectra:
         assert np.max(spectrum.residuals) < 1e-9
+
+
+@pytest.mark.parametrize("n,m,g", [(2, 3, 0.7), (3, 4, 0.7), (3, 6, 0.7), (5, 5, 1.18), (4, 8, 0.7)])
+def test_macdonald_duality_at_zero_nome(labeled, n, m, g):
+    """At p = 0 the normalized eigenfunction values F[mu, nu] = u_nu(mu) / u_nu(empty) are symmetric.
+
+    This is the lattice form of the duality P~_lam(q^mu t^delta) = P~_mu(q^lam t^delta)
+    (Macdonald, ch. VI, (6.6)).  It needs no oracle, so it also covers (3, 4)
+    and (3, 6), where ``macdonald_coeffs`` meets an eigenvalue collision, and
+    it checks eigenvectors and labels together: swapping two labels breaks it.
+    """
+    spectrum = labeled(n, m, g, 0.0)
+    values = spectrum.eigenvectors / spectrum.eigenvectors[0]
+    assert np.max(np.abs(values - values.T)) / np.max(np.abs(values)) < 1e-9
+    swapped = values[:, [0, 2, 1, *range(3, len(values))]]
+    assert np.max(np.abs(swapped - swapped.T)) / np.max(np.abs(swapped)) > 0.5
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, -0.9])
+@pytest.mark.parametrize("n,m", [(2, 3), (2, 4), (3, 3), (4, 3)])
+def test_unit_coupling_is_independent_of_the_nome(labeled, n, m, p):
+    """At g = 1 the weight-conjugated operators, and so the labeled spectrum, do not depend on p.
+
+    Write x_j = lam_j - j and let Delta(x) = prod_{j<k} [x_j - x_k] be the
+    elliptic Vandermonde product.  At g = 1 the hop amplitude along a strip s
+    is Delta(x + s) / Delta(x), and the factor of a pair in the weight is
+    ([l + d] / [d])^2 with l = lam_j - lam_k, d = k - j, because the
+    factorial ratio [d + 1]_l / [d]_l telescopes to [d + l] / [d]; so
+    w(lam) = (Delta(x) / Delta(x(empty)))^2.  The entry of
+    W^{1/2} D_r W^{-1/2} on a move s -> t is then
+    (Delta(x_s) / Delta(x_t)) * (Delta(x_t) / Delta(x_s)) = 1: every
+    difference x_j - x_k lies in (0, period), where the bracket is positive,
+    and the reduction of a target shifts all x_j alike.  The weights cancel
+    the Vandermonde ratio of each hop at every nome.
+    """
+    basis = enumerate_lattice(n, m)
+    at_p, at_zero = ModelParams(n, m, 1.0, p), ModelParams(n, m, 1.0, 0.0)
+    for r in range(1, n + 1):
+        conjugated = [
+            conjugate_by_weights(build_hop_operator(r, params, basis), weight_vector(basis, params))
+            for params in (at_p, at_zero)
+        ]
+        assert np.max(np.abs(conjugated[0] - conjugated[1])) <= 1e-14 * np.max(np.abs(conjugated[1]))
+    spectrum, trigonometric = labeled(n, m, 1.0, p), labeled(n, m, 1.0, 0.0)
+    assert np.max(np.abs(spectrum.eigenvalues - trigonometric.eigenvalues)) < 1e-13

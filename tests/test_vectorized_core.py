@@ -1,11 +1,12 @@
 """The array evaluations of one parameter point against their scalar references.
 
-``bracket_array``, ``hop_amplitudes``, ``weight_vector`` and ``norm_vector``
-compute over a whole box what ``bracket``, ``hop_coefficient``,
-``lattice_weight`` and ``norm_constant`` compute one argument at a time, with
-the same factors in the same order.  They differ from the scalar values by at
-most the last-bit differences between numpy's and the math module's sine and
-cosine, and they keep every guard of the scalar functions.
+``bracket_array``, ``hop_amplitudes``, ``box_pieri_coefficients``,
+``weight_vector`` and ``norm_vector`` compute over a whole box what
+``bracket``, ``hop_coefficient``, ``pieri_coefficient``, ``lattice_weight``
+and ``norm_constant`` compute one argument at a time, with the same factors
+in the same order.  They differ from the scalar values by at most the
+last-bit differences between numpy's and the math module's sine and cosine,
+and they keep every guard of the scalar functions.
 """
 
 import math
@@ -16,11 +17,11 @@ import pytest
 from rlatt import report, spectral
 from rlatt.coeffs import (
     ModelParams,
+    box_pieri_coefficients,
     hop_amplitudes,
     hop_coefficient,
-    lattice_weight,
-    norm_constant,
     norm_vector,
+    pieri_coefficient,
     weight_vector,
 )
 from rlatt.errors import LabelingError, TruncationViolationError
@@ -28,6 +29,7 @@ from rlatt.operators import build_hop_operator, conjugate_by_weights
 from rlatt.partitions import add_strip, enumerate_lattice, reduce_partition, vertical_strips
 from rlatt.report import CHECK_NAMES, run_verification
 from rlatt.spectral import joint_diagonalize
+from scalar_reference import lattice_weight, memoized, norm_constant
 
 BOXES = [(1, 1), (2, 3), (3, 4), (4, 2)]
 NOMES = [0.0, 0.3, -0.6, 0.9]
@@ -56,7 +58,7 @@ def test_bracket_array_matches_scalar(n, m, p):
 
 @pytest.mark.parametrize("n,m,p", POINTS)
 def test_hop_amplitudes_match_every_move(n, m, p):
-    params = ModelParams(n, m, G, p)
+    params = memoized(ModelParams(n, m, G, p))
     basis = enumerate_lattice(n, m)
     for r in range(1, n + 2):
         moves = basis.move_arrays[r]
@@ -67,6 +69,40 @@ def test_hop_amplitudes_match_every_move(n, m, p):
         np.testing.assert_allclose(amplitudes, scalar, rtol=1e-14, atol=0)
         assert np.all(amplitudes[moves.target < 0] == 0.0)
         assert np.all((amplitudes == 0.0) == (scalar == 0.0))
+
+
+def _scalar_pieri_moves(basis, r, params):
+    """(source, target, pieri_coefficient) of every size-r move that stays on the box, from the scalar functions."""
+    for lam in basis.order:
+        for strip in vertical_strips(r, basis.n):
+            mu, dominant = add_strip(lam, strip)
+            target = basis.index.get(reduce_partition(mu, basis.n), -1) if dominant else -1
+            if target >= 0:
+                yield basis.index[lam], target, pieri_coefficient(lam, strip, params)
+
+
+@pytest.mark.parametrize("n,m,g", [(1, 8, 0.7), (3, 4, 0.9814989379240225), (5, 5, 1.18), (4, 8, 0.7), (2, 9, 1.6)])
+def test_box_pieri_coefficients_match_the_scalar_form(n, m, g):
+    params = memoized(ModelParams(n, m, g, 0.3))
+    basis = enumerate_lattice(n, m)
+    for r in range(1, n + 1):
+        source, target, psi = box_pieri_coefficients(basis, r, params)
+        scalar_source, scalar_target, scalar = map(np.array, zip(*_scalar_pieri_moves(basis, r, params)))
+        assert source.tolist() == scalar_source.tolist()
+        assert target.tolist() == scalar_target.tolist()
+        assert np.all((psi == 0.0) == (scalar == 0.0))
+        np.testing.assert_allclose(psi, scalar, rtol=1e-14, atol=0)
+
+
+def test_box_pieri_coefficients_raise_the_first_scalar_error():
+    # at period 2 and g = 1 the denominator [lam_12 + g] = [2] of the move (1) -> (1, 1) vanishes
+    params = ModelParams(1, 2, 1.0, 0.0, alpha_override=math.pi)
+    basis = enumerate_lattice(1, 2)
+    with pytest.raises(TruncationViolationError) as scalar:
+        list(_scalar_pieri_moves(basis, 1, params))
+    with pytest.raises(TruncationViolationError) as array:
+        box_pieri_coefficients(basis, 1, params)
+    assert str(array.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("n,m", BOXES)
@@ -89,7 +125,7 @@ def test_move_arrays_follow_the_move_table(n, m):
 
 @pytest.mark.parametrize("n,m,p", POINTS)
 def test_weight_and_norm_vectors_match_scalar(n, m, p):
-    params = ModelParams(n, m, G, p)
+    params = memoized(ModelParams(n, m, G, p))
     basis = enumerate_lattice(n, m)
     np.testing.assert_allclose(
         weight_vector(basis, params), [lattice_weight(lam, params) for lam in basis.order], rtol=1e-13, atol=0

@@ -1,15 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from rlatt.coeffs import ModelParams, hop_coefficient
-from rlatt.errors import GenericityViolationError
+from rlatt.errors import GenericityViolationError, RlattError, TruncationViolationError
 from rlatt.partitions import add_strip, enumerate_lattice, reduce_partition
-from rlatt.weightlattice import (
-    crosscheck_hop_coefficients,
-    rho_shift,
-    strip_from_subset,
-    translation_coefficient,
-)
+from rlatt.weightlattice import crosscheck_hop_coefficients
+from scalar_reference import crosscheck_loop, memoized, rho_shift, strip_from_subset, translation_coefficient
 from itertools import combinations
 
 
@@ -92,3 +90,45 @@ def test_genericity_violation():
 def test_subset_mask():
     assert strip_from_subset((0, 2), 2) == (1, 0, 1)
     assert strip_from_subset((), 1) == (0, 0)
+
+
+# the benchmark's eleven verify boxes at its first coupling, (5, 5) and (4, 8)
+# (N = 252 and 495), and a g = 1 point where the gap is 1.5e-8 on amplitudes
+# up to 4.2e7
+CROSSCHECK_POINTS = [
+    (n, m, 0.9814989379240225, p)
+    for n, m, p in (
+        (1, 8, 0.6), (2, 2, 0.3), (3, 2, -0.2), (2, 3, 0.5), (4, 1, -0.45), (3, 3, 0.4),
+        (2, 5, -0.4), (2, 6, 0.6), (2, 9, -0.3), (4, 2, 0.2), (3, 4, 0.3),
+    )
+] + [(5, 5, 1.18, 0.3), (4, 8, 0.7, 0.3), (4, 3, 1.0, 0.9)]
+
+
+@pytest.mark.parametrize("n,m,g,p", CROSSCHECK_POINTS)
+def test_array_crosscheck_matches_the_scalar_loop(n, m, g, p):
+    # both forms multiply the same brackets in the same order on both sides, so
+    # the largest gaps agree to the last digit
+    params = ModelParams(n, m, g, p)
+    assert crosscheck_hop_coefficients(params) == pytest.approx(crosscheck_loop(memoized(params)), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize(
+    "n,m,period,error",
+    [
+        # g = 1 sits on the zero: the hop denominator of the first point vanishes
+        (1, 1, 1.0, TruncationViolationError),
+        (2, 2, 1.0, TruncationViolationError),
+        # the difference 2 of the second point sits on the zero
+        (1, 2, 2.0, TruncationViolationError),
+        # just off the zero: the bracket is 5e-11, below GENERICITY_TOL only
+        (1, 1, 1.0 + 5e-11, GenericityViolationError),
+    ],
+)
+def test_array_crosscheck_raises_as_the_scalar_loop(n, m, period, error):
+    params = ModelParams(n, m, 1.0, 0.0, alpha_override=2 * math.pi / period)
+    with pytest.raises(RlattError) as scalar:
+        crosscheck_loop(params)
+    with pytest.raises(RlattError) as array:
+        crosscheck_hop_coefficients(params)
+    assert type(scalar.value) is type(array.value) is error
+    assert str(array.value) == str(scalar.value)
