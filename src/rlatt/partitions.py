@@ -3,9 +3,9 @@
 Partitions are plain tuples of weakly decreasing positive integers with
 trailing zeros trimmed away; the empty partition is ``()``.  The functions
 here enumerate the lattice of partitions fitting inside an ``n x m`` box,
-manipulate vertical strips and tabulate the moves they make on the box, and
-provide the dominance order and the dominant-weight coordinates used by the
-rest of the package.
+manipulate vertical strips, tabulate their moves and the cyclic rotation of
+the box, and provide the dominance order and the dominant-weight coordinates
+used by the rest of the package.
 """
 
 from dataclasses import dataclass
@@ -21,6 +21,7 @@ __all__ = [
     "weight",
     "is_partition",
     "MoveArrays",
+    "Rotation",
     "LatticeBasis",
     "enumerate_lattice",
     "reduce_partition",
@@ -75,6 +76,16 @@ class MoveArrays(NamedTuple):
     target: np.ndarray
 
 
+class Rotation(NamedTuple):
+    """R(lam) = (m - lam_n, lam_1 - lam_n, ..., lam_{n-1} - lam_n), the rotation of the affine
+    Dynkin labels: ``powers[j, i]`` is the index of R^j of point i, j = 0..n; ``representatives``
+    is the smallest index of each orbit, ascending, and ``orbit_sizes`` its size, dividing n+1."""
+
+    powers: np.ndarray
+    representatives: np.ndarray
+    orbit_sizes: np.ndarray
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
     """Deterministically ordered basis of the partitions inside an n x m box.
@@ -99,9 +110,6 @@ class LatticeBasis:
     def move_arrays(self) -> dict:
         """The move table: ``MoveArrays`` keyed by strip size 1..n+1, built once per box."""
         n, parts = self.n, self.parts
-        # basis points are told apart by their first n parts; codes sort them for lookup
-        codes = np.ravel_multi_index(parts[:, :n].T, (self.m + 1,) * n)
-        sorter = np.argsort(codes)
         arrays = {}
         for r in range(1, n + 2):
             strips = np.array(vertical_strips(r, n), dtype=np.intp)
@@ -111,10 +119,31 @@ class LatticeBasis:
             reduced = mu[:, :n] - mu[:, n:]
             inside = reduced[:, 0] <= self.m
             target = np.full(len(source), -1, dtype=np.intp)
-            found = np.ravel_multi_index(reduced[inside].T, (self.m + 1,) * n)
-            target[inside] = sorter[np.searchsorted(codes, found, sorter=sorter)]
+            target[inside] = self._indices(reduced[inside])
             arrays[r] = MoveArrays(source, strips[which], target)
         return arrays
+
+    @cached_property
+    def rotation(self) -> Rotation:
+        """The cyclic rotation of the box (``Rotation``), built once per box."""
+        n, parts = self.n, self.parts
+        last = parts[:, n - 1 : n]
+        rotated = self._indices(np.hstack([self.m - last, parts[:, : n - 1] - last]))
+        powers = [np.arange(len(self))]
+        for _ in range(n):
+            powers.append(rotated[powers[-1]])
+        powers = np.array(powers)
+        (reps,) = np.nonzero(np.min(powers, axis=0) == powers[0])
+        # R^j fixes a point for (n+1)/s of the j = 0..n, s the size of its orbit
+        sizes = (n + 1) // np.sum(powers[:, reps] == reps, axis=0)
+        return Rotation(powers, reps, sizes)
+
+    def _indices(self, rows: np.ndarray) -> np.ndarray:
+        """Basis indices of the points whose first n parts, which tell basis points apart, are the rows."""
+        shape = (self.m + 1,) * self.n
+        codes = np.ravel_multi_index(self.parts[:, : self.n].T, shape)
+        sorter = np.argsort(codes)
+        return sorter[np.searchsorted(codes, np.ravel_multi_index(rows.T, shape), sorter=sorter)]
 
     @cached_property
     def parts(self) -> np.ndarray:

@@ -1,22 +1,20 @@
 """Joint diagonalization of the commuting family and labeling of the spectrum.
 
-The hop operators are conjugated by the square root of the lattice weights,
-which turns them into commuting normal matrices with M_{n+1-r} = M_r^T.  One
-pseudo-random real symmetric combination of M_r + M_r^T, r <= ceil(n/2), is
-diagonalized; conjugate labels share its eigenvalues.  Eigenvalues closer than
-eigh can resolve form chains, each rotated by its restriction of one complex
-Hermitian combination, which also carries the M_r - M_r^T.
-
-Labels (partitions in the box) come from the zero-nome closed form and are
-carried to nonzero nome by continuation, matching eigenvectors between
-neighbouring nomes by overlap.  The first step jumps to the target nome; a
-failed match halves the step and a clean one doubles it again.
+The hop operators, conjugated by the square root of the lattice weights, are
+commuting normal matrices with M_{n+1-r} = M_r^T that commute with the cyclic
+rotation R of the box.  joint_diagonalize solves half the sectors of R (its
+eigenspaces), one block each, and conjugates the rest; residuals carry the
+leakage between sectors.  Labels (partitions in the box) come from the
+zero-nome closed form and are carried to nonzero nome by continuation,
+matching eigenvectors between neighbouring nomes by overlap; the label nu
+lies in sector -|nu| mod (n+1), so both run sector by sector.  The first step
+jumps to the target nome; a failed match halves the step and a clean one
+doubles it again.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as la
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist
 
@@ -54,8 +52,9 @@ class Spectrum:
     ``eigenvectors[:, k]`` the eigenvector, of unit weighted norm with its
     component at the empty partition real and positive; ``norm_hat[k]`` is the
     dual weight for the unit-value-at-zero normalization and ``residuals[k]``
-    the largest relative residual over the operators.  Labeling permutes the
-    eigenpairs so that eigenpair k carries the label ``basis.order[k]``.
+    the largest relative residual over the operators; ``sectors[k]`` is the
+    sector of the box's rotation the eigenvector lies in.  Labeling permutes
+    the eigenpairs so that eigenpair k carries the label ``basis.order[k]``.
     """
 
     params: ModelParams
@@ -65,13 +64,14 @@ class Spectrum:
     norm_hat: np.ndarray
     residuals: np.ndarray
     weights: np.ndarray
+    sectors: np.ndarray
 
     def __len__(self) -> int:
         return self.eigenvectors.shape[1]
 
-    def frame_matrix(self) -> np.ndarray:
-        """Columns in the weight-conjugated frame (orthonormal)."""
-        return np.sqrt(self.weights)[:, None] * self.eigenvectors
+    def frame_matrix(self, columns=slice(None)) -> np.ndarray:
+        """The given columns in the weight-conjugated frame (orthonormal)."""
+        return np.sqrt(self.weights)[:, None] * self.eigenvectors[:, columns]
 
 
 def _permuted(spectrum: Spectrum, order: np.ndarray) -> Spectrum:
@@ -82,35 +82,63 @@ def _permuted(spectrum: Spectrum, order: np.ndarray) -> Spectrum:
         eigenvectors=spectrum.eigenvectors[:, order],
         norm_hat=spectrum.norm_hat[order],
         residuals=spectrum.residuals[order],
+        sectors=spectrum.sectors[order],
     )
 
 
-def _rotate(a: np.ndarray, rotations: list) -> np.ndarray:
-    """Copy of a with the columns of each chain multiplied by the chain's unitary."""
-    out = a.astype(complex)
-    for cols, u in rotations:
-        out[:, cols] = np.einsum("nki,kij->nkj", a[:, cols], u)
-    return out
+def _solve_block(blocks: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Joint eigenvectors v (columns) of one sector's blocks B_1..B_n, stacked as (n, L, L),
+    with their Rayleigh quotients e and norms ||B_r v - e_r v|| (row k, column r - 1)."""
+    # B_{n+1-r} = B_r^H, so B_1..B_ceil(n/2) carry the whole family; in a real
+    # sector conjugate labels share an eigenvalue 2 sum_r a_r Re e_r of this combination
+    half = blocks[: len(a)]
+    vals, vecs = np.linalg.eigh(np.einsum("r,rij->ij", a, half + half.conj().swapaxes(1, 2)))
+    # eigh gets a vector right to eps ||A|| / gap (Davis-Kahan), so eigenvalues
+    # closer than the gap at which that reaches _RESIDUAL_TOL form one chain
+    gap = 10 * np.finfo(float).eps / _RESIDUAL_TOL * np.max(np.abs(vals))
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(vals) >= gap)))
+    sizes = np.diff(np.concatenate((starts, [len(vals)])))
+    vecs = vecs.astype(complex)
+    # each chain is rotated by eigh of its restriction of G + G^H, G = sum_r (x_r + i y_r) B_r;
+    # chains of one length are stacked, as columns (K, L) and unitaries (K, L, L)
+    gv = np.einsum("r,rij->ij", x + 1j * y, half) @ vecs
+    for size in np.unique(sizes[sizes > 1]):
+        cols = starts[sizes == size, None] + np.arange(size)
+        block = np.einsum("nki,nkj->kij", vecs[:, cols].conj(), gv[:, cols])
+        rotations = np.linalg.eigh(block + block.conj().swapaxes(1, 2))[1]
+        vecs[:, cols] = np.einsum("nki,kij->nkj", vecs[:, cols], rotations)
+    products = blocks @ vecs
+    eigenvalues = np.einsum("ij,rij->jr", vecs.conj(), products)
+    norms = np.linalg.norm(products - vecs * eigenvalues.T[:, None, :], axis=1).T
+    return vecs, eigenvalues, norms
 
 
 def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | None = None) -> Spectrum:
     """Simultaneously diagonalize the commuting family at the given parameters.
 
+    The box splits into the n+1 sectors of its cyclic rotation R
+    (``LatticeBasis.rotation``), sector k the eigenspace of R with eigenvalue
+    omega^k, omega = exp(2 pi i / (n+1)).  Sectors 0..floor((n+1)/2) are
+    solved, one block each, with all n operators; sector n+1-k is the complex
+    conjugate of sector k, with vectors conj(v), eigenvalues conj(e) and the
+    residuals of v.  Each residual adds the leakage of M_r between sectors to
+    the block residual, so it bounds the full-space residual.
+
     Parameters
     ----------
     params : ModelParams
-        Must lie in the truncation regime (positive weights).
+        Must lie in the truncation regime (positive weights); off it R is in
+        general no symmetry, and the leakage fails the residual tolerance.
     seed : int
-        Seed for the random coefficients of the real symmetric combination
-        and of the complex Hermitian one that splits its chains; results are
-        deterministic given the seed.
+        Seed for the random coefficients of the two Hermitian combinations;
+        results are deterministic given the seed.
     basis : LatticeBasis, optional
         Reuse an existing enumeration.
 
     Returns
     -------
-    Spectrum with its eigenpairs in the solver's order (label_spectrum puts
-    them in label order).
+    Spectrum with its eigenpairs sector by sector, k = 0..n (``sectors``), each
+    in its block solve's order; label_spectrum puts them in label order.
 
     Raises
     ------
@@ -121,58 +149,60 @@ def joint_diagonalize(params: ModelParams, seed: int = 0, basis: LatticeBasis | 
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
+    n = params.n
     w = weight_vector(basis, params)
-    mats = [
-        conjugate_by_weights(build_hop_operator(r, params, basis), w)
-        for r in range(1, params.n + 1)
-    ]
-    # M_{n+1-r} = M_r^T, so M_1..M_ceil(n/2) carry the whole family
-    half = mats[: (params.n + 1) // 2]
-    a, x, y = np.random.default_rng(seed).standard_normal((3, len(half)))
-    # conjugate labels share an eigenvalue 2 sum_r a_r Re e_r of this combination
-    vals, real_vecs = la.eigh(sum(c * (m + m.T) for c, m in zip(a, half)), driver="evd")
-    # eigh gets a vector right to eps ||A|| / gap (Davis-Kahan), so eigenvalues
-    # closer than the gap at which that reaches _RESIDUAL_TOL form one chain
-    gap = 10 * np.finfo(float).eps / _RESIDUAL_TOL * np.max(np.abs(vals))
-    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) >= gap)
-    sizes = np.diff(starts, append=len(vals))
-    # each chain is rotated by eigh of its restriction of the Hermitian
-    # sum_r x_r (M_r + M_r^T) + i y_r (M_r - M_r^T) = G + G^H, G = sum_r (x_r + i y_r) M_r;
-    # chains of one length are stacked, as columns (K, L) and unitaries (K, L, L)
-    gx, gy = (sum(c * m for c, m in zip(coefs, half)) @ real_vecs for coefs in (x, y))
-    rotations = []
-    for size in np.unique(sizes[sizes > 1]):
-        cols = starts[sizes == size, None] + np.arange(size)
-        block = np.einsum("nki,nkj->kij", real_vecs[:, cols], gx[:, cols] + 1j * gy[:, cols])
-        rotations.append((cols, np.linalg.eigh(block + block.conj().swapaxes(1, 2))[1]))
-    del gx, gy
-    vecs = _rotate(real_vecs, rotations)
-    # M_r is real and commutes with its transpose M_{n+1-r}, so it is normal
-    # and its 2-norm is its spectral radius max_k |e_rk|
-    eigenvalues = np.empty((len(vals), len(mats)), dtype=complex)
-    residuals = np.zeros(len(vals))
-    for r0, m in enumerate(mats):
-        product = _rotate(m @ real_vecs, rotations)
-        e = np.einsum("ij,ij->j", vecs.conj(), product)
-        product -= vecs * e
-        residuals = np.maximum(residuals, np.linalg.norm(product, axis=0) / np.max(np.abs(e)))
-        eigenvalues[:, r0] = e
-        del product  # one N x N product alive at a time
-    u = vecs / np.sqrt(w)[:, None]
-    u0 = u[0]
-    (small,) = np.nonzero(np.abs(u0) < _ZERO_COMPONENT_TOL)
-    if len(small):
-        k = small[0]
-        raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {abs(u0[k])}")
-    u *= np.conj(u0) / np.abs(u0)
-    norm_hat = 1.0 / np.sum(np.abs(u / u[0]) ** 2 * w[:, None], axis=0)
+    mats = [conjugate_by_weights(build_hop_operator(r, params, basis), w) for r in range(1, n + 1)]
+    powers, reps, orbit_sizes = basis.rotation
+    # phases[k, j] = omega^(jk) for the solved sectors k; the block of M_r in sector k between orbits
+    # a, b of sizes s_a, s_b is sqrt(s_a / s_b) sum_{j < s_b} omega^(jk) M_r[a, R^j b], which is
+    # sqrt(s_a s_b) / (n+1) sum_{j <= n} omega^(jk) M_r[a, R^j b]
+    phases = np.exp(2j * np.pi * np.outer(np.arange((n + 1) // 2 + 1), np.arange(n + 1)) / (n + 1))
+    scale = np.sqrt(np.outer(orbit_sizes, orbit_sizes)) / (n + 1)
+    gathered = np.array([m[reps[:, None], powers[:, None, reps]] for m in mats]).reshape(n, n + 1, -1)
+    folded = scale * (phases @ gathered).reshape(n, len(phases), *scale.shape)
+    # the blocks leave out what M_r leaks between sectors: with L = ||M_r - R^T M_r R|| <= its
+    # Frobenius norm, a block vector's full-space residual exceeds its block residual by at
+    # most (1 + sqrt(n)) n L / 2 < (n+1)^(3/2) L
+    leakage = [(n + 1) ** 1.5 * np.linalg.norm(m.take(powers[1], 0).take(powers[1], 1) - m) for m in mats]
+    a, x, y = np.random.default_rng(seed).standard_normal((3, (n + 1) // 2))
+    solved = []
+    for k in range(len(phases)):
+        (inside,) = np.nonzero(k * orbit_sizes % (n + 1) == 0)
+        blocks = folded[:, k][:, inside[:, None], inside]  # taken real where omega^k = +-1
+        solved.append((inside, *_solve_block(blocks.real if 2 * k % (n + 1) == 0 else blocks, a, x, y)))
+    del gathered, folded
+    # M_r commutes with its transpose M_{n+1-r}, so its 2-norm is its spectral radius max_k |e_rk|
+    radius = np.max([np.max(np.abs(e), axis=0) for _, _, e, _ in solved], axis=0)
+    # sector n+1-k is the complex conjugate of sector k: vectors conj(v), eigenvalues conj(e)
+    half = [min(k, n + 1 - k) for k in range(n + 1)]
+    bounds = np.cumsum([0] + [len(solved[h][0]) for h in half])
+    eigenvalues = np.concatenate([solved[h][2] if h == k else solved[h][2].conj() for k, h in enumerate(half)])
+    residuals = np.concatenate([np.max((solved[h][3] + leakage) / radius, axis=1) for h in half])
+    u = np.zeros((len(basis), len(basis)), dtype=complex)
+    for k, h in enumerate(half):
+        if h != k:
+            np.conj(u[:, bounds[h] : bounds[h + 1]], out=u[:, bounds[k] : bounds[k + 1]])
+            continue
+        inside, vecs = solved[k][:2]
+        # u(R^j a) = omega^(jk) v_a / sqrt(s_a w(R^j a)) on the orbit of a has unit weighted
+        # norm; the empty partition heads its orbit, and the phase of v there is taken off
+        rows = powers[:, reps[inside]]
+        values = (phases[k, :, None] / np.sqrt(orbit_sizes[inside] * w[rows]))[:, :, None] * vecs
+        values *= np.exp(-1j * np.angle(vecs[0]))
+        u[rows.ravel(), bounds[k] : bounds[k + 1]] = values.reshape(-1, len(inside))
     offenders = [(int(k), float(residuals[k])) for k in np.nonzero(residuals > _RESIDUAL_TOL)[0]]
     if offenders:
         raise DegenerateSpectrumError(
             f"{len(offenders)} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}",
             clusters=offenders,
         )
-    return Spectrum(params, basis, eigenvalues, u, norm_hat, residuals, w)
+    u0 = np.abs(u[0])
+    (small,) = np.nonzero(u0 < _ZERO_COMPONENT_TOL)
+    if len(small):
+        k = small[0]
+        raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {u0[k]}")
+    # unit weighted norm, so the dual weight 1 / sum_lam w(lam) |u(lam) / u(0)|^2 is |u(0)|^2
+    return Spectrum(params, basis, eigenvalues, u, u0**2, residuals, w, np.repeat(np.arange(n + 1), np.diff(bounds)))
 
 
 def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -184,33 +214,43 @@ def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
-    """Assign labels at p = 0 by nearest closed-form eigenvalue vector."""
+    """Assign labels at p = 0 by nearest closed-form eigenvalue vector, sector by sector."""
     targets = trig_joint_eigenvalues(spectrum.basis, spectrum.params)
-    gaps = _max_distances(targets, targets)
-    np.fill_diagonal(gaps, np.inf)
-    min_gap = np.min(gaps)
-    if min_gap < 2 * _MATCH_TOL:
-        raise LabelingError(f"closed-form eigenvalue vectors are ambiguous: min gap {min_gap:.3e}")
-    cost = _max_distances(spectrum.eigenvalues, targets)
-    rows, cols = linear_sum_assignment(cost)
-    for i, j in zip(rows, cols):
-        if cost[i, j] > _MATCH_TOL:
-            raise LabelingError(
-                f"no closed-form match within {_MATCH_TOL} for eigenvalue vector "
-                f"{spectrum.eigenvalues[i]} (best gap {cost[i, j]:.3e})"
-            )
-    # rows is 0..N-1: vector i takes label cols[i]
-    return _permuted(spectrum, np.argsort(cols))
+    # the eigenvector labeled nu lies in sector -|nu| mod (n+1)
+    label_sectors = -np.sum(spectrum.basis.parts, axis=1) % (spectrum.params.n + 1)
+    order = np.empty(len(spectrum), dtype=np.intp)
+    for k in range(spectrum.params.n + 1):
+        labels, pairs = np.flatnonzero(label_sectors == k), np.flatnonzero(spectrum.sectors == k)
+        gaps = _max_distances(targets[labels], targets[labels])
+        np.fill_diagonal(gaps, np.inf)
+        min_gap = np.min(gaps)
+        if min_gap < 2 * _MATCH_TOL:
+            raise LabelingError(f"closed-form eigenvalue vectors are ambiguous: min gap {min_gap:.3e}")
+        cost = _max_distances(spectrum.eigenvalues[pairs], targets[labels])
+        rows, cols = linear_sum_assignment(cost)
+        for i, j in zip(rows, cols):
+            if cost[i, j] > _MATCH_TOL:
+                raise LabelingError(
+                    f"no closed-form match within {_MATCH_TOL} for eigenvalue vector "
+                    f"{spectrum.eigenvalues[pairs[i]]} (best gap {cost[i, j]:.3e})"
+                )
+        # vector pairs[i] takes label labels[cols[i]]
+        order[labels[cols]] = pairs[rows]
+    return _permuted(spectrum, order)
 
 
 def _transfer_labels(previous: Spectrum, candidate: Spectrum):
-    """Match candidate vectors to previous labels by overlap; None on failure."""
-    overlap = np.abs(previous.frame_matrix().conj().T @ candidate.frame_matrix())
-    rows, cols = linear_sum_assignment(-overlap)
-    if np.min(overlap[rows, cols]) <= _MIN_OVERLAP:
-        return None
-    # rows is 0..N-1 and previous is in label order: candidate vector cols[i] takes label i
-    return _permuted(candidate, cols)
+    """Match candidate vectors to previous labels by overlap, sector by sector; None on failure."""
+    order = np.empty(len(candidate), dtype=np.intp)
+    for k in range(candidate.params.n + 1):
+        labels, pairs = np.flatnonzero(previous.sectors == k), np.flatnonzero(candidate.sectors == k)
+        overlap = np.abs(previous.frame_matrix(labels).conj().T @ candidate.frame_matrix(pairs))
+        rows, cols = linear_sum_assignment(-overlap)
+        if np.min(overlap[rows, cols]) <= _MIN_OVERLAP:
+            return None
+        # previous is in label order: candidate vector pairs[cols[i]] takes label labels[rows[i]]
+        order[labels[rows]] = pairs[cols]
+    return _permuted(candidate, order)
 
 
 def continue_labels(labeled: Spectrum, target: Spectrum, seed: int = 0) -> Spectrum:

@@ -1,0 +1,106 @@
+"""The cyclic rotation R of the box and the sector-by-sector joint solve.
+
+R rotates the n+1 affine Dynkin labels of a partition (Kac, Infinite-Dimensional
+Lie Algebras, the rotation of the affine A_n diagram).  In the truncation
+regime every weight-conjugated M_r commutes with it, so the joint eigenvectors
+lie in its eigenspaces: the one labeled nu in sector k = -|nu| mod (n+1), where
+u(R lam) = omega^k u(lam), omega = exp(2 pi i / (n+1)).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rlatt.coeffs import ModelParams
+from rlatt.errors import DegenerateSpectrumError
+from rlatt.operators import build_hop_operator, conjugate_by_weights
+from rlatt.partitions import enumerate_lattice
+from rlatt.report import run_verification
+from rlatt.spectral import joint_diagonalize
+
+# short orbits and fixed points: (1, 8), (2, 3), (2, 6); unequal sectors
+# 10, 8, 9, 8: (3, 4); two real sectors, 0 and 3: (5, 4)
+BOXES = [(1, 8), (2, 3), (2, 6), (3, 4), (5, 4), (4, 8)]
+POINTS = [(g, p) for g in (0.7, 1.0, 1.43) for p in (0.0, 0.3, -0.6)]
+
+
+def _conjugated(spectrum):
+    """The weight-conjugated M_1..M_n of the spectrum's point."""
+    return [
+        conjugate_by_weights(build_hop_operator(r, spectrum.params, spectrum.basis), spectrum.weights)
+        for r in range(1, spectrum.params.n + 1)
+    ]
+
+
+def _rotate(lam, n, m):
+    """R(lam) = (m - lam_n, lam_1 - lam_n, ..., lam_{n-1} - lam_n), trailing zeros trimmed."""
+    padded = list(lam) + [0] * (n - len(lam))
+    rotated = [m - padded[-1]] + [x - padded[-1] for x in padded[:-1]]
+    while rotated and rotated[-1] == 0:
+        rotated.pop()
+    return tuple(rotated)
+
+
+@pytest.mark.parametrize("n,m", BOXES + [(1, 1), (3, 3), (6, 2)])
+def test_rotation_arrays_follow_the_partitions(n, m):
+    basis = enumerate_lattice(n, m)
+    powers, reps, sizes = basis.rotation
+    assert [basis.order[i] for i in powers[1]] == [_rotate(lam, n, m) for lam in basis.order]
+    assert np.array_equal(powers[0], np.arange(len(basis)))
+    assert np.array_equal(powers[1][powers[n]], np.arange(len(basis)))
+    for a, s in zip(reps, sizes):
+        orbit = {int(i) for i in powers[:, a]}
+        assert len(orbit) == s and min(orbit) == a and (n + 1) % s == 0
+    assert np.sum(sizes) == len(basis)
+
+
+@pytest.mark.parametrize("g,p", POINTS)
+@pytest.mark.parametrize("n,m", BOXES)
+def test_rotation_is_a_symmetry_of_the_labeled_spectrum(labeled, n, m, g, p):
+    spectrum = labeled(n, m, g, p)
+    rot = spectrum.basis.rotation.powers[1]
+    for mat in _conjugated(spectrum):
+        assert np.max(np.abs(mat[np.ix_(rot, rot)] - mat)) <= 1e-14 * np.max(np.abs(mat))
+    # the eigenvector labeled nu lies in sector -|nu| mod (n+1)
+    sectors = -np.array([sum(nu) for nu in spectrum.basis.order]) % (n + 1)
+    assert np.array_equal(spectrum.sectors, sectors)
+    u = spectrum.eigenvectors
+    omega = np.exp(2j * np.pi * sectors / (n + 1))
+    assert np.max(np.abs(u[rot] - omega * u)) <= 1e-12 * np.max(np.abs(u))
+    # the conjugate label, with eigenvalues conj(e), lies in the conjugate sector
+    e = spectrum.eigenvalues
+    distance = np.max(np.abs(e[:, None, :] - np.conj(e)[None, :, :]), axis=2)
+    conjugate = np.argmin(distance, axis=0)
+    assert np.max(distance[conjugate, np.arange(len(e))]) < 1e-9
+    assert np.array_equal(sectors[conjugate], -sectors % (n + 1))
+
+
+@pytest.mark.parametrize("g,p", [(0.7, 0.3), (1.43, -0.6), (1.0, 0.0)])
+@pytest.mark.parametrize("n,m", [(5, 5), (4, 8), (3, 4)])
+def test_reported_residual_bounds_the_full_space_residual(n, m, g, p):
+    spectrum = joint_diagonalize(ModelParams(n, m, g, p))
+    frame = spectrum.frame_matrix()
+    full = np.zeros(len(spectrum))
+    for mat, e in zip(_conjugated(spectrum), spectrum.eigenvalues.T):
+        full = np.maximum(full, np.linalg.norm(mat @ frame - frame * e, axis=0) / np.max(np.abs(e)))
+    assert np.all(full <= spectrum.residuals)
+    assert np.max(spectrum.residuals) < 1e-9
+
+
+def _off_regime(n, m, g, p, scale):
+    """The point with alpha scaled away from its locked value, as ``--alpha-scale`` sets it."""
+    return ModelParams(n, m, g, p, alpha_override=scale * 2 * math.pi / ((n + 1) * g + m))
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.9, 1.3])
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (1, 8)])
+def test_off_regime_solve_raises_the_residual_error(n, m, scale):
+    # at these points off the truncation regime R is no symmetry, and the leakage term says so
+    params = _off_regime(n, m, 0.7, 0.3, scale)
+    with pytest.raises(DegenerateSpectrumError, match="exceed the residual tolerance"):
+        joint_diagonalize(params)
+    checks = {c.name: c for c in run_verification(params).checks}
+    for name in ("orthogonality", "pieri", "dual-orthogonality", "reconstruction", "trig-comparison"):
+        assert not checks[name].passed
+        assert "exceed the residual tolerance" in checks[name].error
