@@ -61,14 +61,11 @@ from .partitions import (
 )
 from .spectral import (
     Spectrum,
-    conjugate_pairing_residual,
     continue_labels,
     joint_diagonalize,
     label_spectrum,
-    min_eigenvalue_gap,
     orthogonality_residual,
     second_difference_residual,
     sweep_spectra,
-    unitarity_residual,
 )
 from .weightlattice import crosscheck_hop_coefficients

@@ -6,17 +6,16 @@ lattice diagonalization at zero nome is a genuine cross-check.
 
 The polynomials are computed by a triangular eigen-solve in the monomial
 basis: the matrix of the first q-difference operator on the monomial
-symmetric functions of one degree is read off its antisymmetrized form,
-coefficient by coefficient over the permutations of the staircase, and the
-eigenvector that is monic at the top of the dominance order is then read off
-degree by degree.
+symmetric functions of one degree is solved from its antisymmetrized form,
+built coefficient by coefficient over the permutations of the staircase, by
+forward substitution, and the eigenvector that is monic at the top of the
+dominance order is then read off degree by degree.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .coeffs import ModelParams, norm_vector
 from .errors import ComparisonError, DegenerateSpecializationError
@@ -87,12 +86,10 @@ def _partitions_of_weight(d: int, max_len: int):
     return out
 
 
-def _operator_matrix(d: int, q: complex, t: complex, nvars: int):
-    """Matrix of the first q-difference operator on the degree-d monomial basis.
+def _antisymmetrized_form(d: int, q: complex, t: complex, nvars: int):
+    """Partitions of d and the matrices K, B of ``K M = B`` for the operator matrix M.
 
-    Entry [row, col] is the coefficient of the monomial symmetric function of
-    the row partition in the image of the column one.  Applied to ``m_lam``,
-    the identity ``a_delta D_1 = sum_i (T_{t,x_i} a_delta) T_{q,x_i}``
+    Applied to ``m_lam``, the identity ``a_delta D_1 = sum_i (T_{t,x_i} a_delta) T_{q,x_i}``
     (Macdonald, ch. VI (3.4)), with ``a_delta = sum_w sign(w) x^(w delta)``
     and ``delta = (nvars-1, ..., 1, 0)``, has ``(K @ M)[nu, lam]`` as the
     coefficient of ``x^(nu + delta)`` on the left and ``B[nu, lam]`` on the
@@ -100,7 +97,7 @@ def _operator_matrix(d: int, q: complex, t: complex, nvars: int):
     ``alpha = nu + delta - w delta >= 0`` and ``lam = sort(alpha)``, sign(w)
     to ``K[nu, lam]`` and ``sign(w) * sum_i t^(w delta)_i q^alpha_i`` to
     ``B[nu, lam]``.  K is unit lower triangular in the order of the
-    partitions, so M is one triangular solve.
+    partitions.
     """
     parts = _partitions_of_weight(d, nvars)
     rows = np.array([pad(lam, nvars) for lam in parts])
@@ -120,7 +117,21 @@ def _operator_matrix(d: int, q: complex, t: complex, nvars: int):
         col = np.searchsorted(codes, -(np.sort(alpha, axis=1)[:, ::-1] @ place))
         lead[row, col] += sign
         image[row, col] += sign * (t**shifted * q**alpha).sum(axis=1)
-    return parts, solve_triangular(lead, image, lower=True)
+    return parts, lead, image
+
+
+def _operator_matrix(d: int, q: complex, t: complex, nvars: int):
+    """Matrix of the first q-difference operator on the degree-d monomial basis.
+
+    Entry [row, col] is the coefficient of the monomial symmetric function of
+    the row partition in the image of the column one.  K of ``K M = B``
+    (``_antisymmetrized_form``) is unit lower triangular, so M is read off row
+    by row by forward substitution, with no division.
+    """
+    parts, lead, mat = _antisymmetrized_form(d, q, t, nvars)
+    for row in range(1, len(parts)):
+        mat[row] -= lead[row, :row] @ mat[:row]
+    return parts, mat
 
 
 def macdonald_coeffs(mu, q: complex, t: complex, nvars: int) -> SymmetricPoly:

@@ -15,8 +15,6 @@ doubles it again.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import pdist
 
 from .coeffs import ModelParams, weight_vector
 from .errors import ContinuationError, DegenerateSpectrumError, LabelingError, NormalizationError
@@ -31,9 +29,6 @@ __all__ = [
     "continue_labels",
     "sweep_spectra",
     "orthogonality_residual",
-    "unitarity_residual",
-    "conjugate_pairing_residual",
-    "min_eigenvalue_gap",
     "second_difference_residual",
 ]
 
@@ -227,15 +222,21 @@ def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
         if min_gap < 2 * _MATCH_TOL:
             raise LabelingError(f"closed-form eigenvalue vectors are ambiguous: min gap {min_gap:.3e}")
         cost = _max_distances(spectrum.eigenvalues[pairs], targets[labels])
-        rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            if cost[i, j] > _MATCH_TOL:
-                raise LabelingError(
-                    f"no closed-form match within {_MATCH_TOL} for eigenvalue vector "
-                    f"{spectrum.eigenvalues[pairs[i]]} (best gap {cost[i, j]:.3e})"
-                )
+        cols = np.argmin(cost, axis=1)
+        best = cost[np.arange(len(pairs)), cols]
+        # the targets lie 2 _MATCH_TOL apart, so a match within _MATCH_TOL is the only one of
+        # its row and of its column, and a passing assignment is the row-wise nearest one
+        shared = np.bincount(cols, minlength=len(labels))[cols] > 1
+        missed = np.flatnonzero((best > _MATCH_TOL) | shared)
+        if len(missed):
+            i = missed[0]
+            why = f"best gap {best[i]:.3e}" if best[i] > _MATCH_TOL else "nearest closed form shared with another vector"
+            raise LabelingError(
+                f"no closed-form match within {_MATCH_TOL} for eigenvalue vector "
+                f"{spectrum.eigenvalues[pairs[i]]} ({why})"
+            )
         # vector pairs[i] takes label labels[cols[i]]
-        order[labels[cols]] = pairs[rows]
+        order[labels[cols]] = pairs
     return _permuted(spectrum, order)
 
 
@@ -245,11 +246,11 @@ def _transfer_labels(previous: Spectrum, candidate: Spectrum):
     for k in range(candidate.params.n + 1):
         labels, pairs = np.flatnonzero(previous.sectors == k), np.flatnonzero(candidate.sectors == k)
         overlap = np.abs(previous.frame_matrix(labels).conj().T @ candidate.frame_matrix(pairs))
-        rows, cols = linear_sum_assignment(-overlap)
-        if np.min(overlap[rows, cols]) <= _MIN_OVERLAP:
+        cols = np.argmax(overlap, axis=1)
+        if np.min(overlap[np.arange(len(labels)), cols]) <= _MIN_OVERLAP or len(np.unique(cols)) < len(cols):
             return None
-        # previous is in label order: candidate vector pairs[cols[i]] takes label labels[rows[i]]
-        order[labels[rows]] = pairs[cols]
+        # previous is in label order: candidate vector pairs[cols[i]] takes label labels[i]
+        order[labels] = pairs[cols]
     return _permuted(candidate, order)
 
 
@@ -260,12 +261,14 @@ def continue_labels(labeled: Spectrum, target: Spectrum, seed: int = 0) -> Spect
     step, never past the target; a failed one halves it, and once the step
     falls below _MIN_STEP the continuation raises ContinuationError.
 
-    A large step cannot pass a wrong match.  Both frames are orthonormal, so
-    F0^H F1 is unitary and the squared overlaps of each candidate with the
-    previous vectors sum to 1.  At most one previous vector can then overlap
-    a candidate by more than 1/sqrt(2) ~ 0.707, so an assignment whose every
-    overlap exceeds _MIN_OVERLAP = 0.9 is the only one that passes.  A step
-    over which some vector turns too far fails the match and is halved.
+    Each previous vector takes the candidate it overlaps most (the row-wise
+    argmax), and the match passes when these picks form a permutation with
+    every overlap above _MIN_OVERLAP = 0.9.  No other assignment could pass,
+    so a large step cannot pass a wrong match: both frames are orthonormal,
+    so F0^H F1 is unitary and the squared overlaps in each of its rows and
+    columns sum to 1, and at most one entry of a row or a column can exceed
+    1/sqrt(2) ~ 0.707.  A step over which some vector turns too far fails
+    the match and is halved.
     """
     target_p = target.params.p
     current = labeled
@@ -329,29 +332,6 @@ def orthogonality_residual(spectrum: Spectrum) -> float:
     gram = (u.T * spectrum.weights) @ np.conj(u)
     off = gram - np.diag(np.diag(gram))
     return float(np.max(np.abs(off)))
-
-
-def unitarity_residual(spectrum: Spectrum) -> float:
-    """Deviation from unitarity of the weighted eigenfunction value matrix."""
-    u = spectrum.eigenvectors
-    values = u / u[0, :]
-    mat = np.sqrt(spectrum.weights)[:, None] * values * np.sqrt(spectrum.norm_hat)[None, :]
-    eye = mat.conj().T @ mat
-    return float(np.max(np.abs(eye - np.eye(len(spectrum)))))
-
-
-def conjugate_pairing_residual(spectrum: Spectrum) -> float:
-    """Defect of eigenvalue pairing e_{n+1-r} = conj(e_r)."""
-    e = spectrum.eigenvalues
-    return float(np.max(np.abs(e[:, ::-1] - np.conj(e))))
-
-
-def min_eigenvalue_gap(spectrum: Spectrum) -> float:
-    """Smallest pairwise distance between joint eigenvalue vectors."""
-    if len(spectrum) < 2:
-        return np.inf
-    e = spectrum.eigenvalues
-    return float(np.min(pdist(np.hstack([e.real, e.imag]))))
 
 
 def second_difference_residual(spectra: list) -> float:

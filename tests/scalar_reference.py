@@ -16,6 +16,10 @@ the array form it is the reference for:
 for ``hop_amplitudes`` and ``box_pieri_coefficients``, stay in the package.
 ``memoized`` gives a parameter point whose scalar bracket remembers its
 values, for tests that run a scalar loop over a whole box.
+
+Three diagnostics of a labeled ``Spectrum`` that only tests read live here
+too: ``unitarity_residual``, ``conjugate_pairing_residual`` and
+``min_eigenvalue_gap``.
 """
 
 import math
@@ -23,6 +27,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from rlatt.coeffs import DENOM_TOL, ModelParams, _pair_range, hop_coefficient
 from rlatt.elliptic import ThetaEvaluator
@@ -233,3 +238,26 @@ def principal_eigenfunction_value(mu, nu, params: ModelParams) -> complex:
     poly = macdonald_coeffs(mu, params.q, params.t, params.n + 1)
     value = poly.evaluate(_staircase_point(nu, params))
     return norm_constant(mu, replace(params, p=0.0)) * _prefactor(weight(mu), nu, params) * value
+
+
+def unitarity_residual(spectrum) -> float:
+    """Deviation from unitarity of the weighted eigenfunction value matrix."""
+    u = spectrum.eigenvectors
+    values = u / u[0, :]
+    mat = np.sqrt(spectrum.weights)[:, None] * values * np.sqrt(spectrum.norm_hat)[None, :]
+    eye = mat.conj().T @ mat
+    return float(np.max(np.abs(eye - np.eye(len(spectrum)))))
+
+
+def conjugate_pairing_residual(spectrum) -> float:
+    """Defect of eigenvalue pairing e_{n+1-r} = conj(e_r)."""
+    e = spectrum.eigenvalues
+    return float(np.max(np.abs(e[:, ::-1] - np.conj(e))))
+
+
+def min_eigenvalue_gap(spectrum) -> float:
+    """Smallest pairwise distance between joint eigenvalue vectors."""
+    if len(spectrum) < 2:
+        return np.inf
+    e = spectrum.eigenvalues
+    return float(np.min(pdist(np.hstack([e.real, e.imag]))))

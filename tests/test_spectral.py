@@ -10,17 +10,19 @@ from rlatt.errors import ContinuationError
 from rlatt.operators import build_hop_operator, conjugate_by_weights
 from rlatt.partitions import enumerate_lattice
 from rlatt.spectral import (
-    conjugate_pairing_residual,
     continue_labels,
     joint_diagonalize,
     label_spectrum,
-    min_eigenvalue_gap,
     orthogonality_residual,
     second_difference_residual,
     sweep_spectra,
+)
+from scalar_reference import (
+    conjugate_pairing_residual,
+    min_eigenvalue_gap,
+    trig_joint_eigenvalue,
     unitarity_residual,
 )
-from scalar_reference import trig_joint_eigenvalue
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.9, -0.5])

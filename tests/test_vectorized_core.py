@@ -10,6 +10,7 @@ and they keep every guard of the scalar functions.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,15 @@ def test_closed_form_labels_reject_a_missed_match(monkeypatch):
     monkeypatch.setattr(spectral, "trig_joint_eigenvalues", lambda basis, params: exact(basis, params) + 1e-3)
     with pytest.raises(LabelingError, match="no closed-form match"):
         spectral._closed_form_labels(spectrum)
+
+
+def test_closed_form_labels_reject_two_vectors_on_one_target():
+    spectrum = joint_diagonalize(ModelParams(2, 2, G, 0.0))
+    first, second = np.flatnonzero(spectrum.sectors == 1)[:2]
+    eigenvalues = spectrum.eigenvalues.copy()
+    eigenvalues[second] = eigenvalues[first]
+    with pytest.raises(LabelingError, match="no closed-form match .* shared with another vector"):
+        spectral._closed_form_labels(replace(spectrum, eigenvalues=eigenvalues))
 
 
 def test_linalg_error_fails_its_check_only(monkeypatch):
