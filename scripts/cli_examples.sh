@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# The CLI examples: the README's five commands, the operator kinds the CLI
+# forms from the hop matrices, and two labeled spectra solved by rotation
+# sector, (4, 8) with five sectors of 99 and (5, 4) whose sectors 0 and 3 are
+# real.  Each must exit 0 and print canonical JSON, exactly
+# json.dumps(sort_keys=True, indent=2) of what it parses to.  Needs `rlatt`
+# and `python` on PATH; fails on the first command that breaks either rule.
+#
+#   bash scripts/cli_examples.sh
+set -euo pipefail
+
+canonical='import json, sys; text = sys.stdin.read(); sys.exit(text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")'
+
+run() {
+  echo "rlatt $*"
+  rlatt "$@" | python -c "$canonical"
+}
+
+run enumerate --n 2 --m 2
+run operator  --n 2 --m 2 --g 0.7 --p 0.5 --r 1
+run spectrum  --n 2 --m 2 --g 0.7 --p-start 0 --p-stop 0.9 --p-step 0.05
+run verify    --n 2 --m 2 --g 1 --p 0.3
+run polys     --n 2 --m 2 --g 0.7 --p 0.3
+for kind in C S M; do
+  run operator --n 2 --m 2 --g 0.7 --p 0.5 --r 1 --kind "$kind"
+done
+run spectrum  --n 4 --m 8 --g 0.7 --p 0.3
+run spectrum  --n 5 --m 4 --g 0.7 --p -0.6

@@ -12,20 +12,20 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .coeffs import ModelParams, weight_vector
 from .eigenpoly import build_polynomials
+from .elliptic import NOME_CAP
 from .errors import RlattError
 from .operators import build_hop_operator, conjugate_by_weights
 from .partitions import enumerate_lattice, weight
 from .report import CHECK_NAMES, DEFAULT_TOLERANCES, REPORT_SCHEMA_VERSION, run_verification
-from .spectral import joint_diagonalize, label_spectrum, sweep_spectra
+from .spectral import sweep_spectra
 
 __all__ = ["main", "entry", "RunConfig"]
 
@@ -40,7 +40,6 @@ class RunConfig:
     g: float = 1.0
     p: float = 0.0
     p_sweep: tuple[float, float, float] | None = None  # (start, stop, step)
-    seed: int = 0
     alpha_scale: float = 1.0
     tolerances: dict = field(default_factory=dict)
     out: str | None = None
@@ -57,10 +56,11 @@ class RunConfig:
         if self.p_sweep is None:
             return [self.p]
         start, stop, step = self.p_sweep
-        if step <= 0:
-            raise ValueError("p-sweep step must be positive")
-        if not (abs(start) < 0.99 and abs(stop) < 0.99):
-            raise ValueError("p-sweep endpoints must lie inside (-0.99, 0.99)")
+        if not 0 < step < math.inf:
+            raise ValueError(f"p-sweep step must be a finite positive number, got {step}")
+        # the closed bound of ModelParams; a NaN endpoint fails it too
+        if not (abs(start) <= NOME_CAP and abs(stop) <= NOME_CAP):
+            raise ValueError(f"p-sweep endpoints must lie in [-{NOME_CAP}, {NOME_CAP}]")
         values = []
         count = 0
         direction = 1.0 if stop >= start else -1.0
@@ -80,7 +80,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--p-start", type=float, dest="p_start")
     parser.add_argument("--p-stop", type=float, dest="p_stop")
     parser.add_argument("--p-step", type=float, dest="p_step")
-    parser.add_argument("--seed", type=int, help="seed for randomized pieces (default 0)")
     parser.add_argument("--alpha-scale", type=float, dest="alpha_scale",
                         help="scale the locked alpha (diagnostic; default 1.0)")
     parser.add_argument("--config", type=str, help="JSON config file; flags override it")
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 # the keys a config file may hold and the JSON type of each; a number may be
 # an integer, and no key takes a boolean or null
 _CONFIG_TYPES = {
-    "n": int, "m": int, "seed": int,
+    "n": int, "m": int,
     "g": float, "p": float, "p_start": float, "p_stop": float, "p_step": float, "alpha_scale": float,
     "tolerances": dict, "out": str, "format": str,
 }
@@ -128,11 +127,7 @@ _TYPE_NAMES = {int: "an integer", float: "a number", dict: "an object", str: "a 
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file, flags, and environment into a RunConfig.
-
-    Precedence: flags override the config file; RLATT_SEED overrides both,
-    for the seed only.
-    """
+    """Merge the config file and the flags into a RunConfig; flags override the file."""
     file_values = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
@@ -179,17 +174,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     fmt = pick("format", "json")
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, got {fmt!r}")
-    seed = pick("seed", 0)
-    env_seed = os.environ.get("RLATT_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     return RunConfig(
         n=n,
         m=m,
         g=float(pick("g", 1.0)),
         p=float(pick("p", 0.0)),
         p_sweep=sweep,
-        seed=seed,
         alpha_scale=float(pick("alpha_scale", 1.0)),
         tolerances=tolerances,
         out=pick("out", None),
@@ -331,7 +321,7 @@ def _render_spectrum(config: RunConfig, values: list, spectra: list) -> str:
     """The labeled spectra at the nomes ``values``, in the configured format.
 
     JSON is rendered from the arrays, byte for byte as ``_to_json`` renders
-    {"schema", "n", "m", "g", "seed", "points": [{"p", "records": [{"nu",
+    {"schema", "n", "m", "g", "points": [{"p", "records": [{"nu",
     "e": [[re, im], ...], "norm_hat", "residual"}, ...]}, ...]}: the labels
     are filled into the record template once, and each point's floats into
     the result in one substitution.
@@ -359,7 +349,7 @@ def _render_spectrum(config: RunConfig, values: list, spectra: list) -> str:
         _json_object({"p": json.dumps(float(p)), "records": records % _json_floats(_spectrum_table(s))}, 2)
         for p, s in zip(values, spectra)
     ]
-    envelope = {"schema": "rlatt/spectrum", "n": config.n, "m": config.m, "g": config.g, "seed": config.seed}
+    envelope = {"schema": "rlatt/spectrum", "n": config.n, "m": config.m, "g": config.g}
     fields = {key: json.dumps(value) for key, value in envelope.items()}
     # one substitution makes the text the only string of its size
     document = _json_object({**fields, "points": _json_array(["%s"] * len(points), 1)}, 0) + "\n"
@@ -367,13 +357,8 @@ def _render_spectrum(config: RunConfig, values: list, spectra: list) -> str:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    params = config.model_params()
     values = config.sweep_values()
-    if len(values) == 1:
-        point = replace(params, p=values[0])
-        spectra = [label_spectrum(joint_diagonalize(point, seed=config.seed), seed=config.seed)]
-    else:
-        spectra = sweep_spectra(params, values, seed=config.seed)
+    spectra = sweep_spectra(config.model_params(), values)
     _emit(_render_spectrum(config, values, spectra), config.out)
     return 0
 
@@ -381,7 +366,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     if config.p_sweep is not None:
         raise ValueError("verify runs at a single --p, not a sweep")
-    report = run_verification(config.model_params(), tolerances=config.tolerances, seed=config.seed)
+    report = run_verification(config.model_params(), tolerances=config.tolerances)
     payload = report.as_dict()
     if config.format == "json":
         _emit(_to_json(payload), config.out)

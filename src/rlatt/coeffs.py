@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import ThetaEvaluator
+from .elliptic import NOME_CAP, ThetaEvaluator
 from .errors import TruncationViolationError
 from .partitions import LatticeBasis, pad, trim
 
@@ -82,8 +82,8 @@ class ModelParams:
             raise ValueError(f"need integers n >= 1, m >= 1, got ({self.n}, {self.m})")
         if not 0 < self.g < math.inf:
             raise ValueError(f"coupling g must be finite and positive, got {self.g}")
-        if not abs(self.p) <= 0.99:
-            raise ValueError(f"|p| = {abs(self.p)} is not within the supported cap 0.99")
+        if not abs(self.p) <= NOME_CAP:
+            raise ValueError(f"|p| = {abs(self.p)} is not within the supported cap {NOME_CAP}")
 
     @property
     def alpha(self) -> float:

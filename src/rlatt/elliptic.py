@@ -19,12 +19,13 @@ import math
 
 import numpy as np
 
-__all__ = ["ThetaEvaluator"]
+__all__ = ["NOME_CAP", "ThetaEvaluator"]
 
 _TERM_EPS = 1e-18
 _TERM_CAP = 600
 _ZERO_ARG_TOL = 1e-12
-_NOME_CAP = 0.99
+# the largest |p| any parameter point may take
+NOME_CAP = 0.99
 
 
 class ThetaEvaluator:
@@ -47,8 +48,8 @@ class ThetaEvaluator:
     def __init__(self, alpha: float, nome: float):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        if abs(nome) > _NOME_CAP:
-            raise ValueError(f"|nome| = {abs(nome)} exceeds the cap {_NOME_CAP}")
+        if abs(nome) > NOME_CAP:
+            raise ValueError(f"|nome| = {abs(nome)} exceeds the cap {NOME_CAP}")
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "nome", float(nome))
         if nome == 0.0:

@@ -38,7 +38,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 CHECK_NAMES = [
     "commutators",
@@ -86,7 +86,6 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     params: ModelParams
-    seed: int
     checks: list
 
     @property
@@ -103,7 +102,6 @@ class VerificationReport:
                 "p": self.params.p,
                 "alpha": self.params.alpha,
             },
-            "seed": self.seed,
             "passed": self.passed,
             "checks": [
                 {
@@ -186,7 +184,7 @@ def check_psi_consistency(hops, norms, pieri) -> float:
     return worst
 
 
-def run_verification(params: ModelParams, tolerances: dict | None = None, seed: int = 0) -> VerificationReport:
+def run_verification(params: ModelParams, tolerances: dict | None = None) -> VerificationReport:
     """Run every named check at the given parameter point.
 
     The hop matrices, weights, norm constants, Pieri coefficients, spectra
@@ -226,15 +224,12 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
     norms = cache(lambda: norm_vector(basis, params))
     # the scalar Pieri coefficients of the moves on the box, read by psi-consistency and pieri
     pieri = cache(lambda: [box_pieri_coefficients(basis, r, params) for r in range(1, params.n + 1)])
-    zero_nome = cache(
-        lambda: label_spectrum(joint_diagonalize(replace(params, p=0.0), seed=seed, basis=basis), seed=seed)
-    )
+    zero_nome = cache(lambda: label_spectrum(joint_diagonalize(replace(params, p=0.0), basis=basis)))
 
     def label():
         if params.p == 0.0:
             return zero_nome()
-        target = joint_diagonalize(params, seed=seed, basis=basis)
-        return continue_labels(zero_nome(), target, seed=seed)
+        return continue_labels(zero_nome(), joint_diagonalize(params, basis=basis))
 
     labeled = cache(label)
     # the polynomial values on the labeled spectrum, read by the three polynomial checks
@@ -261,4 +256,4 @@ def run_verification(params: ModelParams, tolerances: dict | None = None, seed: 
     run("trig-comparison", lambda: compare_trig(zero_nome()).residual)
     run("appendix-crosscheck", lambda: crosscheck_hop_coefficients(params, basis))
 
-    return VerificationReport(params, seed, checks)
+    return VerificationReport(params, checks)

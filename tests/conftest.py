@@ -13,14 +13,13 @@ ACCEPTANCE_GRID = [
 
 @pytest.fixture(scope="session")
 def labeled():
-    """Cached labeled spectra keyed by (n, m, g, p, seed)."""
+    """Cached labeled spectra keyed by (n, m, g, p)."""
     cache = {}
 
-    def get(n, m, g, p, seed=0):
-        key = (n, m, g, p, seed)
+    def get(n, m, g, p):
+        key = (n, m, g, p)
         if key not in cache:
-            params = ModelParams(n, m, g, p)
-            cache[key] = label_spectrum(joint_diagonalize(params, seed=seed), seed=seed)
+            cache[key] = label_spectrum(joint_diagonalize(ModelParams(n, m, g, p)))
         return cache[key]
 
     return get

@@ -185,6 +185,7 @@ def test_spectrum_labels_match_trig_table(tmp_path):
         tmp_path, ["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0"]
     )
     assert code == 0
+    assert sorted(payload) == ["g", "m", "n", "points", "schema"]
     from scalar_reference import trig_joint_eigenvalue
 
     params = ModelParams(2, 2, 0.7, 0.0)
@@ -200,6 +201,7 @@ def test_verify_passes(tmp_path):
         tmp_path, ["verify", "--n", "2", "--m", "2", "--g", "1", "--p", "0.3"]
     )
     assert code == 0
+    assert sorted(payload) == ["checks", "params", "passed", "versions"]
     assert payload["passed"] is True
     assert payload["versions"] == {"schema": REPORT_SCHEMA_VERSION, "package": "0.1.0"}
     names = [c["name"] for c in payload["checks"]]
@@ -270,7 +272,7 @@ def test_byte_determinism(tmp_path):
     for args, name in [
         (["enumerate", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.5"], "basis"),
         (["operator", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.5", "--r", "1"], "op"),
-        (["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.5", "--seed", "3"], "spec"),
+        (["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.5"], "spec"),
         (["polys", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.5"], "polys"),
     ]:
         first = tmp_path / f"{name}1.json"
@@ -313,22 +315,41 @@ def test_spectrum_csv(tmp_path):
     assert len(rows) == 3
 
 
-def test_config_file_and_overrides(tmp_path, monkeypatch):
+def test_config_file_and_overrides(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n": 2, "m": 1, "g": 1.0, "p": 0.0, "seed": 7}))
+    config.write_text(json.dumps({"n": 2, "m": 1, "g": 1.0, "p": 0.0}))
     code, payload = run_json(tmp_path, ["enumerate", "--config", str(config)])
     assert code == 0
     assert payload["size"] == 3
     # flags override the file
     code, payload = run_json(tmp_path, ["enumerate", "--config", str(config), "--m", "2"])
     assert payload["size"] == 6
-    # the environment overrides the seed only
-    monkeypatch.setenv("RLATT_SEED", "99")
-    code, payload = run_json(
-        tmp_path, ["spectrum", "--config", str(config), "--p", "0.2"], "seeded.json"
-    )
-    assert code == 0
-    assert payload["seed"] == 99
+
+
+def test_seed_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--n", "2", "--m", "2", "--seed", "3"])
+    assert exc.value.code == 2
+
+
+# the cap of ModelParams, and the float just above it
+@pytest.mark.parametrize("p,code", [(0.99, 0), (-0.99, 0), (0.9900000000000001, 2), (-0.9900000000000001, 2)])
+def test_single_nome_and_sweep_share_the_nome_cap(tmp_path, p, code):
+    shape = ["spectrum", "--n", "1", "--m", "1", "--g", "1"]
+    assert main(shape + ["--p", repr(p), "--out", str(tmp_path / "one.json")]) == code
+    sweep = ["--p-start", "0", "--p-stop", repr(p), "--p-step", "0.33"]
+    assert main(shape + sweep + ["--out", str(tmp_path / "sweep.json")]) == code
+    if code == 0:
+        points = json.loads((tmp_path / "sweep.json").read_text())["points"]
+        assert [point["p"] for point in points] == [0.0, 0.33 * np.sign(p), 0.66 * np.sign(p), p]
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0", "-0.1"])
+def test_sweep_step_must_be_finite_and_positive(tmp_path, capsys, step):
+    argv = ["spectrum", "--n", "1", "--m", "1", "--g", "1", "--p-start", "0", "--p-stop", "0.5", f"--p-step={step}"]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert "p-sweep step must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_unknown_tolerance_in_config_is_usage_error(tmp_path, capsys):
@@ -345,8 +366,9 @@ def test_unknown_tolerance_in_config_is_usage_error(tmp_path, capsys):
         (["enumerate"], {"n": True, "m": 1}, "config key 'n' must be an integer, got True"),
         (["enumerate"], {"n": 1, "m": 1, "out": 5}, "config key 'out' must be a string, got 5"),
         (["enumerate"], {"n": 1, "m": 1, "p": False}, "config key 'p' must be a number, got False"),
-        (["enumerate"], {"n": 1, "m": 1, "seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
+        (["enumerate"], {"n": 1, "m": "x"}, "config key 'm' must be an integer, got 'x'"),
         (["verify"], {"n": 1, "m": 1, "tolerance": {"pieri": 1e-3}}, "unknown config key 'tolerance'"),
+        (["spectrum"], {"n": 1, "m": 1, "seed": 0}, "unknown config key 'seed'"),
     ]:
         config.write_text(json.dumps(contents))
         assert main(command + ["--config", str(config)]) == 2

@@ -44,7 +44,6 @@ def reference_json(config: RunConfig, values, spectra) -> str:
         "n": config.n,
         "m": config.m,
         "g": config.g,
-        "seed": config.seed,
         "points": [{"p": float(p), "records": reference_records(s)} for p, s in zip(values, spectra)],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -70,7 +69,7 @@ def reference_csv(config: RunConfig, values, spectra) -> str:
 
 def assert_renders_as_reference(config: RunConfig, values, spectra):
     assert cli._render_spectrum(config, values, spectra) == reference_json(config, values, spectra)
-    csv_config = RunConfig(config.n, config.m, config.g, seed=config.seed, format="csv")
+    csv_config = RunConfig(config.n, config.m, config.g, format="csv")
     assert cli._render_spectrum(csv_config, values, spectra) == reference_csv(config, values, spectra)
 
 
@@ -80,9 +79,9 @@ BOXES = [(1, 3), (2, 2), (3, 2), (4, 2), (5, 2)]
 @pytest.mark.parametrize("n,m", BOXES)
 def test_single_point_spectrum_renders_as_reference(n, m):
     params = ModelParams(n, m, 0.7, 0.3)
-    spectrum = label_spectrum(joint_diagonalize(params, seed=2), seed=2)
+    spectrum = label_spectrum(joint_diagonalize(params))
     assert spectrum.basis.order[0] == ()
-    assert_renders_as_reference(RunConfig(n, m, 0.7, 0.3, seed=2), [0.3], [spectrum])
+    assert_renders_as_reference(RunConfig(n, m, 0.7, 0.3), [0.3], [spectrum])
 
 
 @pytest.mark.parametrize("n,m", BOXES)
@@ -93,11 +92,11 @@ def test_sweep_renders_as_reference(n, m):
 
 
 def test_cli_spectrum_writes_the_reference(tmp_path):
-    config = RunConfig(3, 2, 0.7, p_sweep=(0.0, 0.1, 0.05), seed=1)
+    config = RunConfig(3, 2, 0.7, p_sweep=(0.0, 0.1, 0.05))
     values = config.sweep_values()
-    spectra = sweep_spectra(config.model_params(), values, seed=1)
+    spectra = sweep_spectra(config.model_params(), values)
     args = ["spectrum", "--n", "3", "--m", "2", "--g", "0.7", "--p-start", "0", "--p-stop", "0.1",
-            "--p-step", "0.05", "--seed", "1"]
+            "--p-step", "0.05"]
     for fmt, reference in (("json", reference_json), ("csv", reference_csv)):
         out = tmp_path / f"spectrum.{fmt}"
         assert main(args + ["--format", fmt, "--out", str(out)]) == 0

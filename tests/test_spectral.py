@@ -353,3 +353,26 @@ def test_unit_coupling_is_independent_of_the_nome(labeled, n, m, p):
         assert np.max(np.abs(conjugated[0] - conjugated[1])) <= 1e-14 * np.max(np.abs(conjugated[1]))
     spectrum, trigonometric = labeled(n, m, 1.0, p), labeled(n, m, 1.0, 0.0)
     assert np.max(np.abs(spectrum.eigenvalues - trigonometric.eigenvalues)) < 1e-13
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2106])
+@pytest.mark.parametrize("n,m,p", [(3, 4, 0.3), (5, 4, -0.6), (4, 5, 0.3)])
+def test_any_combination_draw_gives_the_same_labeled_spectrum(monkeypatch, labeled, n, m, p, seed):
+    """The joint spectrum is simple, so the draw of the separating combinations changes only rounding.
+
+    (5, 4) has two real sectors, 0 and 3, where conjugate labels share an
+    eigenvalue of the first combination and only the second one splits them.
+    """
+    g = 0.9814989379240225
+    fixed = labeled(n, m, g, p)
+    monkeypatch.setattr(spectral, "_COMBINATION_SEED", seed)
+    other = label_spectrum(joint_diagonalize(ModelParams(n, m, g, p)))
+    assert not np.array_equal(fixed.eigenvectors, other.eigenvectors)
+    # label k is basis.order[k] in both, so equal sectors and close eigenvalues mean equal labels
+    assert np.array_equal(fixed.sectors, other.sectors)
+    scale = np.max(np.abs(fixed.eigenvalues))
+    assert np.max(np.abs(fixed.eigenvalues - other.eigenvalues)) <= 1e-12 * scale
+    # U / U[0]: the eigenfunctions normalized to 1 at the empty partition
+    a, b = fixed.eigenvectors / fixed.eigenvectors[0], other.eigenvectors / other.eigenvectors[0]
+    assert np.max(np.abs(a - b) / np.max(np.abs(a), axis=0)) <= 1e-10
+    assert max(np.max(fixed.residuals), np.max(other.residuals)) < 1e-9
