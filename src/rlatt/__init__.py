@@ -43,7 +43,6 @@ from .macdonald import (
     macdonald_coeffs,
 )
 from .operators import (
-    adjoint_residual,
     build_hop_operator,
     commutator_residual,
     transpose_residual,
@@ -55,9 +54,7 @@ from .partitions import (
     enumerate_lattice,
     min_column,
     partition_to_weight,
-    reduce_partition,
     vertical_strips,
-    weight_to_partition,
 )
 from .spectral import (
     Spectrum,
@@ -65,7 +62,6 @@ from .spectral import (
     joint_diagonalize,
     label_spectrum,
     orthogonality_residual,
-    second_difference_residual,
     sweep_spectra,
 )
 from .weightlattice import crosscheck_hop_coefficients

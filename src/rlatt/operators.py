@@ -15,13 +15,8 @@ __all__ = [
     "build_hop_operator",
     "conjugate_by_weights",
     "commutator_residual",
-    "adjoint_residual",
     "transpose_residual",
-    "weighted_norm",
 ]
-
-_ADJOINT_SEED = 1234
-_ADJOINT_SAMPLES = 8
 
 
 def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None = None) -> np.ndarray:
@@ -59,29 +54,3 @@ def transpose_residual(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> flo
     ma = conjugate_by_weights(a, weights)
     mb = conjugate_by_weights(b, weights)
     return float(np.linalg.norm(ma.T - mb) / np.linalg.norm(ma))
-
-
-def adjoint_residual(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
-    """Bilinear-form defect of the adjoint pairing of D_r and D_{n+1-r}, given as matrices.
-
-    Tests <D_r f, g> = <f, D_{n+1-r} g> in the weighted inner product on a
-    fixed batch of _ADJOINT_SAMPLES pseudo-random complex vectors; the seed
-    is fixed for reproducibility.
-    """
-    opnorm = np.linalg.norm(conjugate_by_weights(a, weights), 2)
-    rng = np.random.default_rng(_ADJOINT_SEED)
-    size = len(weights)
-    worst = 0.0
-    for _ in range(_ADJOINT_SAMPLES):
-        f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        lhs = np.sum((a @ f) * np.conj(g) * weights)
-        rhs = np.sum(f * np.conj(b @ g) * weights)
-        den = weighted_norm(f, weights) * weighted_norm(g, weights) * opnorm
-        worst = max(worst, abs(lhs - rhs) / den)
-    return float(worst)
-
-
-def weighted_norm(f: np.ndarray, w: np.ndarray) -> float:
-    """Norm induced by the weighted inner product."""
-    return float(np.sqrt(np.sum(np.abs(f) ** 2 * w)))

@@ -24,12 +24,10 @@ __all__ = [
     "Rotation",
     "LatticeBasis",
     "enumerate_lattice",
-    "reduce_partition",
     "vertical_strips",
     "add_strip",
     "dominance_leq",
     "min_column",
-    "weight_to_partition",
     "partition_to_weight",
 ]
 
@@ -161,16 +159,6 @@ def enumerate_lattice(n: int, m: int) -> LatticeBasis:
     return LatticeBasis(n=n, m=m, order=order, index={lam: i for i, lam in enumerate(order)})
 
 
-def reduce_partition(mu, n: int) -> tuple[int, ...]:
-    """Subtract the (n+1)-th part from the first n parts."""
-    mu = trim(mu)
-    if len(mu) > n + 1:
-        raise ValueError(f"partition {mu} has more than {n + 1} parts")
-    padded = pad(mu, n + 1)
-    last = padded[n]
-    return trim(tuple(x - last for x in padded[:n]))
-
-
 def vertical_strips(r: int, n: int) -> list[tuple[int, ...]]:
     """All 0/1 masks of length n+1 with exactly r ones."""
     if not 1 <= r <= n + 1:
@@ -226,19 +214,6 @@ def min_column(mu) -> int:
         if mu[j] > nxt:
             return j + 1
     return 0
-
-
-def weight_to_partition(l) -> tuple[int, ...]:
-    """Partition from dominant-weight coordinates: lam_j = l_j + ... + l_n."""
-    l = tuple(l)
-    if any(x < 0 for x in l):
-        raise ValueError(f"weight coordinates must be nonnegative, got {l}")
-    lam = []
-    total = 0
-    for x in reversed(l):
-        total += x
-        lam.append(total)
-    return trim(reversed(lam))
 
 
 def partition_to_weight(lam, n: int) -> tuple[int, ...]:

@@ -29,7 +29,6 @@ __all__ = [
     "continue_labels",
     "sweep_spectra",
     "orthogonality_residual",
-    "second_difference_residual",
 ]
 
 _RESIDUAL_TOL = 1e-9
@@ -338,22 +337,3 @@ def orthogonality_residual(spectrum: Spectrum) -> float:
     gram = (u.T * spectrum.weights) @ np.conj(u)
     off = gram - np.diag(np.diag(gram))
     return float(np.max(np.abs(off)))
-
-
-def second_difference_residual(spectra: list) -> float:
-    """Largest second difference over all envelope-normalized eigenvalue curves.
-
-    The curves are the eigenvalues of each label and order along a sweep of
-    labeled spectra.  All curves of a given order share a steep common growth
-    as |p| increases, so each is divided pointwise by the envelope
-    max(1, max_label |e|) before differencing.  A labeling jump then
-    contributes on the order of the gap between branches relative to the
-    envelope, while a smooth curve sampled at step h contributes O(h^2);
-    values below 0.5 indicate a clean sweep.
-    """
-    # (point, label, order)
-    curves = np.array([s.eigenvalues for s in spectra])
-    if len(curves) < 3:
-        return 0.0
-    ratio = curves / np.maximum(np.max(np.abs(curves), axis=1, keepdims=True), 1.0)
-    return float(np.max(np.abs(ratio[2:] - 2.0 * ratio[1:-1] + ratio[:-2])))

@@ -19,7 +19,12 @@ values, for tests that run a scalar loop over a whole box.
 
 Three diagnostics of a labeled ``Spectrum`` that only tests read live here
 too: ``unitarity_residual``, ``conjugate_pairing_residual`` and
-``min_eigenvalue_gap``.
+``min_eigenvalue_gap``; so does ``second_difference_residual``, the
+smoothness statistic of a labeled sweep.
+
+``reduce_partition`` and ``weight_to_partition`` are the per-partition
+references for the reduction in ``LatticeBasis.move_arrays`` and the inverse
+of ``partitions.partition_to_weight``.
 """
 
 import math
@@ -71,6 +76,29 @@ def memoized(params: ModelParams) -> ModelParams:
     # theta is a cached_property: a value in the instance dict takes its place
     copy.__dict__["theta"] = _MemoTheta(params.alpha, params.p)
     return copy
+
+
+def reduce_partition(mu, n: int) -> tuple[int, ...]:
+    """Subtract the (n+1)-th part from the first n parts."""
+    mu = trim(mu)
+    if len(mu) > n + 1:
+        raise ValueError(f"partition {mu} has more than {n + 1} parts")
+    padded = pad(mu, n + 1)
+    last = padded[n]
+    return trim(tuple(x - last for x in padded[:n]))
+
+
+def weight_to_partition(l) -> tuple[int, ...]:
+    """Partition from dominant-weight coordinates: lam_j = l_j + ... + l_n."""
+    l = tuple(l)
+    if any(x < 0 for x in l):
+        raise ValueError(f"weight coordinates must be nonnegative, got {l}")
+    lam = []
+    total = 0
+    for x in reversed(l):
+        total += x
+        lam.append(total)
+    return trim(reversed(lam))
 
 
 def bracket_trig(z: float, alpha: float) -> float:
@@ -261,3 +289,22 @@ def min_eigenvalue_gap(spectrum) -> float:
         return np.inf
     e = spectrum.eigenvalues
     return float(np.min(pdist(np.hstack([e.real, e.imag]))))
+
+
+def second_difference_residual(spectra: list) -> float:
+    """Largest second difference over all envelope-normalized eigenvalue curves.
+
+    The curves are the eigenvalues of each label and order along a sweep of
+    labeled spectra.  All curves of a given order share a steep common growth
+    as |p| increases, so each is divided pointwise by the envelope
+    max(1, max_label |e|) before differencing.  A labeling jump then
+    contributes on the order of the gap between branches relative to the
+    envelope, while a smooth curve sampled at step h contributes O(h^2);
+    values below 0.5 indicate a clean sweep.
+    """
+    # (point, label, order)
+    curves = np.array([s.eigenvalues for s in spectra])
+    if len(curves) < 3:
+        return 0.0
+    ratio = curves / np.maximum(np.max(np.abs(curves), axis=1, keepdims=True), 1.0)
+    return float(np.max(np.abs(ratio[2:] - 2.0 * ratio[1:-1] + ratio[:-2])))

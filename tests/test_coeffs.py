@@ -8,9 +8,9 @@ from rlatt.coeffs import (
     pieri_coefficient,
 )
 from rlatt.errors import TruncationViolationError
-from rlatt.partitions import add_strip, enumerate_lattice, reduce_partition, vertical_strips
+from rlatt.partitions import add_strip, enumerate_lattice, vertical_strips
 from rlatt.report import run_verification
-from scalar_reference import lattice_weight, norm_constant
+from scalar_reference import lattice_weight, norm_constant, reduce_partition
 
 DICHOTOMY_SETS = [(2, 2, 1.0, 0.3), (3, 2, 0.6, 0.5)]
 

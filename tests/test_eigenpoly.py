@@ -11,8 +11,9 @@ from rlatt.eigenpoly import (
     reconstruct_and_compare,
     value_table,
 )
-from rlatt.partitions import dominance_leq, enumerate_lattice, partition_to_weight, weight_to_partition
+from rlatt.partitions import dominance_leq, enumerate_lattice, partition_to_weight
 from rlatt.spectral import joint_diagonalize
+from scalar_reference import weight_to_partition
 
 
 def _terms(coeffs, basis, mu):

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from rlatt.coeffs import ModelParams, weight_vector
-from rlatt.operators import (
-    adjoint_residual,
-    build_hop_operator,
-    commutator_residual,
-    conjugate_by_weights,
-    transpose_residual,
-)
-from rlatt.partitions import add_strip, enumerate_lattice, pad, reduce_partition, vertical_strips
-from scalar_reference import bracket_trig
+from rlatt.operators import build_hop_operator, commutator_residual, conjugate_by_weights, transpose_residual
+from rlatt.partitions import add_strip, enumerate_lattice, pad, vertical_strips
+from scalar_reference import bracket_trig, reduce_partition
 
 GRID = [
     (n, m, g, p)
@@ -126,8 +120,16 @@ def test_symmetrized_commutators_on_grid():
 
 
 def test_adjoint_residuals():
-    d1, _, w = hop_pair_and_weights(ModelParams(1, 1, 1.0, 0.5))
-    assert adjoint_residual(d1, d1, w) < 1e-12
-    d1, d2, w = hop_pair_and_weights(ModelParams(2, 2, 0.7, 0.5))
-    assert adjoint_residual(d1, d2, w) < 1e-11
-    assert adjoint_residual(d2, d1, w) < 1e-11
+    # the bilinear pairing <D_r f, g>_w = <f, D_{n+1-r} g>_w on seeded complex vectors,
+    # relative to |f|_w |g|_w and the operator norm of M_r
+    rng = np.random.default_rng(1234)
+    for params, tol in ((ModelParams(1, 1, 1.0, 0.5), 1e-12), (ModelParams(2, 2, 0.7, 0.5), 1e-11)):
+        d1, dn, w = hop_pair_and_weights(params)
+        for a, b in ((d1, dn), (dn, d1)):
+            opnorm = np.linalg.norm(conjugate_by_weights(a, w), 2)
+            for _ in range(8):
+                f, g = rng.standard_normal((2, len(w))) + 1j * rng.standard_normal((2, len(w)))
+                lhs = np.sum((a @ f) * np.conj(g) * w)
+                rhs = np.sum(f * np.conj(b @ g) * w)
+                scale = np.sqrt(np.sum(np.abs(f) ** 2 * w) * np.sum(np.abs(g) ** 2 * w)) * opnorm
+                assert abs(lhs - rhs) < tol * scale

@@ -90,9 +90,27 @@ def test_nan_commutator_residual_fails(monkeypatch):
 
 
 def test_nan_adjoint_residual_fails(monkeypatch):
-    # each pair gives its finite transpose residual before its adjoint one
-    monkeypatch.setattr(report, "adjoint_residual", lambda a, b, weights: NAN)
+    # (3, 2) pairs D_1 with D_3, D_2 with itself and D_3 with D_1
+    residuals = iter([1e-16, NAN, 1e-16])
+    monkeypatch.setattr(report, "transpose_residual", lambda a, b, weights: next(residuals))
     assert _failed_checks(ModelParams(3, 2, 0.7, 0.3)) == {"adjointness"}
+
+
+def test_perturbed_hop_entry_fails_adjointness(monkeypatch):
+    exact = report.build_hop_operator
+
+    def perturbed(r, params, basis):
+        mat = exact(r, params, basis)
+        if r == params.n:
+            moves = basis.move_arrays[r]
+            s, t = next((s, t) for s, t in zip(moves.source, moves.target) if t >= 0)
+            mat[s, t] *= 1.0 + 1e-6
+        return mat
+
+    monkeypatch.setattr(report, "build_hop_operator", perturbed)
+    (check,) = [c for c in run_verification(ModelParams(3, 2, 0.7, 0.3)).checks if c.name == "adjointness"]
+    assert not check.passed
+    assert math.isfinite(check.residual) and check.residual >= check.tolerance
 
 
 def test_nan_pieri_coefficient_fails_its_checks(monkeypatch):

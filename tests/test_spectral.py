@@ -14,12 +14,12 @@ from rlatt.spectral import (
     joint_diagonalize,
     label_spectrum,
     orthogonality_residual,
-    second_difference_residual,
     sweep_spectra,
 )
 from scalar_reference import (
     conjugate_pairing_residual,
     min_eigenvalue_gap,
+    second_difference_residual,
     trig_joint_eigenvalue,
     unitarity_residual,
 )

@@ -27,10 +27,10 @@ from rlatt.coeffs import (
 )
 from rlatt.errors import LabelingError, TruncationViolationError
 from rlatt.operators import build_hop_operator, conjugate_by_weights
-from rlatt.partitions import add_strip, enumerate_lattice, reduce_partition, vertical_strips
+from rlatt.partitions import add_strip, enumerate_lattice, vertical_strips
 from rlatt.report import CHECK_NAMES, run_verification
 from rlatt.spectral import joint_diagonalize
-from scalar_reference import lattice_weight, memoized, norm_constant
+from scalar_reference import lattice_weight, memoized, norm_constant, reduce_partition
 
 BOXES = [(1, 1), (2, 3), (3, 4), (4, 2)]
 NOMES = [0.0, 0.3, -0.6, 0.9]

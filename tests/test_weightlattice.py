@@ -5,7 +5,7 @@ import pytest
 
 from rlatt.coeffs import ModelParams, hop_coefficient
 from rlatt.errors import GenericityViolationError, RlattError, TruncationViolationError
-from rlatt.partitions import add_strip, enumerate_lattice, reduce_partition
+from rlatt.partitions import enumerate_lattice
 from rlatt.weightlattice import crosscheck_hop_coefficients
 from scalar_reference import crosscheck_loop, memoized, rho_shift, strip_from_subset, translation_coefficient
 from itertools import combinations
