@@ -6,14 +6,15 @@ lattice diagonalization at zero nome is a genuine cross-check.
 
 The polynomials are computed by a triangular eigen-solve in the monomial
 basis: the matrix of the first q-difference operator on the monomial
-symmetric functions of one degree is solved from its antisymmetrized form,
-built coefficient by coefficient over the permutations of the staircase, by
-forward substitution, and the eigenvector that is monic at the top of the
-dominance order is then read off degree by degree.
+symmetric functions of one degree is solved by forward substitution from its
+antisymmetrized form, one broadcast over the permutations of the staircase,
+and the eigenvector monic at the top of the dominance order is read off.
+``compare_trig`` builds one such matrix, and one table of the monomial
+symmetric functions at the staircase points of all labels, per degree.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -46,44 +47,40 @@ class SymmetricPoly:
         values = tuple(values)
         if len(values) != self.nvars:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
-        total = 0j
-        for lam, c in self.coeffs.items():
-            total += c * _monomial_sym_eval(lam, values)
-        return total
+        table = _monomial_table(list(self.coeffs), [values])
+        return complex(np.array(list(self.coeffs.values()), dtype=complex) @ table[:, 0])
 
     def degree(self) -> int:
         return max((weight(lam) for lam in self.coeffs), default=0)
 
 
-def _monomial_sym_eval(lam, values) -> complex:
-    exps = set(permutations(pad(lam, len(values))))
-    total = 0j
-    for e in exps:
-        term = 1.0 + 0j
-        for v, k in zip(values, e):
-            term *= v**k
-        total += term
-    return total
+def _monomial_table(parts, points) -> np.ndarray:
+    """Monomial symmetric functions of ``parts`` at the rows of ``points``, as a (len(parts), N) array.
+
+    Entry [i, k] sums ``prod_j x_j^e_j`` over the distinct permutations e of
+    ``parts[i]``, zero-padded to the row length of ``points``; each
+    partition's permutations are enumerated once for all N points.
+    """
+    points = np.array(points, dtype=complex, ndmin=2)
+    nvars = points.shape[1]
+    powers = points[:, :, None] ** np.arange(max((max(lam, default=0) for lam in parts), default=0) + 1)
+    table = np.empty((len(parts), len(points)), dtype=complex)
+    for i, lam in enumerate(parts):
+        exps = np.array(sorted(set(permutations(pad(lam, nvars)))))
+        table[i] = powers[:, np.arange(nvars), exps].prod(axis=2).sum(axis=1)
+    return table
 
 
 def _partitions_of_weight(d: int, max_len: int):
-    """Partitions of d with at most max_len parts, descending lex order."""
-    out = []
+    """Partitions of d with at most max_len parts, descending lex order: larger parts are tried first."""
 
-    def rec(remaining, max_part, prefix):
+    def rec(remaining, length, largest):
         if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if len(prefix) == max_len:
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
+            return [()]
+        heads = range(min(largest, remaining), 0, -1) if length else ()
+        return [(head, *rest) for head in heads for rest in rec(remaining - head, length - 1, head)]
 
-    # larger parts are tried first, so the partitions come out in descending lex order
-    rec(d, d, [])
-    return out
+    return rec(d, max_len, d)
 
 
 def _antisymmetrized_form(d: int, q: complex, t: complex, nvars: int):
@@ -97,7 +94,8 @@ def _antisymmetrized_form(d: int, q: complex, t: complex, nvars: int):
     ``alpha = nu + delta - w delta >= 0`` and ``lam = sort(alpha)``, sign(w)
     to ``K[nu, lam]`` and ``sign(w) * sum_i t^(w delta)_i q^alpha_i`` to
     ``B[nu, lam]``.  K is unit lower triangular in the order of the
-    partitions.
+    partitions.  All w go in one broadcast, and each entry adds its terms
+    in the order of the permutations in ``itertools.permutations``.
     """
     parts = _partitions_of_weight(d, nvars)
     rows = np.array([pad(lam, nvars) for lam in parts])
@@ -105,18 +103,17 @@ def _antisymmetrized_form(d: int, q: complex, t: complex, nvars: int):
     # negated base-(d+1) codes of the padded partitions: ascending, as the partitions descend
     place = (d + 1) ** delta
     codes = -(rows @ place)
+    perms = np.array(list(permutations(delta.tolist())))
+    # sign(w) is the parity of the pairs i < j with (w delta)_i < (w delta)_j
+    signs = (-1) ** np.triu(perms[:, :, None] < perms[:, None, :], 1).sum(axis=(1, 2))
+    alpha = rows[None] + delta - perms[:, None, :]
+    perm, row = np.nonzero(np.all(alpha >= 0, axis=2))
+    alpha = alpha[perm, row]
+    col = np.searchsorted(codes, -(np.sort(alpha, axis=1)[:, ::-1] @ place))
     lead = np.zeros((len(parts), len(parts)))
     image = np.zeros((len(parts), len(parts)), dtype=complex)
-    for perm in permutations(delta.tolist()):
-        sign = (-1) ** sum(a < b for a, b in combinations(perm, 2))
-        shifted = np.array(perm)
-        alpha = rows + delta - shifted
-        row = np.flatnonzero(np.all(alpha >= 0, axis=1))
-        alpha = alpha[row]
-        # one entry per row, so the fancy-indexed updates hit distinct cells
-        col = np.searchsorted(codes, -(np.sort(alpha, axis=1)[:, ::-1] @ place))
-        lead[row, col] += sign
-        image[row, col] += sign * (t**shifted * q**alpha).sum(axis=1)
+    np.add.at(lead, (row, col), signs[perm])
+    np.add.at(image, (row, col), signs[perm] * (t ** perms[perm] * q**alpha).sum(axis=1))
     return parts, lead, image
 
 
@@ -157,6 +154,12 @@ def macdonald_coeffs(mu, q: complex, t: complex, nvars: int) -> SymmetricPoly:
     if len(mu) > nvars:
         raise ValueError(f"shape {mu} has more than {nvars} parts")
     parts, mat = _operator_matrix(weight(mu), q, t, nvars)
+    coeffs = _solve_shape(mu, parts, mat, q, t, nvars)
+    return SymmetricPoly(nvars, {parts[i]: coeffs[i] for i in range(len(parts)) if coeffs[i] != 0})
+
+
+def _solve_shape(mu, parts, mat, q: complex, t: complex, nvars: int) -> np.ndarray:
+    """Coefficients of ``macdonald_coeffs(mu, ...)`` on ``parts``, from the ``_operator_matrix`` of mu's degree."""
     top = parts.index(mu)
     eig = mat[top, top]
     coeffs = np.zeros(len(parts), dtype=complex)
@@ -168,42 +171,35 @@ def macdonald_coeffs(mu, q: complex, t: complex, nvars: int) -> SymmetricPoly:
         acc = mat[row, top:row] @ coeffs[top:row]
         den = eig - mat[row, row]
         if abs(den) < _EIG_COLLISION_TOL:
-            raise DegenerateSpecializationError(
-                f"eigenvalue collision between {mu} and {lam} at q={q}, t={t}"
-            )
+            raise DegenerateSpecializationError(f"eigenvalue collision between {mu} and {lam} at q={q}, t={t}")
         coeffs[row] = acc / den
-    return SymmetricPoly(nvars, {parts[i]: coeffs[i] for i in range(len(parts)) if coeffs[i] != 0})
+    return coeffs
 
 
-def _staircase_point(nu, params: ModelParams) -> tuple[complex, ...]:
+def _staircase(basis, params: ModelParams):
+    """Staircase points, (N, n+1), and center-of-mass exponents, (N,), of the labels in basis order.
+
+    At nu, ``x_j = q^(nu_j + (n - j) g)``, ``x_{n+1} = 1`` and ``s = |nu|/(n+1) + n g/2``.
+    """
     n = params.n
-    nu_p = pad(nu, n)
-    vals = [params.q_pow(nu_p[j] + (n - j) * params.g) for j in range(n)]
-    vals.append(1.0 + 0j)
-    return tuple(vals)
-
-
-def _prefactor(order: int, nu, params: ModelParams) -> complex:
-    """Center-of-mass factor of the zero-nome eigenvalue of the given order at label nu."""
-    return params.q_pow(-order * (weight(nu) / (params.n + 1) + params.n * params.g / 2.0))
+    x = np.ones((len(basis), n + 1), dtype=complex)
+    x[:, :n] = np.exp(1j * params.alpha * (basis.parts[:, :n] + np.arange(n, 0, -1) * params.g))
+    return x, basis.parts.sum(axis=1) / (n + 1) + n * params.g / 2.0
 
 
 def trig_joint_eigenvalues(basis, params: ModelParams) -> np.ndarray:
     """Closed-form joint eigenvalues at zero nome at every label of the box, as an (N, n) complex array.
 
-    Row k holds r = 1..n at nu = ``basis.order[k]``: e_r of the staircase
-    ``x_j = q^(nu_j + (n - j) g)``, ``x_{n+1} = 1``, from the running product
-    ``prod_j (1 + x_j z)``, times ``q^(-r (|nu|/(n+1) + n g/2))``.
+    Row k holds r = 1..n at nu = ``basis.order[k]``: e_r of the ``_staircase`` point x,
+    from the running product ``prod_j (1 + x_j z)``, times ``q^(-r s)``.
     """
     n = params.n
-    x = np.ones((len(basis), n + 1), dtype=complex)
-    x[:, :n] = np.exp(1j * params.alpha * (basis.parts[:, :n] + np.arange(n, 0, -1) * params.g))
+    x, s = _staircase(basis, params)
     e = np.zeros((len(basis), n + 1), dtype=complex)
     e[:, 0] = 1.0
     for j in range(n + 1):
         e[:, 1:] = e[:, 1:] + x[:, j, None] * e[:, :-1]
-    sizes = basis.parts.sum(axis=1)[:, None] / (n + 1) + n * params.g / 2.0
-    return np.exp(1j * params.alpha * (-np.arange(1, n + 1) * sizes)) * e[:, 1:]
+    return np.exp(1j * params.alpha * (-np.arange(1, n + 1) * s[:, None])) * e[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -222,25 +218,29 @@ def compare_trig(spectrum) -> TrigComparison:
 
     Returns the max-norm residuals between (a) lattice joint eigenvalues and
     the closed form, and (b) eigenvectors normalized at the empty partition
-    and the principally specialized Macdonald polynomials, each computed once
-    per shape.  The labels come from the same closed form, so (a) measures
-    how close each vector sits to its own label's closed form; (b) is the
-    independent half.
+    and the principally specialized Macdonald polynomials, each shape solved
+    once, in basis order.  The labels come from the same closed form, so (a)
+    measures how close each vector sits to its own label's closed form; (b)
+    is the independent half.
     """
     params = spectrum.params
     if params.p != 0.0:
         raise ValueError("the trigonometric comparison is defined at p = 0")
     basis = spectrum.basis
-    polys = [macdonald_coeffs(mu, params.q, params.t, params.n + 1) for mu in basis.order]
-    shapes = list(zip(norm_vector(basis, params), map(weight, basis.order), polys))
+    x, s = _staircase(basis, params)
+    norms = norm_vector(basis, params)
+    degrees = basis.parts.sum(axis=1)
+    # column k: the eigenvector of label basis.order[k], normalized at the empty partition;
+    # the basis is graded by weight, so the shapes are solved, and a collision is raised, in basis order
+    reference = np.empty((len(basis), len(basis)), dtype=complex)
+    for d in np.unique(degrees).tolist():
+        rows = np.flatnonzero(degrees == d)
+        parts, mat = _operator_matrix(d, params.q, params.t, params.n + 1)
+        coeffs = np.array([_solve_shape(basis.order[k], parts, mat, params.q, params.t, params.n + 1) for k in rows])
+        reference[rows] = norms[rows, None] * np.exp(1j * params.alpha * (-d * s)) * (coeffs @ _monomial_table(parts, x))
     # row k: the eigenvalues of label basis.order[k] against their closed form
     gaps = np.max(np.abs(spectrum.eigenvalues - trig_joint_eigenvalues(basis, params)), axis=1)
     mismatches = [nu for nu, gap in zip(basis.order, gaps.tolist()) if gap > 1e-3]
-    # column k: the eigenvector of label basis.order[k], normalized at the empty partition
-    reference = np.empty((len(basis), len(basis)), dtype=complex)
-    for k, nu in enumerate(basis.order):
-        point = _staircase_point(nu, params)
-        reference[:, k] = [c * _prefactor(size, nu, params) * poly.evaluate(point) for c, size, poly in shapes]
     vec_res = float(np.max(np.abs(spectrum.eigenvectors / spectrum.eigenvectors[0] - reference)))
     if mismatches:
         raise ComparisonError(

@@ -8,9 +8,15 @@ the array form it is the reference for:
   ``coeffs.norm_vector``;
 - ``rho_shift``, ``translation_coefficient``, ``strip_from_subset`` and
   ``crosscheck_loop`` for ``weightlattice.crosscheck_hop_coefficients``;
-- ``trig_joint_eigenvalue`` for ``macdonald.trig_joint_eigenvalues``;
+- ``trig_joint_eigenvalue`` for ``macdonald.trig_joint_eigenvalues``, on
+  the staircase point ``staircase_point`` and the center-of-mass factor
+  ``prefactor`` of one label;
 - ``principal_eigenfunction_value`` for the eigenvector side of
-  ``macdonald.compare_trig``.
+  ``macdonald.compare_trig``;
+- ``monomial_sym_eval`` for ``macdonald._monomial_table``, one monomial
+  symmetric function at one point;
+- ``antisymmetrized_form`` for ``macdonald._antisymmetrized_form``, one
+  permutation of the staircase at a time.
 
 ``coeffs.hop_coefficient`` and ``coeffs.pieri_coefficient``, the references
 for ``hop_amplitudes`` and ``box_pieri_coefficients``, stay in the package.
@@ -29,7 +35,7 @@ of ``partitions.partition_to_weight``.
 
 import math
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -37,7 +43,7 @@ from scipy.spatial.distance import pdist
 from rlatt.coeffs import DENOM_TOL, ModelParams, _pair_range, hop_coefficient
 from rlatt.elliptic import ThetaEvaluator
 from rlatt.errors import GenericityViolationError, TruncationViolationError
-from rlatt.macdonald import _prefactor, _staircase_point, macdonald_coeffs
+from rlatt.macdonald import _partitions_of_weight, macdonald_coeffs
 from rlatt.partitions import enumerate_lattice, is_partition, pad, trim, weight
 from rlatt.weightlattice import GENERICITY_TOL
 
@@ -250,6 +256,53 @@ def _elementary_symmetric(values, r: int) -> complex:
     return total
 
 
+def staircase_point(nu, params: ModelParams) -> tuple[complex, ...]:
+    n = params.n
+    nu_p = pad(nu, n)
+    vals = [params.q_pow(nu_p[j] + (n - j) * params.g) for j in range(n)]
+    vals.append(1.0 + 0j)
+    return tuple(vals)
+
+
+def prefactor(order: int, nu, params: ModelParams) -> complex:
+    """Center-of-mass factor of the zero-nome eigenvalue of the given order at label nu."""
+    return params.q_pow(-order * (weight(nu) / (params.n + 1) + params.n * params.g / 2.0))
+
+
+def monomial_sym_eval(lam, values) -> complex:
+    """Monomial symmetric function of lam at one point, one distinct exponent permutation at a time."""
+    exps = set(permutations(pad(lam, len(values))))
+    total = 0j
+    for e in exps:
+        term = 1.0 + 0j
+        for v, k in zip(values, e):
+            term *= v**k
+        total += term
+    return total
+
+
+def antisymmetrized_form(d: int, q: complex, t: complex, nvars: int):
+    """``macdonald._antisymmetrized_form`` with one pass per permutation of the staircase."""
+    parts = _partitions_of_weight(d, nvars)
+    rows = np.array([pad(lam, nvars) for lam in parts])
+    delta = np.arange(nvars - 1, -1, -1)
+    place = (d + 1) ** delta
+    codes = -(rows @ place)
+    lead = np.zeros((len(parts), len(parts)))
+    image = np.zeros((len(parts), len(parts)), dtype=complex)
+    for perm in permutations(delta.tolist()):
+        sign = (-1) ** sum(a < b for a, b in combinations(perm, 2))
+        shifted = np.array(perm)
+        alpha = rows + delta - shifted
+        row = np.flatnonzero(np.all(alpha >= 0, axis=1))
+        alpha = alpha[row]
+        # one entry per row, so the fancy-indexed updates hit distinct cells
+        col = np.searchsorted(codes, -(np.sort(alpha, axis=1)[:, ::-1] @ place))
+        lead[row, col] += sign
+        image[row, col] += sign * (t**shifted * q**alpha).sum(axis=1)
+    return parts, lead, image
+
+
 def trig_joint_eigenvalue(nu, r: int, params: ModelParams) -> complex:
     """Closed-form joint eigenvalue at zero nome.
 
@@ -258,14 +311,14 @@ def trig_joint_eigenvalue(nu, r: int, params: ModelParams) -> complex:
     """
     if not 1 <= r <= params.n:
         raise ValueError(f"order {r} outside 1..{params.n}")
-    return _prefactor(r, nu, params) * _elementary_symmetric(_staircase_point(nu, params), r)
+    return prefactor(r, nu, params) * _elementary_symmetric(staircase_point(nu, params), r)
 
 
 def principal_eigenfunction_value(mu, nu, params: ModelParams) -> complex:
     """Value at mu of the normalized joint eigenfunction labeled nu, at zero nome."""
     poly = macdonald_coeffs(mu, params.q, params.t, params.n + 1)
-    value = poly.evaluate(_staircase_point(nu, params))
-    return norm_constant(mu, replace(params, p=0.0)) * _prefactor(weight(mu), nu, params) * value
+    value = poly.evaluate(staircase_point(nu, params))
+    return norm_constant(mu, replace(params, p=0.0)) * prefactor(weight(mu), nu, params) * value
 
 
 def unitarity_residual(spectrum) -> float:

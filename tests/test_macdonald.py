@@ -10,13 +10,21 @@ from rlatt.coeffs import ModelParams
 from rlatt.errors import DegenerateSpecializationError
 from rlatt.macdonald import (
     SymmetricPoly,
+    _antisymmetrized_form,
+    _monomial_table,
+    _partitions_of_weight,
     compare_trig,
     macdonald_coeffs,
     trig_joint_eigenvalues,
 )
 from rlatt.partitions import dominance_leq, enumerate_lattice, pad, weight
 from rlatt.spectral import joint_diagonalize, label_spectrum
-from scalar_reference import principal_eigenfunction_value, trig_joint_eigenvalue
+from scalar_reference import (
+    antisymmetrized_form,
+    monomial_sym_eval,
+    principal_eigenfunction_value,
+    trig_joint_eigenvalue,
+)
 
 
 def zero_nome_spectrum(n, m, g):
@@ -184,15 +192,69 @@ def test_oracle_code_does_not_touch_lattice_operators():
 def test_compare_trig_solves_each_shape_once(monkeypatch):
     spectrum = zero_nome_spectrum(3, 2, 0.8)
     shapes = []
-    exact = macdonald.macdonald_coeffs
+    exact = macdonald._solve_shape
 
-    def counted(mu, q, t, nvars):
+    def counted(mu, *args):
         shapes.append(mu)
-        return exact(mu, q, t, nvars)
+        return exact(mu, *args)
 
-    monkeypatch.setattr(macdonald, "macdonald_coeffs", counted)
+    monkeypatch.setattr(macdonald, "_solve_shape", counted)
     compare_trig(spectrum)
     assert shapes == list(spectrum.basis.order)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2)])
+def test_compare_trig_builds_one_operator_matrix_per_degree(monkeypatch, n, m):
+    spectrum = zero_nome_spectrum(n, m, 0.8)
+    degrees = []
+    exact = macdonald._antisymmetrized_form
+
+    def counted(d, *args):
+        degrees.append(d)
+        return exact(d, *args)
+
+    monkeypatch.setattr(macdonald, "_antisymmetrized_form", counted)
+    compare_trig(spectrum)
+    assert degrees == list(range(n * m + 1))
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 2), (4, 3), (3, 4), (2, 9)])
+def test_antisymmetrized_form_matches_the_loop_over_permutations(n, m):
+    params = ModelParams(n, m, 0.7, 0.0)
+    for d in range(n * m + 1):
+        parts, lead, image = _antisymmetrized_form(d, params.q, params.t, n + 1)
+        ref_parts, ref_lead, ref_image = antisymmetrized_form(d, params.q, params.t, n + 1)
+        # the same terms, added to each entry in the same order
+        assert parts == ref_parts
+        assert np.array_equal(lead, ref_lead)
+        assert np.array_equal(image, ref_image)
+
+
+def test_monomial_table_matches_the_scalar_evaluator():
+    rng = np.random.default_rng(17)
+    points = rng.uniform(0.5, 1.5, size=(4, 5)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(4, 5)))
+    for d in range(9):
+        parts = _partitions_of_weight(d, 5)
+        table = _monomial_table(parts, points)
+        assert table.shape == (len(parts), len(points))
+        for i, lam in enumerate(parts):
+            for k, point in enumerate(points):
+                expected = monomial_sym_eval(lam, tuple(point))
+                assert abs(table[i, k] - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("g", [0.7, 0.9814989379240225])
+@pytest.mark.parametrize(
+    "n,m,first",
+    [(3, 4, "eigenvalue collision between (4, 2, 2) and (3, 3, 1, 1)"),
+     (3, 6, "eigenvalue collision between (5, 3, 2) and (4, 4, 1, 1)")],
+)
+def test_compare_trig_raises_the_first_collision_in_basis_order(n, m, g, first):
+    # the locked alpha puts (q, t) on t^(n+1) q^m = 1, where these eigenvalues collide;
+    # the benchmark's verify workload expects the (3, 4) message
+    with pytest.raises(DegenerateSpecializationError) as caught:
+        compare_trig(zero_nome_spectrum(n, m, g))
+    assert str(caught.value).startswith(first)
 
 
 @pytest.mark.parametrize(
