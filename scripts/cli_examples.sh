@@ -3,8 +3,11 @@
 # forms from the hop matrices, and two labeled spectra solved by rotation
 # sector, (4, 8) with five sectors of 99 and (5, 4) whose sectors 0 and 3 are
 # real.  Each must exit 0 and print canonical JSON, exactly
-# json.dumps(sort_keys=True, indent=2) of what it parses to.  Needs `rlatt`
-# and `python` on PATH; fails on the first command that breaks either rule.
+# json.dumps(sort_keys=True, indent=2) of what it parses to.  Then `--help`
+# of rlatt and of each command must exit 0: argparse formats help text only
+# when asked, so a help string it cannot format (a stray "%", say) fails
+# nowhere else.  Needs `rlatt` and `python` on PATH; fails on the first
+# command that breaks a rule.
 #
 #   bash scripts/cli_examples.sh
 set -euo pipefail
@@ -26,3 +29,10 @@ for kind in C S M; do
 done
 run spectrum  --n 4 --m 8 --g 0.7 --p 0.3
 run spectrum  --n 5 --m 4 --g 0.7 --p -0.6
+
+echo "rlatt --help"
+rlatt --help > /dev/null
+for command in enumerate operator spectrum verify polys; do
+  echo "rlatt $command --help"
+  rlatt "$command" --help > /dev/null
+done

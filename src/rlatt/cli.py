@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .elliptic import NOME_CAP
 from .errors import RlattError
 from .operators import build_hop_operator, conjugate_by_weights
 from .partitions import enumerate_lattice, weight
-from .report import CHECK_NAMES, DEFAULT_TOLERANCES, REPORT_SCHEMA_VERSION, run_verification
+from .report import DEFAULT_TOLERANCES, run_verification
 from .spectral import sweep_spectra
 
 __all__ = ["main", "entry", "RunConfig"]
@@ -33,17 +34,45 @@ USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
 
+class Setting(NamedTuple):
+    """The type a setting's flag parses to and its config-file value must hold, its default and its help."""
+
+    type: type
+    default: object = None
+    help: str | None = None  # "{}" stands for the default
+    choices: tuple | None = None
+
+
+# every key a config file may hold (a number may be written as an integer; no
+# key takes a boolean or null) and, spelled with "-" for "_", every flag common
+# to all commands; a dict has no flag: verify's --tol-* flags set tolerances
+SETTINGS = {
+    "n": Setting(int, help="number of parts bound"),
+    "m": Setting(int, help="part size bound"),
+    "g": Setting(float, 1.0, "coupling (default {})"),
+    "p": Setting(float, 0.0, "elliptic nome (default {})"),
+    "p_start": Setting(float),
+    "p_stop": Setting(float),
+    "p_step": Setting(float),
+    "alpha_scale": Setting(float, 1.0, "scale the locked alpha (diagnostic; default {})"),
+    "out": Setting(str, help="output path (stdout when omitted)"),
+    "format": Setting(str, "json", "output format (default {})", ("json", "csv")),
+    "tolerances": Setting(dict, {}),
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", dict: "an object", str: "a string"}
+
+
 @dataclass
 class RunConfig:
     n: int
     m: int
-    g: float = 1.0
-    p: float = 0.0
+    g: float = SETTINGS["g"].default
+    p: float = SETTINGS["p"].default
     p_sweep: tuple[float, float, float] | None = None  # (start, stop, step)
-    alpha_scale: float = 1.0
+    alpha_scale: float = SETTINGS["alpha_scale"].default
     tolerances: dict = field(default_factory=dict)
     out: str | None = None
-    format: str = "json"
+    format: str = SETTINGS["format"].default
 
     def model_params(self) -> ModelParams:
         override = None
@@ -72,97 +101,62 @@ class RunConfig:
         return values
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--n", type=int, help="number of parts bound")
-    parser.add_argument("--m", type=int, help="part size bound")
-    parser.add_argument("--g", type=float, help="coupling (default 1.0)")
-    parser.add_argument("--p", type=float, help="elliptic nome (default 0.0)")
-    parser.add_argument("--p-start", type=float, dest="p_start")
-    parser.add_argument("--p-stop", type=float, dest="p_stop")
-    parser.add_argument("--p-step", type=float, dest="p_step")
-    parser.add_argument("--alpha-scale", type=float, dest="alpha_scale",
-                        help="scale the locked alpha (diagnostic; default 1.0)")
-    parser.add_argument("--config", type=str, help="JSON config file; flags override it")
-    parser.add_argument("--out", type=str, help="output path (stdout when omitted)")
-    parser.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    for name, setting in SETTINGS.items():
+        if setting.type is not dict:
+            help_text = setting.help and setting.help.format(setting.default)
+            common.add_argument("--" + name.replace("_", "-"), type=setting.type, choices=setting.choices,
+                                help=help_text)
+    common.add_argument("--config", type=str, help="JSON config file; flags override it")
+
     parser = argparse.ArgumentParser(prog="rlatt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rlatt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("enumerate", parents=[common], help="ordered lattice basis with weights")
 
-    p_enum = sub.add_parser("enumerate", help="ordered lattice basis with weights")
-    _add_common(p_enum)
-
-    p_op = sub.add_parser("operator", help="export one operator matrix")
-    _add_common(p_op)
+    p_op = sub.add_parser("operator", parents=[common], help="export one operator matrix")
     p_op.add_argument("--r", type=int, required=True, help="operator order")
     p_op.add_argument("--kind", choices=("D", "C", "S", "M"), default="D",
                       help="hop / symmetric / antisymmetric / weight-conjugated")
 
-    p_spec = sub.add_parser("spectrum", help="labeled joint spectrum (single p or sweep)")
-    _add_common(p_spec)
+    sub.add_parser("spectrum", parents=[common], help="labeled joint spectrum (single p or sweep)")
 
-    p_verify = sub.add_parser("verify", help="run all residual checks")
-    _add_common(p_verify)
-    for name in CHECK_NAMES:
-        flag = "--tol-" + name
-        p_verify.add_argument(flag, type=float, dest="tol_" + name.replace("-", "_"),
-                              help=f"tolerance for {name} (default {DEFAULT_TOLERANCES[name]})")
+    p_verify = sub.add_parser("verify", parents=[common], help="run all residual checks")
+    for name, tolerance in DEFAULT_TOLERANCES.items():
+        p_verify.add_argument("--tol-" + name, type=float, help=f"tolerance for {name} (default {tolerance})")
 
-    p_polys = sub.add_parser("polys", help="spectral polynomial coefficient table")
-    _add_common(p_polys)
+    sub.add_parser("polys", parents=[common], help="spectral polynomial coefficient table")
     return parser
 
 
-# the keys a config file may hold and the JSON type of each; a number may be
-# an integer, and no key takes a boolean or null
-_CONFIG_TYPES = {
-    "n": int, "m": int,
-    "g": float, "p": float, "p_start": float, "p_stop": float, "p_step": float, "alpha_scale": float,
-    "tolerances": dict, "out": str, "format": str,
-}
-_TYPE_NAMES = {int: "an integer", float: "a number", dict: "an object", str: "a string"}
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the config file and the flags into a RunConfig; flags override the file."""
-    file_values = {}
-    if getattr(args, "config", None):
+    """Merge the defaults, the config file and the flags into a RunConfig, each overriding the one before."""
+    values = {name: setting.default for name, setting in SETTINGS.items()}
+    if args.config:
         with open(args.config, encoding="utf-8") as handle:
             file_values = json.load(handle)
         if not isinstance(file_values, dict):
             raise ValueError(f"config file must hold a JSON object, not {type(file_values).__name__}")
         for key, value in file_values.items():
-            if key not in _CONFIG_TYPES:
+            if key not in SETTINGS:
                 raise ValueError(f"unknown config key {key!r}")
-            kind = _CONFIG_TYPES[key]
+            kind = SETTINGS[key].type
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
-
-    def pick(name, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    n = pick("n", None)
-    m = pick("m", None)
-    if n is None or m is None:
+            values[key] = kind(value)  # a float of an integer number
+    # a flag not given is None, and no flag is named tolerances
+    values.update((name, value) for name, value in vars(args).items() if name in SETTINGS and value is not None)
+    if values["n"] is None or values["m"] is None:
         raise ValueError("both --n and --m are required (flags or config file)")
-    sweep = None
-    p_start = pick("p_start", None)
-    p_stop = pick("p_stop", None)
-    p_step = pick("p_step", None)
-    if any(v is not None for v in (p_start, p_stop, p_step)):
-        if None in (p_start, p_stop, p_step):
+    sweep = tuple(values.pop(name) for name in ("p_start", "p_stop", "p_step"))
+    if None in sweep:
+        if sweep != (None, None, None):
             raise ValueError("a p-sweep needs all of --p-start, --p-stop, --p-step")
-        sweep = (float(p_start), float(p_stop), float(p_step))
-    tolerances = dict(file_values.get("tolerances", {}))
-    for name in CHECK_NAMES:
+        sweep = None
+    # a copy: the default is shared by every call
+    tolerances = values["tolerances"] = dict(values["tolerances"])
+    for name in DEFAULT_TOLERANCES:
         value = getattr(args, "tol_" + name.replace("-", "_"), None)
         if value is not None:
             tolerances[name] = value
@@ -171,20 +165,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"unknown tolerance name {name!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
             raise ValueError(f"tolerance {name} must be a positive number, got {value!r}")
-    fmt = pick("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"format must be json or csv, got {fmt!r}")
-    return RunConfig(
-        n=n,
-        m=m,
-        g=float(pick("g", 1.0)),
-        p=float(pick("p", 0.0)),
-        p_sweep=sweep,
-        alpha_scale=float(pick("alpha_scale", 1.0)),
-        tolerances=tolerances,
-        out=pick("out", None),
-        format=fmt,
-    )
+    for name, setting in SETTINGS.items():
+        if setting.choices and values[name] not in setting.choices:
+            raise ValueError(f"{name} must be {' or '.join(setting.choices)}, got {values[name]!r}")
+    return RunConfig(p_sweep=sweep, **values)
 
 
 def _emit(text: str, out: str | None):
@@ -207,6 +191,11 @@ def _csv_text(header: list, rows: list) -> str:
     return buffer.getvalue()
 
 
+def _header(schema: str, config: RunConfig) -> dict:
+    """The schema and the parameter point that open the basis, operator and polys documents."""
+    return {"schema": schema, "n": config.n, "m": config.m, "g": config.g, "p": config.p}
+
+
 def cmd_enumerate(config: RunConfig) -> int:
     params = config.model_params()
     basis = enumerate_lattice(config.n, config.m)
@@ -220,15 +209,7 @@ def cmd_enumerate(config: RunConfig) -> int:
         for i, (lam, delta) in enumerate(zip(basis.order, weight_vector(basis, params).tolist()))
     ]
     if config.format == "json":
-        payload = {
-            "schema": "rlatt/basis",
-            "n": config.n,
-            "m": config.m,
-            "g": config.g,
-            "p": config.p,
-            "size": len(basis),
-            "records": records,
-        }
+        payload = {**_header("rlatt/basis", config), "size": len(basis), "records": records}
         _emit(_to_json(payload), config.out)
     else:
         rows = [[r["index"], " ".join(map(str, r["partition"])), r["weight"], repr(r["delta"])] for r in records]
@@ -261,13 +242,9 @@ def cmd_operator(config: RunConfig, r: int, kind: str) -> int:
     pairs = np.stack([mat.real, mat.imag], axis=-1)
     if config.format == "json":
         payload = {
-            "schema": "rlatt/operator",
+            **_header("rlatt/operator", config),
             "kind": kind,
             "r": r,
-            "n": config.n,
-            "m": config.m,
-            "g": config.g,
-            "p": config.p,
             "size": int(mat.shape[0]),
             "dtype": "complex" if is_complex else "real",
             "entries": pairs.reshape(-1, 2).tolist() if is_complex else mat.ravel().tolist(),
@@ -390,14 +367,7 @@ def cmd_polys(config: RunConfig) -> int:
         for row, col in zip(*np.nonzero(coeffs))
     ]
     if config.format == "json":
-        payload = {
-            "schema": "rlatt/polys",
-            "n": config.n,
-            "m": config.m,
-            "g": config.g,
-            "p": config.p,
-            "triples": triples,
-        }
+        payload = {**_header("rlatt/polys", config), "triples": triples}
         _emit(_to_json(payload), config.out)
     else:
         rows = [

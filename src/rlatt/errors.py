@@ -20,10 +20,6 @@ class GenericityViolationError(RlattError):
 class DegenerateSpectrumError(RlattError):
     """Joint eigenvectors could not be separated to tolerance."""
 
-    def __init__(self, message, clusters=None):
-        super().__init__(message)
-        self.clusters = clusters or []
-
 
 class LabelingError(RlattError):
     """Spectrum labels could not be assigned unambiguously."""
@@ -47,7 +43,3 @@ class DegenerateSpecializationError(RlattError):
 
 class ComparisonError(RlattError):
     """Lattice and oracle data could not be matched."""
-
-    def __init__(self, message, permutation=None):
-        super().__init__(message)
-        self.permutation = permutation

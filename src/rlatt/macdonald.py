@@ -244,7 +244,6 @@ def compare_trig(spectrum) -> TrigComparison:
     vec_res = float(np.max(np.abs(spectrum.eigenvectors / spectrum.eigenvectors[0] - reference)))
     if mismatches:
         raise ComparisonError(
-            f"lattice eigenvalues do not match the closed form for labels {mismatches}",
-            permutation=mismatches,
+            f"lattice eigenvalues do not match the closed form for labels {mismatches}"
         )
     return TrigComparison(float(np.max(gaps)), vec_res)

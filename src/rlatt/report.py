@@ -40,20 +40,6 @@ __all__ = [
 
 REPORT_SCHEMA_VERSION = 2
 
-CHECK_NAMES = [
-    "commutators",
-    "adjointness",
-    "truncation-dichotomy",
-    "weight-recurrence",
-    "psi-consistency",
-    "orthogonality",
-    "pieri",
-    "dual-orthogonality",
-    "reconstruction",
-    "trig-comparison",
-    "appendix-crosscheck",
-]
-
 DEFAULT_TOLERANCES = {
     "commutators": 1e-11,
     "adjointness": 1e-11,
@@ -67,6 +53,9 @@ DEFAULT_TOLERANCES = {
     "trig-comparison": 1e-8,
     "appendix-crosscheck": 1e-12,
 }
+
+# dicts keep insertion order: this is the order of the report and of the --tol-* flags
+CHECK_NAMES = list(DEFAULT_TOLERANCES)
 
 # minimum amplitude an in-lattice hop must keep for the dichotomy to hold
 DICHOTOMY_FLOOR = 1e-10

@@ -190,11 +190,10 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
         values = (phases[k, :, None] / np.sqrt(orbit_sizes[inside] * w[rows]))[:, :, None] * vecs
         values *= np.exp(-1j * np.angle(vecs[0]))
         u[rows.ravel(), bounds[k] : bounds[k + 1]] = values.reshape(-1, len(inside))
-    offenders = [(int(k), float(residuals[k])) for k in np.nonzero(residuals > _RESIDUAL_TOL)[0]]
+    offenders = int(np.count_nonzero(residuals > _RESIDUAL_TOL))
     if offenders:
         raise DegenerateSpectrumError(
-            f"{len(offenders)} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}",
-            clusters=offenders,
+            f"{offenders} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}"
         )
     u0 = np.abs(u[0])
     (small,) = np.nonzero(u0 < _ZERO_COMPONENT_TOL)

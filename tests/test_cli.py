@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rlatt.cli import main
+from rlatt.cli import SETTINGS, build_parser, load_config, main
 from rlatt.coeffs import ModelParams, weight_vector
 from rlatt.operators import build_hop_operator, conjugate_by_weights
 from rlatt.partitions import enumerate_lattice
@@ -324,6 +324,50 @@ def test_config_file_and_overrides(tmp_path):
     # flags override the file
     code, payload = run_json(tmp_path, ["enumerate", "--config", str(config), "--m", "2"])
     assert payload["size"] == 6
+
+
+# per config key: a value for the file and a different one for the flag; an
+# integer stands for a number in the file, and tolerances are set by --tol-*
+KEY_VALUES = {
+    "n": (3, 4),
+    "m": (1, 2),
+    "g": (0.7, 2),
+    "p": (0.3, -1),
+    "p_start": (0.1, 0.2),
+    "p_stop": (0.4, 1),
+    "p_step": (0.05, 0.25),
+    "alpha_scale": (0.9, 3),
+    "out": ("file.json", "flag.json"),
+    "format": ("json", "csv"),
+    "tolerances": ({"pieri": 1e-3}, {"pieri": 1e-5, "orthogonality": 0.5}),
+}
+
+
+def key_flags(key, value):
+    if key == "tolerances":
+        return [arg for name, tol in value.items() for arg in ("--tol-" + name, repr(tol))]
+    return ["--" + key.replace("_", "-"), str(value)]
+
+
+def typed(config):
+    return {name: (value, type(value)) for name, value in vars(config).items()}
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_config_key_and_flag_agree_and_the_flag_wins(tmp_path, key):
+    file_value, flag_value = KEY_VALUES[key]
+    path = tmp_path / "config.json"
+
+    def config(file_values, flags):
+        path.write_text(json.dumps({"n": 2, "m": 2, "p_start": 0, "p_stop": 0.5, "p_step": 0.1, **file_values}))
+        return load_config(build_parser().parse_args(["verify", "--config", str(path), *flags]))
+
+    from_file = config({key: flag_value}, [])
+    from_flag = config({}, key_flags(key, flag_value))
+    both = config({key: file_value}, key_flags(key, flag_value))
+    # the types tell an integer from the float it equals
+    assert typed(from_file) == typed(from_flag) == typed(both)
+    assert config({key: file_value}, []) != from_flag
 
 
 def test_seed_flag_is_a_usage_error():
