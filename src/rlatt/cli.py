@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,7 @@ from .elliptic import NOME_CAP
 from .errors import RlattError
 from .operators import build_hop_operator, conjugate_by_weights
 from .partitions import enumerate_lattice, weight
-from .report import DEFAULT_TOLERANCES, run_verification
+from .report import run_verification
 from .spectral import sweep_spectra
 
 __all__ = ["main", "entry", "RunConfig"]
@@ -45,7 +45,7 @@ class Setting(NamedTuple):
 
 # every key a config file may hold (a number may be written as an integer; no
 # key takes a boolean or null) and, spelled with "-" for "_", every flag common
-# to all commands; a dict has no flag: verify's --tol-* flags set tolerances
+# to all commands
 SETTINGS = {
     "n": Setting(int, help="number of parts bound"),
     "m": Setting(int, help="part size bound"),
@@ -57,9 +57,8 @@ SETTINGS = {
     "alpha_scale": Setting(float, 1.0, "scale the locked alpha (diagnostic; default {})"),
     "out": Setting(str, help="output path (stdout when omitted)"),
     "format": Setting(str, "json", "output format (default {})", ("json", "csv")),
-    "tolerances": Setting(dict, {}),
 }
-_TYPE_NAMES = {int: "an integer", float: "a number", dict: "an object", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 @dataclass
@@ -70,16 +69,12 @@ class RunConfig:
     p: float = SETTINGS["p"].default
     p_sweep: tuple[float, float, float] | None = None  # (start, stop, step)
     alpha_scale: float = SETTINGS["alpha_scale"].default
-    tolerances: dict = field(default_factory=dict)
     out: str | None = None
     format: str = SETTINGS["format"].default
 
     def model_params(self) -> ModelParams:
-        override = None
-        if self.alpha_scale != 1.0:
-            base = 2.0 * math.pi / ((self.n + 1) * self.g + self.m)
-            override = self.alpha_scale * base
-        return ModelParams(n=self.n, m=self.m, g=self.g, p=self.p, alpha_override=override)
+        locked = ModelParams(n=self.n, m=self.m, g=self.g, p=self.p)
+        return replace(locked, alpha_override=self.alpha_scale * locked.alpha)
 
     def sweep_values(self) -> list[float]:
         if self.p_sweep is None:
@@ -104,10 +99,9 @@ class RunConfig:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for name, setting in SETTINGS.items():
-        if setting.type is not dict:
-            help_text = setting.help and setting.help.format(setting.default)
-            common.add_argument("--" + name.replace("_", "-"), type=setting.type, choices=setting.choices,
-                                help=help_text)
+        help_text = setting.help and setting.help.format(setting.default)
+        common.add_argument("--" + name.replace("_", "-"), type=setting.type, choices=setting.choices,
+                            help=help_text)
     common.add_argument("--config", type=str, help="JSON config file; flags override it")
 
     parser = argparse.ArgumentParser(prog="rlatt", description=__doc__)
@@ -122,9 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("spectrum", parents=[common], help="labeled joint spectrum (single p or sweep)")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run all residual checks")
-    for name, tolerance in DEFAULT_TOLERANCES.items():
-        p_verify.add_argument("--tol-" + name, type=float, help=f"tolerance for {name} (default {tolerance})")
+    sub.add_parser("verify", parents=[common], help="run all residual checks")
 
     sub.add_parser("polys", parents=[common], help="spectral polynomial coefficient table")
     return parser
@@ -145,7 +137,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
             values[key] = kind(value)  # a float of an integer number
-    # a flag not given is None, and no flag is named tolerances
+    # a flag not given is None
     values.update((name, value) for name, value in vars(args).items() if name in SETTINGS and value is not None)
     if values["n"] is None or values["m"] is None:
         raise ValueError("both --n and --m are required (flags or config file)")
@@ -154,17 +146,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if sweep != (None, None, None):
             raise ValueError("a p-sweep needs all of --p-start, --p-stop, --p-step")
         sweep = None
-    # a copy: the default is shared by every call
-    tolerances = values["tolerances"] = dict(values["tolerances"])
-    for name in DEFAULT_TOLERANCES:
-        value = getattr(args, "tol_" + name.replace("-", "_"), None)
-        if value is not None:
-            tolerances[name] = value
-    for name, value in tolerances.items():
-        if name not in DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance name {name!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-            raise ValueError(f"tolerance {name} must be a positive number, got {value!r}")
     for name, setting in SETTINGS.items():
         if setting.choices and values[name] not in setting.choices:
             raise ValueError(f"{name} must be {' or '.join(setting.choices)}, got {values[name]!r}")
@@ -343,7 +324,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     if config.p_sweep is not None:
         raise ValueError("verify runs at a single --p, not a sweep")
-    report = run_verification(config.model_params(), tolerances=config.tolerances)
+    report = run_verification(config.model_params())
     payload = report.as_dict()
     if config.format == "json":
         _emit(_to_json(payload), config.out)

@@ -66,9 +66,9 @@ class ModelParams:
 
     The scaling alpha is locked to 2*pi/((n+1)*g + m), which is exactly the
     choice that makes hops off the bounded lattice carry zero amplitude.
-    ``alpha_override`` exists only to probe behaviour off that regime (the
-    verification suite uses it to demonstrate failures); leave it ``None``
-    for all normal use.
+    ``alpha_override``, finite and positive, replaces it only to probe
+    behaviour off that regime (the CLI sets it to ``--alpha-scale`` times the
+    locked value, to demonstrate failures); leave it ``None`` in library use.
     """
 
     n: int
@@ -84,6 +84,8 @@ class ModelParams:
             raise ValueError(f"coupling g must be finite and positive, got {self.g}")
         if not abs(self.p) <= NOME_CAP:
             raise ValueError(f"|p| = {abs(self.p)} is not within the supported cap {NOME_CAP}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"scaling alpha must be finite and positive, got {self.alpha}")
 
     @property
     def alpha(self) -> float:

@@ -1,8 +1,9 @@
-"""Aggregated verification suite with named residuals and tolerances.
+"""Aggregated verification suite: named residuals, each judged against one fixed tolerance.
 
 Each check computes one residual over the configured parameter point and is
-compared against its tolerance; failures never abort the run, they are
-recorded (including outright errors) and reflected in the overall flag.
+compared against its fixed tolerance in ``TOLERANCES``; failures never abort
+the run, they are recorded (including outright errors) and reflected in the
+overall flag.
 An error is an ``RlattError`` or a numpy ``LinAlgError``; any other
 exception is a bug and propagates.
 """
@@ -31,7 +32,7 @@ from .weightlattice import crosscheck_hop_coefficients
 
 __all__ = [
     "CHECK_NAMES",
-    "DEFAULT_TOLERANCES",
+    "TOLERANCES",
     "CheckResult",
     "VerificationReport",
     "run_verification",
@@ -40,7 +41,8 @@ __all__ = [
 
 REPORT_SCHEMA_VERSION = 2
 
-DEFAULT_TOLERANCES = {
+# fixed: a verdict depends on the parameter point alone
+TOLERANCES = {
     "commutators": 1e-11,
     "adjointness": 1e-11,
     "truncation-dichotomy": 1e-12,
@@ -54,8 +56,8 @@ DEFAULT_TOLERANCES = {
     "appendix-crosscheck": 1e-12,
 }
 
-# dicts keep insertion order: this is the order of the report and of the --tol-* flags
-CHECK_NAMES = list(DEFAULT_TOLERANCES)
+# dicts keep insertion order: this is the order of the report
+CHECK_NAMES = list(TOLERANCES)
 
 # minimum amplitude an in-lattice hop must keep for the dichotomy to hold
 DICHOTOMY_FLOOR = 1e-10
@@ -172,7 +174,7 @@ def check_psi_consistency(hops, norms, pieri) -> float:
     return worst
 
 
-def run_verification(params: ModelParams, tolerances: dict | None = None) -> VerificationReport:
+def run_verification(params: ModelParams) -> VerificationReport:
     """Run every named check at the given parameter point.
 
     The hop matrices, weights, norm constants, Pieri coefficients, spectra
@@ -180,29 +182,26 @@ def run_verification(params: ModelParams, tolerances: dict | None = None) -> Ver
     use, and shared by every check; the spectrum at ``p = 0`` labels the one
     at ``p`` and feeds the oracle.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     basis = enumerate_lattice(params.n, params.m)
     checks: list[CheckResult] = []
 
     def run(name, func, judge=None):
+        tolerance = TOLERANCES[name]
         start = time.perf_counter()
         try:
             residual = func()
         except (RlattError, np.linalg.LinAlgError) as exc:
             checks.append(
-                CheckResult(name, None, tol[name], False, time.perf_counter() - start, error=str(exc))
+                CheckResult(name, None, tolerance, False, time.perf_counter() - start, error=str(exc))
             )
             return
         seconds = time.perf_counter() - start
         if judge is None:
-            passed = residual < tol[name]
-            checks.append(CheckResult(name, float(residual), tol[name], passed, seconds))
+            checks.append(CheckResult(name, float(residual), tolerance, residual < tolerance, seconds))
         else:
             residual_value, passed, detail = judge(residual)
             checks.append(
-                CheckResult(name, residual_value, tol[name], passed, seconds, detail=detail)
+                CheckResult(name, residual_value, tolerance, passed, seconds, detail=detail)
             )
 
     # cache keeps nothing of a call that raises, so each check that needs a
@@ -231,7 +230,7 @@ def run_verification(params: ModelParams, tolerances: dict | None = None) -> Ver
         lambda: check_truncation_dichotomy(params, basis),
         judge=lambda pair: (
             pair[0],
-            pair[0] < tol["truncation-dichotomy"] and pair[1] > DICHOTOMY_FLOOR,
+            pair[0] < TOLERANCES["truncation-dichotomy"] and pair[1] > DICHOTOMY_FLOOR,
             {"max_outside": pair[0], "min_inside": pair[1], "floor": DICHOTOMY_FLOOR},
         ),
     )

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from rlatt.cli import SETTINGS, build_parser, load_config, main
 from rlatt.coeffs import ModelParams, weight_vector
 from rlatt.operators import build_hop_operator, conjugate_by_weights
 from rlatt.partitions import enumerate_lattice
-from rlatt.report import REPORT_SCHEMA_VERSION
+from rlatt.report import REPORT_SCHEMA_VERSION, TOLERANCES
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -214,6 +216,7 @@ def test_verify_passes(tmp_path):
         assert check["passed"] is True
         assert check["residual"] is not None and np.isfinite(check["residual"])
         assert check["residual"] < check["tolerance"]
+        assert check["tolerance"] == TOLERANCES[check["name"]]
         assert check["seconds"] >= 0
 
 
@@ -235,17 +238,20 @@ def test_verify_rejects_sweep():
     assert code == 2
 
 
-def test_verify_tolerance_flag(tmp_path):
-    # absurdly tight tolerance forces a failure and exit 1
-    code, payload = run_json(
-        tmp_path,
-        ["verify", "--n", "1", "--m", "1", "--g", "1", "--p", "0",
-         "--tol-reconstruction", "1e-30"],
-    )
-    assert code == 1
-    by_name = {c["name"]: c for c in payload["checks"]}
-    assert by_name["reconstruction"]["passed"] is False
-    assert by_name["reconstruction"]["tolerance"] == 1e-30
+def test_tolerance_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--m", "2", "--tol-pieri", "1e-3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", [["enumerate"], ["operator", "--r", "1"], ["spectrum"], ["verify"], ["polys"]])
+def test_alpha_scale_must_be_finite_and_positive(capsys, command, scale):
+    argv = [*command, "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.3", f"--alpha-scale={scale}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "scaling alpha must be finite and positive" in err
 
 
 def test_polys_two_state_table(tmp_path):
@@ -327,7 +333,7 @@ def test_config_file_and_overrides(tmp_path):
 
 
 # per config key: a value for the file and a different one for the flag; an
-# integer stands for a number in the file, and tolerances are set by --tol-*
+# integer stands for a number in the file
 KEY_VALUES = {
     "n": (3, 4),
     "m": (1, 2),
@@ -339,13 +345,10 @@ KEY_VALUES = {
     "alpha_scale": (0.9, 3),
     "out": ("file.json", "flag.json"),
     "format": ("json", "csv"),
-    "tolerances": ({"pieri": 1e-3}, {"pieri": 1e-5, "orthogonality": 0.5}),
 }
 
 
 def key_flags(key, value):
-    if key == "tolerances":
-        return [arg for name, tol in value.items() for arg in ("--tol-" + name, repr(tol))]
     return ["--" + key.replace("_", "-"), str(value)]
 
 
@@ -396,15 +399,13 @@ def test_sweep_step_must_be_finite_and_positive(tmp_path, capsys, step):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_unknown_tolerance_in_config_is_usage_error(tmp_path, capsys):
+def test_malformed_config_is_usage_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     for command, contents, message in [
-        (["verify"], {"n": 1, "m": 1, "tolerances": {"bogus": 1e-3}}, "unknown tolerance name 'bogus'"),
+        (["verify"], {"n": 1, "m": 1, "tolerances": {"pieri": 1e-3}}, "unknown config key 'tolerances'"),
         (["verify", "--n", "1", "--m", "1"], [1, 2], "must hold a JSON object, not list"),
-        (["verify"], {"n": 1, "m": 1, "tolerances": {"pieri": "x"}}, "pieri must be a positive number, got 'x'"),
         (["enumerate"], {"n": 1, "m": 1, "format": "xml"}, "format must be json or csv, got 'xml'"),
         (["enumerate"], {"n": [1], "m": 1}, "config key 'n' must be an integer, got [1]"),
-        (["verify"], {"n": 1, "m": 1, "tolerances": [1]}, "config key 'tolerances' must be an object, got [1]"),
         (["enumerate"], {"n": 1, "m": 1, "g": None}, "config key 'g' must be a number, got None"),
         (["enumerate"], {"n": 1.5, "m": 1}, "config key 'n' must be an integer, got 1.5"),
         (["enumerate"], {"n": True, "m": 1}, "config key 'n' must be an integer, got True"),
@@ -417,3 +418,11 @@ def test_unknown_tolerance_in_config_is_usage_error(tmp_path, capsys):
         config.write_text(json.dumps(contents))
         assert main(command + ["--config", str(config)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_readme_config_table_names_every_setting():
+    # the first cell of each row of the README's config-key table; one row may name several keys
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | JSON type | default |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    keys = [key for row in table.splitlines() for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(SETTINGS)

@@ -37,6 +37,9 @@ def test_params_validation():
         ModelParams(1, 1, 1.0, float("nan"))
     with pytest.raises(ValueError):
         ModelParams(1, 1, float("inf"))
+    for alpha in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            ModelParams(1, 1, 1.0, alpha_override=alpha)
     params = ModelParams(2, 3, 0.7, 0.4)
     assert abs(params.alpha * ((params.n + 1) * params.g + params.m) - 2 * math.pi) < 1e-14
     assert abs(params.q) == pytest.approx(1.0, abs=1e-15)
