@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The CLI examples: the README's five commands, the operator kinds the CLI
-# forms from the hop matrices, and two labeled spectra solved by rotation
+# forms from the hop matrices, two labeled spectra solved by rotation
 # sector, (4, 8) with five sectors of 99 and (5, 4) whose sectors 0 and 3 are
-# real.  Each must exit 0 and print canonical JSON, exactly
+# real, and one at the nome cap, where the lattice weights overflow and the
+# bracket takes 2063 factors.  Each must exit 0 and print canonical JSON, exactly
 # json.dumps(sort_keys=True, indent=2) of what it parses to.  Then `--help`
 # of rlatt and of each command must exit 0: argparse formats help text only
 # when asked, so a help string it cannot format (a stray "%", say) fails
@@ -29,6 +30,7 @@ for kind in C S M; do
 done
 run spectrum  --n 4 --m 8 --g 0.7 --p 0.3
 run spectrum  --n 5 --m 4 --g 0.7 --p -0.6
+run spectrum  --n 2 --m 4 --g 1.3 --p 0.99
 
 echo "rlatt --help"
 rlatt --help > /dev/null

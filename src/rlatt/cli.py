@@ -23,7 +23,7 @@ from .coeffs import ModelParams, weight_vector
 from .eigenpoly import build_polynomials
 from .elliptic import NOME_CAP
 from .errors import RlattError
-from .operators import build_hop_operator, conjugate_by_weights
+from .operators import build_hop_operator, symmetric_hop_operator
 from .partitions import enumerate_lattice, weight
 from .report import run_verification
 from .spectral import sweep_spectra
@@ -206,13 +206,13 @@ def _operator_matrix(params: ModelParams, r: int, kind: str) -> np.ndarray:
     if kind == "S" and not 1 <= r <= n // 2:
         raise ValueError(f"antisymmetric combination index {r} outside 1..{n // 2}")
     basis = enumerate_lattice(n, params.m)
+    if kind == "M":
+        return symmetric_hop_operator(r, params, basis)
     hop = build_hop_operator(r, params, basis)
     if kind == "C":
         return 0.5 * (hop + build_hop_operator(n + 1 - r, params, basis))
     if kind == "S":
         return (hop - build_hop_operator(n + 1 - r, params, basis)) / 2j
-    if kind == "M":
-        return conjugate_by_weights(hop, weight_vector(basis, params))
     return hop
 
 

@@ -101,10 +101,6 @@ class ModelParams:
     def t(self) -> complex:
         return cmath.exp(1j * self.alpha * self.g)
 
-    def q_pow(self, x: float) -> complex:
-        """q**x = exp(i*alpha*x) for real exponents, branch-free."""
-        return cmath.exp(1j * self.alpha * x)
-
     @cached_property
     def theta(self) -> ThetaEvaluator:
         return ThetaEvaluator(self.alpha, self.p)
@@ -237,9 +233,8 @@ def _pieri_terms(basis: LatticeBasis, r: int, params: ModelParams):
     errors map each move with a denominator below DENOM_TOL to the message
     ``pieri_coefficient`` raises for it.
     """
-    moves = basis.move_arrays[r]
-    inside = moves.target >= 0
-    source, strip = moves.source[inside], moves.strip[inside]
+    inside, source, target = basis.box_moves(r)
+    strip = basis.move_arrays[r].strip[inside]
     table = params.brackets
     j, k, dist, diffs = _pair_differences(basis)
     lam = diffs[source]
@@ -260,7 +255,7 @@ def _pieri_terms(basis: LatticeBasis, r: int, params: ModelParams):
     value = np.ones(len(source))
     for column in ratios.reshape(len(source), -1).T:
         value *= column
-    return source, moves.target[inside], np.where(vanished.any(axis=(1, 2)), 0.0, value), errors
+    return source, target, np.where(vanished.any(axis=(1, 2)), 0.0, value), errors
 
 
 def box_pieri_coefficients(basis: LatticeBasis, r: int, params: ModelParams):

@@ -143,24 +143,24 @@ def pieri_residual(table: np.ndarray, spectrum, pieri) -> float:
     return float(np.max(largest, initial=0.0)) / float(np.max(np.abs(table)))
 
 
-def dual_orthogonality_residual(table: np.ndarray, spectrum, norms: np.ndarray) -> float:
+def dual_orthogonality_residual(table: np.ndarray, spectrum, norms: np.ndarray, weights: np.ndarray) -> float:
     """Defect of the dual orthogonality of the polynomials on the spectrum.
 
     The Gram matrix with the dual weights must be diagonal with entries
-    1/(c^2 * weight), c = ``norms``; the residual is relative to those entries row by row.
+    1/(c^2 * w), c = ``norms``, w = ``weights``; the residual is relative to those entries row by row.
     """
     gram = (table * spectrum.norm_hat[None, :]) @ table.conj().T
-    target = 1.0 / (norms * norms * spectrum.weights)
+    target = 1.0 / (norms * norms * weights)
     return float(np.max(np.abs(gram - np.diag(target)) / target[:, None]))
 
 
-def reconstruct_and_compare(table: np.ndarray, spectrum, norms: np.ndarray) -> float:
+def reconstruct_and_compare(table: np.ndarray, spectrum, norms: np.ndarray, weights: np.ndarray) -> float:
     """Rebuild eigenvectors from the polynomials and measure the distance.
 
     For each label the normalization constants ``norms`` times the polynomial
-    values are compared, in the weighted norm, with the numerically obtained
-    eigenvector rescaled to unit value at the empty partition.
+    values are compared, in the norm weighted by ``weights``, with the
+    eigenvector u = v / sqrt(w) rescaled to unit value at the empty partition.
     """
-    vectors = spectrum.eigenvectors
-    distance = np.abs(norms[:, None] * table - vectors / vectors[0]) ** 2
-    return float(np.sqrt(np.max(spectrum.weights @ distance)))
+    u = spectrum.eigenvectors / np.sqrt(weights)[:, None]
+    distance = np.abs(norms[:, None] * table - u / u[0]) ** 2
+    return float(np.sqrt(np.max(weights @ distance)))

@@ -8,8 +8,8 @@ class RlattError(Exception):
 class TruncationViolationError(RlattError):
     """Parameters fell outside the regime where the lattice truncates cleanly.
 
-    Raised when a coefficient denominator collapses or a weight that must be
-    positive comes out non-positive.
+    Raised when a coefficient denominator collapses or no positive weights
+    exist: a weight, or the amplitude of a move against its reverse's, has the wrong sign.
     """
 
 

@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .coeffs import ModelParams, norm_vector
+from .coeffs import ModelParams, norm_vector, weight_vector
 from .errors import ComparisonError, DegenerateSpecializationError
 from .partitions import dominance_leq, pad, trim, weight
 
@@ -241,7 +241,8 @@ def compare_trig(spectrum) -> TrigComparison:
     # row k: the eigenvalues of label basis.order[k] against their closed form
     gaps = np.max(np.abs(spectrum.eigenvalues - trig_joint_eigenvalues(basis, params)), axis=1)
     mismatches = [nu for nu, gap in zip(basis.order, gaps.tolist()) if gap > 1e-3]
-    vec_res = float(np.max(np.abs(spectrum.eigenvectors / spectrum.eigenvectors[0] - reference)))
+    u = spectrum.eigenvectors / np.sqrt(weight_vector(basis, params))[:, None]
+    vec_res = float(np.max(np.abs(u / u[0] - reference)))
     if mismatches:
         raise ComparisonError(
             f"lattice eigenvalues do not match the closed form for labels {mismatches}"

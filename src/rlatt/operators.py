@@ -1,19 +1,20 @@
 """Dense matrices of the commuting difference operators and their algebra checks.
 
 The hop operator of order r moves a lattice point along every admissible
-vertical r-strip; the matrices are small and dense.  The weight-conjugated
-form M = W^{1/2} A W^{-1/2} turns the adjoint relation into a plain
-transpose, which is what the residual checks below exercise.
+vertical r-strip; the matrices are small and dense.  By the weight recurrence
+D_r[s, t] w_s = D_{n+1-r}[t, s] w_t, the weight-conjugated M_r = W^{1/2} D_r W^{-1/2},
+with M_{n+1-r} = M_r^T, follows from the amplitudes of D_r and D_{n+1-r}.
 """
 
 import numpy as np
 
 from .coeffs import ModelParams, hop_amplitudes
+from .errors import TruncationViolationError
 from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
     "build_hop_operator",
-    "conjugate_by_weights",
+    "symmetric_hop_operator",
     "commutator_residual",
     "transpose_residual",
 ]
@@ -22,25 +23,37 @@ __all__ = [
 def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None = None) -> np.ndarray:
     """Matrix of the order-r hop operator over the bounded lattice.
 
-    Row lam collects the amplitudes of all r-strips whose reduced target
-    stays on the lattice; distinct strips hitting the same target accumulate,
-    in move-table order.
+    Row lam holds the amplitudes of the r-strips whose reduced target stays
+    on the lattice, one strip per target (``LatticeBasis.box_moves``).
     """
     if not 1 <= r <= params.n:
         raise ValueError(f"operator order {r} outside 1..{params.n}")
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
-    moves = basis.move_arrays[r]
-    inside = moves.target >= 0
+    inside, source, target = basis.box_moves(r)
     mat = np.zeros((len(basis), len(basis)))
-    np.add.at(mat, (moves.source[inside], moves.target[inside]), hop_amplitudes(basis, r, params)[inside])
+    mat[source, target] = hop_amplitudes(basis, r, params)[inside]
     return mat
 
 
-def conjugate_by_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """W^{1/2} A W^{-1/2} for the diagonal matrix W of (positive) lattice weights."""
-    s = np.sqrt(weights)
-    return (s[:, None] * matrix) / s[None, :]
+def symmetric_hop_operator(r: int, params: ModelParams, basis: LatticeBasis) -> np.ndarray:
+    """M_r = W^{1/2} D_r W^{-1/2} from the amplitudes alone, so M_{n+1-r} = M_r^T bit for bit.
+
+    On a move s -> t on the box, M_r[s, t] = sign(D_r[s, t]) sqrt(D_r[s, t] D_{n+1-r}[t, s]).
+    A move whose two amplitudes differ in sign, one of them zero included,
+    admits no positive weights and raises TruncationViolationError.
+    """
+    forward, backward = (build_hop_operator(k, params, basis) for k in (r, params.n + 1 - r))
+    _, s, t = basis.box_moves(r)
+    a, b = forward[s, t], backward[t, s]
+    (bad,) = np.nonzero(np.sign(a) != np.sign(b))
+    if len(bad):
+        i = bad[0]
+        move = f"{basis.order[s[i]]} -> {basis.order[t[i]]} (order {r})"
+        raise TruncationViolationError(f"amplitudes of {move} and back differ in sign: {a[i]}, {b[i]}")
+    # D_r vanishes off these moves
+    forward[s, t] = np.sign(a) * np.sqrt(a * b)
+    return forward
 
 
 def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -50,7 +63,7 @@ def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def transpose_residual(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
-    """Relative Frobenius defect of transpose(M_r) = M_{n+1-r}, from the matrices of D_r and D_{n+1-r}."""
-    ma = conjugate_by_weights(a, weights)
-    mb = conjugate_by_weights(b, weights)
+    """Relative Frobenius defect of transpose(M_r) = M_{n+1-r}, from D_r, D_{n+1-r} and the weights it tests."""
+    s = np.sqrt(weights)
+    ma, mb = (s[:, None] * a) / s, (s[:, None] * b) / s
     return float(np.linalg.norm(ma.T - mb) / np.linalg.norm(ma))

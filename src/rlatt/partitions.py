@@ -101,9 +101,6 @@ class LatticeBasis:
     def __len__(self) -> int:
         return len(self.order)
 
-    def __iter__(self):
-        return iter(self.order)
-
     @cached_property
     def move_arrays(self) -> dict:
         """The move table: ``MoveArrays`` keyed by strip size 1..n+1, built once per box."""
@@ -120,6 +117,18 @@ class LatticeBasis:
             target[inside] = self._indices(reduced[inside])
             arrays[r] = MoveArrays(source, strips[which], target)
         return arrays
+
+    def box_moves(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which size-r moves stay on the box (a mask over ``move_arrays[r]``), and their sources and targets.
+
+        The size-(n+1) strip maps every point to itself with amplitude and
+        Pieri coefficient exactly 1, so the identities between operators leave
+        it out.  For r <= n no two strips from one point share a target, so
+        D_r[s, t] is the amplitude of the one move s -> t.
+        """
+        moves = self.move_arrays[r]
+        inside = moves.target >= 0
+        return inside, moves.source[inside], moves.target[inside]
 
     @cached_property
     def rotation(self) -> Rotation:

@@ -134,23 +134,10 @@ def check_truncation_dichotomy(params, basis):
     min_inside = np.inf
     for r in range(1, params.n + 2):
         amplitudes = hop_amplitudes(basis, r, params)
-        inside = basis.move_arrays[r].target >= 0
+        inside = basis.box_moves(r)[0]
         min_inside = np.min(amplitudes[inside], initial=min_inside)
         max_outside = np.max(np.abs(amplitudes[~inside]), initial=max_outside)
     return float(max_outside), float(min_inside)
-
-
-def _moves_on_box(basis, r: int):
-    """Sources and targets of the size-r moves that stay on the box, for r = 1..n.
-
-    The size-(n+1) strip maps every point to itself with amplitude and Pieri
-    coefficient exactly 1, so the identities below leave it out.  For r <= n
-    no two strips from one point share a target, so D_r[s, t] is the
-    amplitude of the one move s -> t.
-    """
-    moves = basis.move_arrays[r]
-    inside = moves.target >= 0
-    return moves.source[inside], moves.target[inside]
 
 
 def check_weight_recurrence(basis, hops, weights) -> float:
@@ -158,7 +145,7 @@ def check_weight_recurrence(basis, hops, weights) -> float:
     n = len(hops)
     worst = 0.0
     for r in range(1, n + 1):
-        s, t = _moves_on_box(basis, r)
+        _, s, t = basis.box_moves(r)
         worst = _worst_relative(hops[r - 1][s, t] * weights[s], hops[n - r][t, s] * weights[t], worst)
     return worst
 
@@ -238,8 +225,8 @@ def run_verification(params: ModelParams) -> VerificationReport:
     run("psi-consistency", lambda: check_psi_consistency(hops(), norms(), pieri()))
     run("orthogonality", lambda: orthogonality_residual(labeled()))
     run("pieri", lambda: pieri_residual(table(), labeled(), pieri()))
-    run("dual-orthogonality", lambda: dual_orthogonality_residual(table(), labeled(), norms()))
-    run("reconstruction", lambda: reconstruct_and_compare(table(), labeled(), norms()))
+    run("dual-orthogonality", lambda: dual_orthogonality_residual(table(), labeled(), norms(), weights()))
+    run("reconstruction", lambda: reconstruct_and_compare(table(), labeled(), norms(), weights()))
     run("trig-comparison", lambda: compare_trig(zero_nome()).residual)
     run("appendix-crosscheck", lambda: crosscheck_hop_coefficients(params, basis))
 

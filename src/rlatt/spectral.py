@@ -1,25 +1,25 @@
 """Joint diagonalization of the commuting family and labeling of the spectrum.
 
-The hop operators, conjugated by the square root of the lattice weights, are
-commuting normal matrices with M_{n+1-r} = M_r^T that commute with the cyclic
-rotation R of the box.  joint_diagonalize solves half the sectors of R (its
-eigenspaces), one block each, and conjugates the rest; residuals carry the
-leakage between sectors.  Labels (partitions in the box) come from the
-zero-nome closed form and are carried to nonzero nome by continuation,
-matching eigenvectors between neighbouring nomes by overlap; the label nu
-lies in sector -|nu| mod (n+1), so both run sector by sector.  The first step
-jumps to the target nome; a failed match halves the step and a clean one
-doubles it again.
+The hop operators conjugated by the square root of the lattice weights, which
+the amplitudes alone determine, are commuting normal matrices with
+M_{n+1-r} = M_r^T that commute with the cyclic rotation R of the box.
+joint_diagonalize solves half the sectors of R (its eigenspaces), one block
+each, and conjugates the rest; residuals carry the leakage between sectors.
+Labels (partitions in the box) come from the zero-nome closed form and are
+carried to nonzero nome by continuation, matching eigenvectors between
+neighbouring nomes by overlap; the label nu lies in sector -|nu| mod (n+1),
+so both run sector by sector.  The first step jumps to the target nome; a
+failed match halves the step and a clean one doubles it again.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coeffs import ModelParams, weight_vector
+from .coeffs import ModelParams
 from .errors import ContinuationError, DegenerateSpectrumError, LabelingError, NormalizationError
 from .macdonald import trig_joint_eigenvalues
-from .operators import build_hop_operator, conjugate_by_weights
+from .operators import symmetric_hop_operator
 from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
@@ -47,9 +47,10 @@ class Spectrum:
     """Joint eigenpairs at one parameter point, as arrays indexed by eigenpair k.
 
     ``eigenvalues[k, r - 1]`` is the eigenvalue of the order-r operator and
-    ``eigenvectors[:, k]`` the eigenvector, of unit weighted norm with its
-    component at the empty partition real and positive; ``norm_hat[k]`` is the
-    dual weight for the unit-value-at-zero normalization and ``residuals[k]``
+    ``eigenvectors[:, k]`` the orthonormal frame vector v = W^{1/2} u of the
+    eigenvector u of the D_r, its component at the empty partition real and
+    positive; ``norm_hat[k] = |v(empty)|^2`` is the dual weight for the
+    unit-value-at-zero normalization, as w(empty) = 1, and ``residuals[k]``
     the largest relative residual over the operators; ``sectors[k]`` is the
     sector of the box's rotation the eigenvector lies in.  Labeling permutes
     the eigenpairs so that eigenpair k carries the label ``basis.order[k]``.
@@ -61,15 +62,10 @@ class Spectrum:
     eigenvectors: np.ndarray
     norm_hat: np.ndarray
     residuals: np.ndarray
-    weights: np.ndarray
     sectors: np.ndarray
 
     def __len__(self) -> int:
         return self.eigenvectors.shape[1]
-
-    def frame_matrix(self, columns=slice(None)) -> np.ndarray:
-        """The given columns in the weight-conjugated frame (orthonormal)."""
-        return np.sqrt(self.weights)[:, None] * self.eigenvectors[:, columns]
 
 
 def _permuted(spectrum: Spectrum, order: np.ndarray) -> Spectrum:
@@ -146,12 +142,14 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
         if some vector fails the per-operator residual tolerance.
     NormalizationError
         if an eigenvector has no component at the empty partition.
+    TruncationViolationError
+        from ``symmetric_hop_operator``, off the truncation regime.
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
     n = params.n
-    w = weight_vector(basis, params)
-    mats = [conjugate_by_weights(build_hop_operator(r, params, basis), w) for r in range(1, n + 1)]
+    mats = [symmetric_hop_operator(r, params, basis) for r in range(1, (n + 1) // 2 + 1)]
+    mats += [mats[n - r].T for r in range(len(mats) + 1, n + 1)]
     powers, reps, orbit_sizes = basis.rotation
     # phases[k, j] = omega^(jk) for the solved sectors k; the block of M_r in sector k between orbits
     # a, b of sizes s_a, s_b is sqrt(s_a / s_b) sum_{j < s_b} omega^(jk) M_r[a, R^j b], which is
@@ -178,30 +176,30 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
     bounds = np.cumsum([0] + [len(solved[h][0]) for h in half])
     eigenvalues = np.concatenate([solved[h][2] if h == k else solved[h][2].conj() for k, h in enumerate(half)])
     residuals = np.concatenate([np.max((solved[h][3] + leakage) / radius, axis=1) for h in half])
-    u = np.zeros((len(basis), len(basis)), dtype=complex)
+    v = np.zeros((len(basis), len(basis)), dtype=complex)
     for k, h in enumerate(half):
         if h != k:
-            np.conj(u[:, bounds[h] : bounds[h + 1]], out=u[:, bounds[k] : bounds[k + 1]])
+            np.conj(v[:, bounds[h] : bounds[h + 1]], out=v[:, bounds[k] : bounds[k + 1]])
             continue
         inside, vecs = solved[k][:2]
-        # u(R^j a) = omega^(jk) v_a / sqrt(s_a w(R^j a)) on the orbit of a has unit weighted
-        # norm; the empty partition heads its orbit, and the phase of v there is taken off
+        # v(R^j a) = omega^(jk) b_a / sqrt(s_a) on the orbit of a, for the block vector b, has
+        # unit norm; the empty partition heads its orbit, and the phase of b there is taken off
         rows = powers[:, reps[inside]]
-        values = (phases[k, :, None] / np.sqrt(orbit_sizes[inside] * w[rows]))[:, :, None] * vecs
+        values = (phases[k, :, None] / np.sqrt(orbit_sizes[inside]))[:, :, None] * vecs
         values *= np.exp(-1j * np.angle(vecs[0]))
-        u[rows.ravel(), bounds[k] : bounds[k + 1]] = values.reshape(-1, len(inside))
+        v[rows.ravel(), bounds[k] : bounds[k + 1]] = values.reshape(-1, len(inside))
     offenders = int(np.count_nonzero(residuals > _RESIDUAL_TOL))
     if offenders:
         raise DegenerateSpectrumError(
             f"{offenders} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}"
         )
-    u0 = np.abs(u[0])
-    (small,) = np.nonzero(u0 < _ZERO_COMPONENT_TOL)
+    v0 = np.abs(v[0])
+    (small,) = np.nonzero(v0 < _ZERO_COMPONENT_TOL)
     if len(small):
         k = small[0]
-        raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {u0[k]}")
-    # unit weighted norm, so the dual weight 1 / sum_lam w(lam) |u(lam) / u(0)|^2 is |u(0)|^2
-    return Spectrum(params, basis, eigenvalues, u, u0**2, residuals, w, np.repeat(np.arange(n + 1), np.diff(bounds)))
+        raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {v0[k]}")
+    # unit norm and w(empty) = 1, so the dual weight 1 / sum_lam w(lam) |u(lam) / u(0)|^2 is |v(0)|^2
+    return Spectrum(params, basis, eigenvalues, v, v0**2, residuals, np.repeat(np.arange(n + 1), np.diff(bounds)))
 
 
 def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,7 +247,7 @@ def _transfer_labels(previous: Spectrum, candidate: Spectrum):
     order = np.empty(len(candidate), dtype=np.intp)
     for k in range(candidate.params.n + 1):
         labels, pairs = np.flatnonzero(previous.sectors == k), np.flatnonzero(candidate.sectors == k)
-        overlap = np.abs(previous.frame_matrix(labels).conj().T @ candidate.frame_matrix(pairs))
+        overlap = np.abs(previous.eigenvectors[:, labels].conj().T @ candidate.eigenvectors[:, pairs])
         cols = np.argmax(overlap, axis=1)
         if np.min(overlap[np.arange(len(labels)), cols]) <= _MIN_OVERLAP or len(np.unique(cols)) < len(cols):
             return None
@@ -329,10 +327,8 @@ def sweep_spectra(params: ModelParams, p_values) -> list:
 
 
 def orthogonality_residual(spectrum: Spectrum) -> float:
-    """Largest off-diagonal weighted inner product between eigenvectors."""
-    if len(spectrum) < 2:
-        return 0.0
-    u = spectrum.eigenvectors
-    gram = (u.T * spectrum.weights) @ np.conj(u)
+    """Largest off-diagonal inner product between the eigenvectors v, the weighted one between the u."""
+    v = spectrum.eigenvectors
+    gram = v.T @ np.conj(v)
     off = gram - np.diag(np.diag(gram))
     return float(np.max(np.abs(off)))

@@ -21,7 +21,13 @@ the array form it is the reference for:
 ``coeffs.hop_coefficient`` and ``coeffs.pieri_coefficient``, the references
 for ``hop_amplitudes`` and ``box_pieri_coefficients``, stay in the package.
 ``memoized`` gives a parameter point whose scalar bracket remembers its
-values, for tests that run a scalar loop over a whole box.
+values, for tests that run a scalar loop over a whole box, and ``off_regime``
+one whose alpha is scaled off the locked value, as ``--alpha-scale`` does.
+
+``conjugate_by_weights`` forms W^{1/2} A W^{-1/2} from the lattice weights,
+the reference for ``operators.symmetric_hop_operator``, and
+``operator_eigenvectors`` the eigenvectors u = v / sqrt(w) of the D_r from
+the orthonormal frame v that a ``Spectrum`` holds.
 
 Three diagnostics of a labeled ``Spectrum`` that only tests read live here
 too: ``unitarity_residual``, ``conjugate_pairing_residual`` and
@@ -33,6 +39,7 @@ references for the reduction in ``LatticeBasis.move_arrays`` and the inverse
 of ``partitions.partition_to_weight``.
 """
 
+import cmath
 import math
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -40,7 +47,7 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from rlatt.coeffs import DENOM_TOL, ModelParams, _pair_range, hop_coefficient
+from rlatt.coeffs import DENOM_TOL, ModelParams, _pair_range, hop_coefficient, weight_vector
 from rlatt.elliptic import ThetaEvaluator
 from rlatt.errors import GenericityViolationError, TruncationViolationError
 from rlatt.macdonald import _partitions_of_weight, macdonald_coeffs
@@ -69,6 +76,11 @@ class _MemoTheta(ThetaEvaluator):
         if zero is None:
             zero = self._zeros[z] = super().is_zero_argument(z)
         return zero
+
+
+def off_regime(n: int, m: int, g: float, p: float, scale: float) -> ModelParams:
+    """The point with alpha scaled away from its locked value, as ``--alpha-scale`` sets it."""
+    return ModelParams(n, m, g, p, alpha_override=scale * 2 * math.pi / ((n + 1) * g + m))
 
 
 def memoized(params: ModelParams) -> ModelParams:
@@ -259,14 +271,14 @@ def _elementary_symmetric(values, r: int) -> complex:
 def staircase_point(nu, params: ModelParams) -> tuple[complex, ...]:
     n = params.n
     nu_p = pad(nu, n)
-    vals = [params.q_pow(nu_p[j] + (n - j) * params.g) for j in range(n)]
+    vals = [cmath.exp(1j * params.alpha * (nu_p[j] + (n - j) * params.g)) for j in range(n)]
     vals.append(1.0 + 0j)
     return tuple(vals)
 
 
 def prefactor(order: int, nu, params: ModelParams) -> complex:
     """Center-of-mass factor of the zero-nome eigenvalue of the given order at label nu."""
-    return params.q_pow(-order * (weight(nu) / (params.n + 1) + params.n * params.g / 2.0))
+    return cmath.exp(1j * params.alpha * (-order * (weight(nu) / (params.n + 1) + params.n * params.g / 2.0)))
 
 
 def monomial_sym_eval(lam, values) -> complex:
@@ -321,11 +333,23 @@ def principal_eigenfunction_value(mu, nu, params: ModelParams) -> complex:
     return norm_constant(mu, replace(params, p=0.0)) * prefactor(weight(mu), nu, params) * value
 
 
+def conjugate_by_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """W^{1/2} A W^{-1/2} for the diagonal matrix W of (positive) lattice weights."""
+    s = np.sqrt(weights)
+    return (s[:, None] * matrix) / s[None, :]
+
+
+def operator_eigenvectors(spectrum) -> np.ndarray:
+    """The eigenvectors u = v / sqrt(w) of the D_r, of unit weighted norm, as columns."""
+    weights = weight_vector(spectrum.basis, spectrum.params)
+    return spectrum.eigenvectors / np.sqrt(weights)[:, None]
+
+
 def unitarity_residual(spectrum) -> float:
     """Deviation from unitarity of the weighted eigenfunction value matrix."""
-    u = spectrum.eigenvectors
-    values = u / u[0, :]
-    mat = np.sqrt(spectrum.weights)[:, None] * values * np.sqrt(spectrum.norm_hat)[None, :]
+    # sqrt(w) u / u(empty) = v / v(empty), as w(empty) = 1
+    v = spectrum.eigenvectors
+    mat = v / v[0, :] * np.sqrt(spectrum.norm_hat)[None, :]
     eye = mat.conj().T @ mat
     return float(np.max(np.abs(eye - np.eye(len(spectrum)))))
 

@@ -178,7 +178,8 @@ def test_criterion_7_diagonalization_suite():
         worst_orth = max(worst_orth, orthogonality_residual(spectrum))
         pieri = [box_pieri_coefficients(basis, r, params) for r in range(1, n + 1)]
         worst_pieri = max(worst_pieri, pieri_residual(table, spectrum, pieri))
-        worst_reco = max(worst_reco, reconstruct_and_compare(table, spectrum, norm_vector(basis, params)))
+        norms, weights = norm_vector(basis, params), weight_vector(basis, params)
+        worst_reco = max(worst_reco, reconstruct_and_compare(table, spectrum, norms, weights))
         for mu in basis.order:
             row = coeffs[basis.index[mu]]
             if row[basis.index[mu]] != 1.0:
@@ -201,7 +202,8 @@ def test_criterion_8_dual_orthogonality():
         basis = enumerate_lattice(n, m)
         spectrum = label_spectrum(joint_diagonalize(params, basis=basis))
         table = value_table(build_polynomials(params, basis), spectrum)
-        worst = max(worst, dual_orthogonality_residual(table, spectrum, norm_vector(basis, params)))
+        norms, weights = norm_vector(basis, params), weight_vector(basis, params)
+        worst = max(worst, dual_orthogonality_residual(table, spectrum, norms, weights))
     assert report("8 dual-orthogonality", worst, 1e-8)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import pytest
 
 from rlatt.cli import SETTINGS, build_parser, load_config, main
 from rlatt.coeffs import ModelParams, weight_vector
-from rlatt.operators import build_hop_operator, conjugate_by_weights
+from rlatt.operators import build_hop_operator
 from rlatt.partitions import enumerate_lattice
 from rlatt.report import REPORT_SCHEMA_VERSION, TOLERANCES
+from scalar_reference import conjugate_by_weights
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -114,12 +116,15 @@ def test_operator_kind_s_is_the_half_difference(tmp_path, n, m, g, p):
 
 @pytest.mark.parametrize("n,m,g,p", OPERATOR_POINTS)
 def test_operator_kind_m_is_the_weight_conjugated_hop(tmp_path, n, m, g, p):
+    # M is formed from the amplitudes of D_r and D_{n+1-r}, without the weights: equal to
+    # the conjugation up to rounding
     params = ModelParams(n, m, g, p)
     w = weight_vector(enumerate_lattice(n, m), params)
     for r in range(1, n + 1):
         hop = build_hop_operator(r, params)
         exported = operator_matrix(tmp_path, params, r, "M")
-        assert np.array_equal(exported, conjugate_by_weights(hop, w))
+        reference = conjugate_by_weights(hop, w)
+        assert np.max(np.abs(exported - reference)) <= 1e-15 * np.max(np.abs(reference))
         if n == 1:  # unit weights
             assert exported == pytest.approx(hop, abs=1e-14)
 
@@ -168,6 +173,17 @@ def test_spectrum_sweep_two_state(tmp_path):
         assert len(point["records"]) == 2
         values = sorted(e[0] for record in point["records"] for e in record["e"])
         assert values == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("n,m,g,p", [("2", "4", "1.3", "0.99"), ("2", "4", "1.3", "-0.99"), ("3", "3", "0.45", "0.99")])
+def test_spectrum_at_the_nome_cap(tmp_path, n, m, g, p):
+    # at (2, 4, 1.3, 0.99) the lattice weights overflow, and every point needs the bracket's
+    # 2063 factors; the solve reads no weight
+    code, payload = run_json(tmp_path, ["spectrum", "--n", n, "--m", m, "--g", g, "--p", p])
+    assert code == 0
+    (point,) = payload["points"]
+    assert len(point["records"]) == math.comb(int(n) + int(m), int(n))
+    assert max(record["residual"] for record in point["records"]) < 1e-9
 
 
 def test_spectrum_descending_sweep(tmp_path):

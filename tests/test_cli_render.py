@@ -120,7 +120,6 @@ def test_synthetic_spectrum_with_extreme_floats_renders_as_reference():
         np.eye(3, dtype=complex),
         np.array([np.nan, -0.0, 5e-324]),
         np.array([np.inf, 1e300, -np.inf]),
-        np.ones(3),
         np.array([0, 1, 2]),
     )
     text = cli._render_spectrum(RunConfig(2, 1, 0.7, 0.2), [0.2], [spectrum])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -43,7 +44,7 @@ def test_params_validation():
     params = ModelParams(2, 3, 0.7, 0.4)
     assert abs(params.alpha * ((params.n + 1) * params.g + params.m) - 2 * math.pi) < 1e-14
     assert abs(params.q) == pytest.approx(1.0, abs=1e-15)
-    assert params.t == pytest.approx(params.q_pow(params.g))
+    assert params.t == pytest.approx(cmath.exp(1j * params.alpha * params.g))
 
 
 def test_hop_full_strip_is_one():

@@ -116,8 +116,8 @@ def test_pieri_two_state_exact(labeled, polys):
 @pytest.mark.parametrize("n,m,g,p", [(2, 2, 1.0, 0.3), (3, 2, 1.0, 0.5), (2, 2, 0.7, 0.0)])
 def test_dual_orthogonality(labeled, polys, n, m, g, p):
     spectrum = labeled(n, m, g, p)
-    norms = norm_vector(spectrum.basis, ModelParams(n, m, g, p))
-    assert dual_orthogonality_residual(value_table(polys(n, m, g, p), spectrum), spectrum, norms) < 1e-8
+    norms, weights = norm_vector(spectrum.basis, spectrum.params), weight_vector(spectrum.basis, spectrum.params)
+    assert dual_orthogonality_residual(value_table(polys(n, m, g, p), spectrum), spectrum, norms, weights) < 1e-8
 
 
 def test_dual_weights_row_sums_to_one(labeled):
@@ -143,8 +143,8 @@ def test_two_state_gram_identity_by_hand(labeled, polys):
 def test_reconstruction(labeled, polys):
     for point, tol in (((1, 1, 1.0, 0.5), 1e-12), ((2, 2, 0.7, 0.5), 1e-7)):
         spectrum = labeled(*point)
-        norms = norm_vector(spectrum.basis, ModelParams(*point))
-        assert reconstruct_and_compare(value_table(polys(*point), spectrum), spectrum, norms) < tol
+        norms, weights = norm_vector(spectrum.basis, spectrum.params), weight_vector(spectrum.basis, spectrum.params)
+        assert reconstruct_and_compare(value_table(polys(*point), spectrum), spectrum, norms, weights) < tol
 
 
 def test_coefficients_vary_continuously_in_nome():

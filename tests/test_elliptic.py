@@ -115,12 +115,38 @@ def test_parameter_validation():
 
 def test_truncation_depth():
     assert ThetaEvaluator(1.0, 0.0).truncation_depth == 0
-    # |p|^(2l) < 1e-18 needs l ~ 59 at p = 0.7; at most one spare term kept
-    depth = ThetaEvaluator(1.0, 0.7).truncation_depth
-    assert 0.7 ** (2 * depth) < 1e-18
-    assert 0.7 ** (2 * (depth - 2)) >= 1e-18
-    # the cap bites close to the nome limit
-    assert ThetaEvaluator(1.0, 0.99).truncation_depth == 600
+    # |p|^(2l) < 1e-18 needs l ~ 59 at p = 0.7 and 2062 at 0.99; at most one spare term kept,
+    # with no cap up to the nome limit
+    for p in (0.7, 0.99, -0.99):
+        depth = ThetaEvaluator(1.0, p).truncation_depth
+        assert abs(p) ** (2 * depth) < 1e-18
+        assert abs(p) ** (2 * (depth - 2)) >= 1e-18
+    assert ThetaEvaluator(1.0, 0.99).truncation_depth == 2063
+
+
+def bracket_from_product(zs, alpha, p):
+    """Oracle: the product form of the bracket at each z in 40-digit arithmetic, run until p^(2l) < 1e-45."""
+    with mpmath.workdps(40):
+        half = mpmath.mpf(alpha) / 2
+        cosines = [mpmath.cos(2 * half * z) for z in zs]
+        factors = [mpmath.mpf(1)] * len(zs)
+        p2, pl, den = mpmath.mpf(p) ** 2, mpmath.mpf(1), mpmath.mpf(1)
+        while pl > mpmath.mpf("1e-45"):
+            pl *= p2
+            den *= (1 - pl) ** 2
+            factors = [f * (1 - 2 * pl * c + pl * pl) for f, c in zip(factors, cosines)]
+        return [float(mpmath.sin(half * z) / half * f / den) for z, f in zip(zs, factors)]
+
+
+@pytest.mark.parametrize("p", [0.95, 0.98, 0.99, -0.99])
+def test_product_is_exact_up_to_the_nome_cap(p):
+    # the depth rule holds at every nome: no cap on the number of factors
+    alpha = 2 * math.pi / (4 * 0.7 + 4)
+    ev = ThetaEvaluator(alpha, p)
+    zs = (0.3, 1.0, 2.7, 4.4)
+    for z, reference in zip(zs, bracket_from_product(zs, alpha, p)):
+        assert abs(ev.bracket(z) - reference) <= 1e-12 * abs(reference)
+        assert abs(ev.bracket_array(z) - reference) <= 1e-12 * abs(reference)
 
 
 def test_zero_argument_detection():

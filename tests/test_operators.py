@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from rlatt.coeffs import ModelParams, weight_vector
-from rlatt.operators import build_hop_operator, commutator_residual, conjugate_by_weights, transpose_residual
+from rlatt.operators import build_hop_operator, commutator_residual, symmetric_hop_operator, transpose_residual
 from rlatt.partitions import add_strip, enumerate_lattice, pad, vertical_strips
-from scalar_reference import bracket_trig, reduce_partition
+from scalar_reference import bracket_trig, conjugate_by_weights, off_regime, reduce_partition
 
 GRID = [
     (n, m, g, p)
@@ -64,10 +64,33 @@ def test_entries_nonnegative_on_grid():
 
 def test_operator_index_validation():
     params = ModelParams(2, 2, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        build_hop_operator(0, params)
-    with pytest.raises(ValueError):
-        build_hop_operator(3, params)
+    basis = enumerate_lattice(2, 2)
+    for build in (build_hop_operator, symmetric_hop_operator):
+        for r in (0, 3):
+            with pytest.raises(ValueError, match=f"operator order {r} outside 1..2"):
+                build(r, params, basis)
+
+
+# near the nome cap the weights span 4.4e32 and 2.4e88; at the alpha-scaled points some
+# amplitudes are negative, with the same sign on a move and on its reverse
+SYMMETRIC_POINTS = [
+    (ModelParams(3, 3, 0.45, 0.95), False),
+    (ModelParams(2, 4, 1.3, 0.98), False),
+    *((off_regime(n, m, 0.7, 0.3, 1.3), True) for n, m in ((2, 3), (3, 2), (1, 8))),
+]
+
+
+@pytest.mark.parametrize("params,negative", SYMMETRIC_POINTS)
+def test_symmetric_operator_is_the_weight_conjugated_hop(params, negative):
+    basis = enumerate_lattice(params.n, params.m)
+    w = weight_vector(basis, params)
+    for r in range(1, params.n + 1):
+        mat = symmetric_hop_operator(r, params, basis)
+        reference = conjugate_by_weights(build_hop_operator(r, params, basis), w)
+        assert np.max(np.abs(mat - reference)) <= 1e-15 * np.max(np.abs(reference))
+        assert np.any(mat < 0) == negative
+        # both entries of a pair come from one product
+        assert np.array_equal(symmetric_hop_operator(params.n + 1 - r, params, basis), mat.T)
 
 
 def hop_pair_and_weights(params):

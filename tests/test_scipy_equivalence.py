@@ -45,7 +45,7 @@ def _transfer_order(previous, candidate):
     order = np.empty(len(candidate), dtype=np.intp)
     for k in range(candidate.params.n + 1):
         labels, pairs = np.flatnonzero(previous.sectors == k), np.flatnonzero(candidate.sectors == k)
-        overlap = np.abs(previous.frame_matrix(labels).conj().T @ candidate.frame_matrix(pairs))
+        overlap = np.abs(previous.eigenvectors[:, labels].conj().T @ candidate.eigenvectors[:, pairs])
         rows, cols = linear_sum_assignment(-overlap)
         if np.min(overlap[rows, cols]) <= spectral._MIN_OVERLAP:
             return None

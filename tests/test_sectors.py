@@ -4,20 +4,21 @@ R rotates the n+1 affine Dynkin labels of a partition (Kac, Infinite-Dimensional
 Lie Algebras, the rotation of the affine A_n diagram).  In the truncation
 regime every weight-conjugated M_r commutes with it, so the joint eigenvectors
 lie in its eigenspaces: the one labeled nu in sector k = -|nu| mod (n+1), where
-u(R lam) = omega^k u(lam), omega = exp(2 pi i / (n+1)).
+v(R lam) = omega^k v(lam), omega = exp(2 pi i / (n+1)).
 """
 
-import math
+import re
 
 import numpy as np
 import pytest
 
 from rlatt.coeffs import ModelParams
-from rlatt.errors import DegenerateSpectrumError
-from rlatt.operators import build_hop_operator, conjugate_by_weights
+from rlatt.errors import DegenerateSpectrumError, TruncationViolationError
+from rlatt.operators import symmetric_hop_operator
 from rlatt.partitions import enumerate_lattice
 from rlatt.report import run_verification
 from rlatt.spectral import joint_diagonalize
+from scalar_reference import off_regime
 
 # short orbits and fixed points: (1, 8), (2, 3), (2, 6); unequal sectors
 # 10, 8, 9, 8: (3, 4); two real sectors, 0 and 3: (5, 4)
@@ -27,10 +28,7 @@ POINTS = [(g, p) for g in (0.7, 1.0, 1.43) for p in (0.0, 0.3, -0.6)]
 
 def _conjugated(spectrum):
     """The weight-conjugated M_1..M_n of the spectrum's point."""
-    return [
-        conjugate_by_weights(build_hop_operator(r, spectrum.params, spectrum.basis), spectrum.weights)
-        for r in range(1, spectrum.params.n + 1)
-    ]
+    return [symmetric_hop_operator(r, spectrum.params, spectrum.basis) for r in range(1, spectrum.params.n + 1)]
 
 
 def _rotate(lam, n, m):
@@ -65,9 +63,9 @@ def test_rotation_is_a_symmetry_of_the_labeled_spectrum(labeled, n, m, g, p):
     # the eigenvector labeled nu lies in sector -|nu| mod (n+1)
     sectors = -np.array([sum(nu) for nu in spectrum.basis.order]) % (n + 1)
     assert np.array_equal(spectrum.sectors, sectors)
-    u = spectrum.eigenvectors
+    v = spectrum.eigenvectors
     omega = np.exp(2j * np.pi * sectors / (n + 1))
-    assert np.max(np.abs(u[rot] - omega * u)) <= 1e-12 * np.max(np.abs(u))
+    assert np.max(np.abs(v[rot] - omega * v)) <= 1e-12 * np.max(np.abs(v))
     # the conjugate label, with eigenvalues conj(e), lies in the conjugate sector
     e = spectrum.eigenvalues
     distance = np.max(np.abs(e[:, None, :] - np.conj(e)[None, :, :]), axis=2)
@@ -80,7 +78,7 @@ def test_rotation_is_a_symmetry_of_the_labeled_spectrum(labeled, n, m, g, p):
 @pytest.mark.parametrize("n,m", [(5, 5), (4, 8), (3, 4)])
 def test_reported_residual_bounds_the_full_space_residual(n, m, g, p):
     spectrum = joint_diagonalize(ModelParams(n, m, g, p))
-    frame = spectrum.frame_matrix()
+    frame = spectrum.eigenvectors
     full = np.zeros(len(spectrum))
     for mat, e in zip(_conjugated(spectrum), spectrum.eigenvalues.T):
         full = np.maximum(full, np.linalg.norm(mat @ frame - frame * e, axis=0) / np.max(np.abs(e)))
@@ -88,19 +86,27 @@ def test_reported_residual_bounds_the_full_space_residual(n, m, g, p):
     assert np.max(spectrum.residuals) < 1e-9
 
 
-def _off_regime(n, m, g, p, scale):
-    """The point with alpha scaled away from its locked value, as ``--alpha-scale`` sets it."""
-    return ModelParams(n, m, g, p, alpha_override=scale * 2 * math.pi / ((n + 1) * g + m))
-
-
 @pytest.mark.parametrize("scale", [0.5, 0.9, 1.3])
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (1, 8)])
 def test_off_regime_solve_raises_the_residual_error(n, m, scale):
     # at these points off the truncation regime R is no symmetry, and the leakage term says so
-    params = _off_regime(n, m, 0.7, 0.3, scale)
+    params = off_regime(n, m, 0.7, 0.3, scale)
     with pytest.raises(DegenerateSpectrumError, match="exceed the residual tolerance"):
         joint_diagonalize(params)
     checks = {c.name: c for c in run_verification(params).checks}
     for name in ("orthogonality", "pieri", "dual-orthogonality", "reconstruction", "trig-comparison"):
         assert not checks[name].passed
         assert "exceed the residual tolerance" in checks[name].error
+
+
+def test_off_regime_solve_names_the_move_without_positive_weights():
+    # with alpha scaled by 1.7 the weight of (1,) is negative, so the amplitudes of the
+    # move () -> (1,) and of its reverse differ in sign and M_1 has no real entry there
+    params = off_regime(1, 1, 0.7, 0.3, 1.7)
+    move = "amplitudes of () -> (1,) (order 1) and back differ in sign"
+    with pytest.raises(TruncationViolationError, match=re.escape(move)):
+        joint_diagonalize(params)
+    checks = {c.name: c for c in run_verification(params).checks}
+    for name in ("orthogonality", "pieri", "dual-orthogonality", "reconstruction", "trig-comparison"):
+        assert not checks[name].passed
+        assert move in checks[name].error
