@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # The CLI examples: the README's five commands, the operator kinds the CLI
-# forms from the hop matrices, two labeled spectra solved by rotation
+# forms from the hop matrices, the polynomials of (3, 3), whose recurrence
+# multiplies by each of the three eigenvalues, the self-paired middle order
+# M_2 of n = 3, two labeled spectra solved by rotation
 # sector, (4, 8) with five sectors of 99 and (5, 4) whose sectors 0 and 3 are
 # real, and one at the nome cap, where the lattice weights overflow and the
 # bracket takes 2063 factors.  Each must exit 0 and print canonical JSON, exactly
@@ -28,6 +30,8 @@ run polys     --n 2 --m 2 --g 0.7 --p 0.3
 for kind in C S M; do
   run operator --n 2 --m 2 --g 0.7 --p 0.5 --r 1 --kind "$kind"
 done
+run polys     --n 3 --m 3 --g 0.7 --p 0.3
+run operator  --kind M --n 3 --m 2 --g 0.7 --p 0.5 --r 2
 run spectrum  --n 4 --m 8 --g 0.7 --p 0.3
 run spectrum  --n 5 --m 4 --g 0.7 --p -0.6
 run spectrum  --n 2 --m 4 --g 1.3 --p 0.99

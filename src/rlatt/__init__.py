@@ -25,7 +25,6 @@ from .eigenpoly import (
 )
 from .elliptic import ThetaEvaluator
 from .errors import (
-    ComparisonError,
     ConsistencyError,
     ContinuationError,
     DegenerateSpecializationError,
@@ -50,10 +49,7 @@ from .operators import (
 from .partitions import (
     LatticeBasis,
     add_strip,
-    dominance_leq,
     enumerate_lattice,
-    min_column,
-    partition_to_weight,
     vertical_strips,
 )
 from .spectral import (

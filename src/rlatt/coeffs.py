@@ -23,7 +23,7 @@ import numpy as np
 
 from .elliptic import NOME_CAP, ThetaEvaluator
 from .errors import TruncationViolationError
-from .partitions import LatticeBasis, pad, trim
+from .partitions import LatticeBasis, MoveArrays, pad, trim
 
 __all__ = [
     "BoxBrackets",
@@ -164,14 +164,13 @@ def _pair_differences(basis: LatticeBasis):
     return j, k, k - j, basis.parts[:, j] - basis.parts[:, k]
 
 
-def hop_amplitudes(basis: LatticeBasis, r: int, params: ModelParams) -> np.ndarray:
-    """``hop_coefficient`` of every move in ``basis.move_arrays[r]``, in table order.
+def hop_amplitudes(basis: LatticeBasis, moves: MoveArrays, params: ModelParams) -> np.ndarray:
+    """``hop_coefficient`` at the source and strip of each of ``moves``, a move table of ``basis``, in order.
 
     Raises TruncationViolationError when a denominator falls below DENOM_TOL
     at any basis point, and gives exactly 0.0 wherever a numerator bracket
     sits on a zero, which includes every move off the box.
     """
-    moves = basis.move_arrays[r]
     table = params.brackets
     j, k, dist, diffs = _pair_differences(basis)
     den = table.shifted[dist, diffs]
@@ -233,8 +232,7 @@ def _pieri_terms(basis: LatticeBasis, r: int, params: ModelParams):
     errors map each move with a denominator below DENOM_TOL to the message
     ``pieri_coefficient`` raises for it.
     """
-    inside, source, target = basis.box_moves(r)
-    strip = basis.move_arrays[r].strip[inside]
+    source, strip, target = basis.box_moves(r)
     table = params.brackets
     j, k, dist, diffs = _pair_differences(basis)
     lam = diffs[source]

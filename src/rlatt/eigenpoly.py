@@ -4,24 +4,19 @@ Each lattice label mu carries a polynomial in the n joint eigenvalues that
 reproduces the corresponding eigenfunction value after multiplication by the
 normalization constant.  The whole family is one N x N coefficient matrix
 over the basis: column nu stands for the eigenvalue monomial whose exponent
-key is the dominant-weight vector of nu (``partition_to_weight``), and row mu
-holds the coefficients of the polynomial of mu.  The rows are generated by a
-one-column recurrence processed in lexicographic (degree, minimal column)
-order; multiplying a row by the r-th eigenvalue adds the column strip (1^r)
-to every column partition, an index map on the columns.
+key is the dominant-weight vector of nu, its part differences
+nu_r - nu_{r+1}, and row mu holds the coefficients of the polynomial of mu.
+The rows are generated by a one-column recurrence processed in
+lexicographic (degree, minimal column) order; multiplying a row by the r-th
+eigenvalue adds the column strip (1^r) to every column partition, an index
+map on the columns.
 """
 
 import numpy as np
 
 from .coeffs import ModelParams, _pieri_terms
 from .errors import ConsistencyError, TruncationViolationError
-from .partitions import (
-    LatticeBasis,
-    enumerate_lattice,
-    min_column,
-    partition_to_weight,
-    trim,
-)
+from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
     "build_polynomials",
@@ -42,38 +37,44 @@ def _column_shift(basis: LatticeBasis, r: int) -> np.ndarray:
     return moves.target[np.all(moves.strip == column, axis=1)]
 
 
+def _recurrence_steps(basis: LatticeBasis):
+    """Rows in (mu_1, r, basis) order, and per row its minimal column r and the row of mu - (1^r).
+
+    r is the first j with mu_j > mu_{j+1}.  Row 0, the empty partition, comes
+    first, as the only one with mu_1 = 0; its two entries are placeholders.
+    """
+    n, parts = basis.n, basis.parts
+    column = np.argmax(parts[:, :-1] > parts[:, 1:], axis=1) + 1
+    predecessor = np.zeros(len(basis), dtype=np.intp)
+    predecessor[1:] = basis.indices(parts[1:, :n] - (np.arange(n) < column[1:, None]))
+    return np.lexsort((np.arange(len(basis)), column, parts[:, 0])), column, predecessor
+
+
 def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) -> np.ndarray:
     """Coefficient matrix C of the spectral polynomials over the box.
 
     ``C[mu, nu]`` is the coefficient of the monomial with exponent key
-    ``partition_to_weight(nu)`` in the polynomial of mu.  Processing follows
-    the lexicographic order in (degree, minimal column); each step multiplies
-    the row of the predecessor by one eigenvalue variable and subtracts the
-    lower Pieri terms, in move-table order.  Columns pushed off the box by the
+    (nu_1 - nu_2, ..., nu_n - nu_{n+1}) in the polynomial of mu.  Processing
+    follows ``_recurrence_steps``: each step multiplies the row of the
+    predecessor mu - (1^r) by the r-th eigenvalue and subtracts the lower
+    Pieri terms, in move-table order.  Columns pushed off the box by the
     multiplication must carry coefficients that cancel, and a ConsistencyError
     is raised if they do not; a Pieri coefficient with a vanished denominator
     raises TruncationViolationError when the recurrence first needs it.
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
-    n, size = params.n, len(basis)
+    n, size, parts = params.n, len(basis), basis.parts
     shifts = {r: _column_shift(basis, r) for r in range(1, n + 1)}
     pieri = {r: _pieri_terms(basis, r, params) for r in range(1, n + 1)}
+    order, column, predecessor = _recurrence_steps(basis)
     coeffs = np.zeros((size, size))
-    ordering = sorted(
-        basis.order, key=lambda mu: ((mu[0] if mu else 0), min_column(mu), basis.index[mu])
-    )
-    for mu in ordering:
-        row_mu = basis.index[mu]
-        if not mu:
-            coeffs[row_mu, row_mu] = 1.0
-            continue
-        r = min_column(mu)
-        lam = trim(tuple(x - 1 for x in mu[:r]) + mu[r:])
-        row_lam = basis.index[lam]
+    coeffs[0, 0] = 1.0
+    for row_mu in order[1:].tolist():
+        mu, r, row_lam = basis.order[row_mu], int(column[row_mu]), int(predecessor[row_mu])
         # a built row is monic: its diagonal entry is 1, and 0 before it is built
         if not coeffs[row_lam, row_lam]:
-            raise ConsistencyError(f"recurrence for {mu} needs {lam} before it is built")
+            raise ConsistencyError(f"recurrence for {mu} needs {basis.order[row_lam]} before it is built")
         # multiplication by the r-th eigenvalue shifts every column
         inside = shifts[r] >= 0
         row = np.zeros(size)
@@ -95,11 +96,11 @@ def build_polynomials(params: ModelParams, basis: LatticeBasis | None = None) ->
         scale = max(np.max(np.abs(row)), np.max(pushed_out))
         survivors = np.flatnonzero(pushed_out > _CANCEL_TOL * scale)
         if len(survivors):
-            key = list(partition_to_weight(basis.order[survivors[0]], n))
+            key = parts[survivors[0], :-1] - parts[survivors[0], 1:]
             key[r - 1] += 1
             raise ConsistencyError(
                 f"coefficient {coeffs[row_lam, survivors[0]]} survived on the out-of-box key "
-                f"{tuple(key)} while building {mu}"
+                f"{tuple(key.tolist())} while building {mu}"
             )
         cancelled = np.abs(row) <= _CANCEL_TOL * scale
         cancelled[row_mu] = False
@@ -137,7 +138,8 @@ def pieri_residual(table: np.ndarray, spectrum, pieri) -> float:
     for r, (source, target, psi) in enumerate(pieri, start=1):
         matrix = np.zeros((len(basis), len(basis)))
         np.add.at(matrix, (source, target), psi)
-        defect = table[basis.index[(1,) * r]] * table - matrix @ table
+        # the row of (1^r), the column strip added to the empty partition
+        defect = table[_column_shift(basis, r)[0]] * table - matrix @ table
         largest.append(np.max(np.abs(defect)))
     # np.max, unlike the builtin max, lets a NaN through
     return float(np.max(largest, initial=0.0)) / float(np.max(np.abs(table)))

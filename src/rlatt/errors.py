@@ -39,7 +39,3 @@ class ConsistencyError(RlattError):
 
 class DegenerateSpecializationError(RlattError):
     """Two triangular-solve eigenvalues collided at the requested (q, t)."""
-
-
-class ComparisonError(RlattError):
-    """Lattice and oracle data could not be matched."""

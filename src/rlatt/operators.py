@@ -10,7 +10,7 @@ import numpy as np
 
 from .coeffs import ModelParams, hop_amplitudes
 from .errors import TruncationViolationError
-from .partitions import LatticeBasis, enumerate_lattice
+from .partitions import LatticeBasis, MoveArrays, enumerate_lattice
 
 __all__ = [
     "build_hop_operator",
@@ -26,13 +26,11 @@ def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None =
     Row lam holds the amplitudes of the r-strips whose reduced target stays
     on the lattice, one strip per target (``LatticeBasis.box_moves``).
     """
-    if not 1 <= r <= params.n:
-        raise ValueError(f"operator order {r} outside 1..{params.n}")
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
-    inside, source, target = basis.box_moves(r)
+    moves = basis.box_moves(r)
     mat = np.zeros((len(basis), len(basis)))
-    mat[source, target] = hop_amplitudes(basis, r, params)[inside]
+    mat[moves.source, moves.target] = hop_amplitudes(basis, moves, params)
     return mat
 
 
@@ -40,20 +38,23 @@ def symmetric_hop_operator(r: int, params: ModelParams, basis: LatticeBasis) -> 
     """M_r = W^{1/2} D_r W^{-1/2} from the amplitudes alone, so M_{n+1-r} = M_r^T bit for bit.
 
     On a move s -> t on the box, M_r[s, t] = sign(D_r[s, t]) sqrt(D_r[s, t] D_{n+1-r}[t, s]).
+    The reverse of the move along the strip e is the order-(n+1-r) move
+    t -> s along 1 - e, so both amplitudes come from the moves of order r.
     A move whose two amplitudes differ in sign, one of them zero included,
     admits no positive weights and raises TruncationViolationError.
     """
-    forward, backward = (build_hop_operator(k, params, basis) for k in (r, params.n + 1 - r))
-    _, s, t = basis.box_moves(r)
-    a, b = forward[s, t], backward[t, s]
+    moves = basis.box_moves(r)
+    s, t = moves.source, moves.target
+    a = hop_amplitudes(basis, moves, params)
+    b = hop_amplitudes(basis, MoveArrays(t, 1 - moves.strip, s), params)
     (bad,) = np.nonzero(np.sign(a) != np.sign(b))
     if len(bad):
         i = bad[0]
         move = f"{basis.order[s[i]]} -> {basis.order[t[i]]} (order {r})"
         raise TruncationViolationError(f"amplitudes of {move} and back differ in sign: {a[i]}, {b[i]}")
-    # D_r vanishes off these moves
-    forward[s, t] = np.sign(a) * np.sqrt(a * b)
-    return forward
+    mat = np.zeros((len(basis), len(basis)))
+    mat[s, t] = np.sign(a) * np.sqrt(a * b)
+    return mat
 
 
 def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,9 +3,9 @@
 Partitions are plain tuples of weakly decreasing positive integers with
 trailing zeros trimmed away; the empty partition is ``()``.  The functions
 here enumerate the lattice of partitions fitting inside an ``n x m`` box,
-manipulate vertical strips, tabulate their moves and the cyclic rotation of
-the box, and provide the dominance order and the dominant-weight coordinates
-used by the rest of the package.
+manipulate vertical strips, and tabulate their moves and the cyclic rotation
+of the box.  ``LatticeBasis`` holds the box as arrays, which the rest of the
+package reads; tuples serve as labels only.
 """
 
 from dataclasses import dataclass
@@ -19,16 +19,12 @@ __all__ = [
     "trim",
     "pad",
     "weight",
-    "is_partition",
     "MoveArrays",
     "Rotation",
     "LatticeBasis",
     "enumerate_lattice",
     "vertical_strips",
     "add_strip",
-    "dominance_leq",
-    "min_column",
-    "partition_to_weight",
 ]
 
 
@@ -51,13 +47,6 @@ def pad(lam, length: int) -> tuple[int, ...]:
 
 def weight(lam) -> int:
     return sum(lam)
-
-
-def is_partition(parts) -> bool:
-    parts = tuple(parts)
-    if any(x < 0 for x in parts):
-        return False
-    return all(parts[j] >= parts[j + 1] for j in range(len(parts) - 1))
 
 
 class MoveArrays(NamedTuple):
@@ -96,7 +85,6 @@ class LatticeBasis:
     n: int
     m: int
     order: tuple[tuple[int, ...], ...]
-    index: dict
 
     def __len__(self) -> int:
         return len(self.order)
@@ -114,28 +102,30 @@ class LatticeBasis:
             reduced = mu[:, :n] - mu[:, n:]
             inside = reduced[:, 0] <= self.m
             target = np.full(len(source), -1, dtype=np.intp)
-            target[inside] = self._indices(reduced[inside])
+            target[inside] = self.indices(reduced[inside])
             arrays[r] = MoveArrays(source, strips[which], target)
         return arrays
 
-    def box_moves(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Which size-r moves stay on the box (a mask over ``move_arrays[r]``), and their sources and targets.
+    def box_moves(self, r: int) -> MoveArrays:
+        """The moves of D_r, r = 1..n: those of ``move_arrays[r]`` whose target stays on the box.
 
         The size-(n+1) strip maps every point to itself with amplitude and
         Pieri coefficient exactly 1, so the identities between operators leave
         it out.  For r <= n no two strips from one point share a target, so
         D_r[s, t] is the amplitude of the one move s -> t.
         """
+        if not 1 <= r <= self.n:
+            raise ValueError(f"operator order {r} outside 1..{self.n}")
         moves = self.move_arrays[r]
         inside = moves.target >= 0
-        return inside, moves.source[inside], moves.target[inside]
+        return MoveArrays(*(a[inside] for a in moves))
 
     @cached_property
     def rotation(self) -> Rotation:
         """The cyclic rotation of the box (``Rotation``), built once per box."""
         n, parts = self.n, self.parts
         last = parts[:, n - 1 : n]
-        rotated = self._indices(np.hstack([self.m - last, parts[:, : n - 1] - last]))
+        rotated = self.indices(np.hstack([self.m - last, parts[:, : n - 1] - last]))
         powers = [np.arange(len(self))]
         for _ in range(n):
             powers.append(rotated[powers[-1]])
@@ -145,7 +135,7 @@ class LatticeBasis:
         sizes = (n + 1) // np.sum(powers[:, reps] == reps, axis=0)
         return Rotation(powers, reps, sizes)
 
-    def _indices(self, rows: np.ndarray) -> np.ndarray:
+    def indices(self, rows: np.ndarray) -> np.ndarray:
         """Basis indices of the points whose first n parts, which tell basis points apart, are the rows."""
         shape = (self.m + 1,) * self.n
         codes = np.ravel_multi_index(self.parts[:, : self.n].T, shape)
@@ -164,8 +154,7 @@ def enumerate_lattice(n: int, m: int) -> LatticeBasis:
         raise ValueError(f"lattice shape requires integers n >= 1, m >= 1, got ({n}, {m})")
     found = [trim(sorted(c, reverse=True)) for c in combinations_with_replacement(range(m + 1), n)]
     found.sort(key=lambda lam: (weight(lam), tuple(-x for x in pad(lam, n))))
-    order = tuple(found)
-    return LatticeBasis(n=n, m=m, order=order, index={lam: i for i, lam in enumerate(order)})
+    return LatticeBasis(n=n, m=m, order=tuple(found))
 
 
 def vertical_strips(r: int, n: int) -> list[tuple[int, ...]]:
@@ -191,44 +180,3 @@ def add_strip(lam, strip) -> tuple[tuple[int, ...], bool]:
     mu = tuple(x + t for x, t in zip(padded, strip))
     dominant = all(mu[j] >= mu[j + 1] for j in range(len(mu) - 1))
     return mu, dominant
-
-
-def dominance_leq(lam, mu, n: int) -> bool:
-    """Dominance order on partitions with at most n parts.
-
-    ``lam <= mu`` iff for every r = 1..n the partial-sum difference corrected
-    by r*(|lam| - |mu|)/(n+1) is a nonpositive integer.  Partitions of
-    different weight are comparable only when the weights agree mod n+1.
-    """
-    lam, mu = trim(lam), trim(mu)
-    for name, part in (("lam", lam), ("mu", mu)):
-        if len(part) > n or not is_partition(part):
-            raise ValueError(f"{name}={part} is not a partition with at most {n} parts")
-    lam_p, mu_p = pad(lam, n), pad(mu, n)
-    wdiff = weight(lam) - weight(mu)
-    acc = 0
-    for r in range(1, n + 1):
-        acc += lam_p[r - 1] - mu_p[r - 1]
-        num = (n + 1) * acc - r * wdiff
-        if num % (n + 1) != 0 or num > 0:
-            return False
-    return True
-
-
-def min_column(mu) -> int:
-    """Smallest j with mu_j > mu_{j+1}; 0 for the empty partition."""
-    mu = trim(mu)
-    for j in range(len(mu)):
-        nxt = mu[j + 1] if j + 1 < len(mu) else 0
-        if mu[j] > nxt:
-            return j + 1
-    return 0
-
-
-def partition_to_weight(lam, n: int) -> tuple[int, ...]:
-    """Dominant-weight coordinates l_r = lam_r - lam_{r+1} of a partition."""
-    lam = trim(lam)
-    if not is_partition(lam) or len(lam) > n:
-        raise ValueError(f"{lam} is not a partition with at most {n} parts")
-    padded = pad(lam, n + 1)
-    return tuple(padded[r] - padded[r + 1] for r in range(n))

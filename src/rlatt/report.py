@@ -133,8 +133,9 @@ def check_truncation_dichotomy(params, basis):
     max_outside = 0.0
     min_inside = np.inf
     for r in range(1, params.n + 2):
-        amplitudes = hop_amplitudes(basis, r, params)
-        inside = basis.box_moves(r)[0]
+        moves = basis.move_arrays[r]
+        amplitudes = hop_amplitudes(basis, moves, params)
+        inside = moves.target >= 0
         min_inside = np.min(amplitudes[inside], initial=min_inside)
         max_outside = np.max(np.abs(amplitudes[~inside]), initial=max_outside)
     return float(max_outside), float(min_inside)
@@ -145,7 +146,7 @@ def check_weight_recurrence(basis, hops, weights) -> float:
     n = len(hops)
     worst = 0.0
     for r in range(1, n + 1):
-        _, s, t = basis.box_moves(r)
+        s, _, t = basis.box_moves(r)
         worst = _worst_relative(hops[r - 1][s, t] * weights[s], hops[n - r][t, s] * weights[t], worst)
     return worst
 

@@ -38,7 +38,7 @@ def crosscheck_hop_coefficients(params: ModelParams, basis: LatticeBasis | None 
     partition[:, 0] = 1.0
     for r in range(1, n1 + 1):
         moves = basis.move_arrays[r]
-        partition[moves.source, moves.strip @ place] = hop_amplitudes(basis, r, params)
+        partition[moves.source, moves.strip @ place] = hop_amplitudes(basis, moves, params)
     x = basis.parts + params.g * (params.n / 2 - np.arange(n1))
     diff = x[:, :, None] - x[:, None, :]
     den = th.bracket_array(diff)

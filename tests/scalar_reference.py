@@ -36,7 +36,17 @@ smoothness statistic of a labeled sweep.
 
 ``reduce_partition`` and ``weight_to_partition`` are the per-partition
 references for the reduction in ``LatticeBasis.move_arrays`` and the inverse
-of ``partitions.partition_to_weight``.
+of ``partition_to_weight``; ``positions`` maps each partition of a box to
+its basis index, the reference for ``LatticeBasis.indices``.  The tuple forms
+of what the package reads from ``LatticeBasis.parts`` live here too:
+``is_partition``; ``partition_to_weight``, the dominant-weight key of the
+columns of ``eigenpoly.build_polynomials``; ``min_column``, the minimal
+column of its recurrence; and ``dominance_leq``, the dominance order whose
+same-weight case ``macdonald._dominated`` computes.
+
+``paired_hop_operator`` is the dense pairing of two ``build_hop_operator``
+matrices that ``operators.symmetric_hop_operator`` forms from the moves of
+one order.
 """
 
 import cmath
@@ -51,7 +61,8 @@ from rlatt.coeffs import DENOM_TOL, ModelParams, _pair_range, hop_coefficient, w
 from rlatt.elliptic import ThetaEvaluator
 from rlatt.errors import GenericityViolationError, TruncationViolationError
 from rlatt.macdonald import _partitions_of_weight, macdonald_coeffs
-from rlatt.partitions import enumerate_lattice, is_partition, pad, trim, weight
+from rlatt.operators import build_hop_operator
+from rlatt.partitions import enumerate_lattice, pad, trim, weight
 from rlatt.weightlattice import GENERICITY_TOL
 
 
@@ -94,6 +105,59 @@ def memoized(params: ModelParams) -> ModelParams:
     # theta is a cached_property: a value in the instance dict takes its place
     copy.__dict__["theta"] = _MemoTheta(params.alpha, params.p)
     return copy
+
+
+def is_partition(parts) -> bool:
+    parts = tuple(parts)
+    if any(x < 0 for x in parts):
+        return False
+    return all(parts[j] >= parts[j + 1] for j in range(len(parts) - 1))
+
+
+def dominance_leq(lam, mu, n: int) -> bool:
+    """Dominance order on partitions with at most n parts.
+
+    ``lam <= mu`` iff for every r = 1..n the partial-sum difference corrected
+    by r*(|lam| - |mu|)/(n+1) is a nonpositive integer.  Partitions of
+    different weight are comparable only when the weights agree mod n+1.
+    """
+    lam, mu = trim(lam), trim(mu)
+    for name, part in (("lam", lam), ("mu", mu)):
+        if len(part) > n or not is_partition(part):
+            raise ValueError(f"{name}={part} is not a partition with at most {n} parts")
+    lam_p, mu_p = pad(lam, n), pad(mu, n)
+    wdiff = weight(lam) - weight(mu)
+    acc = 0
+    for r in range(1, n + 1):
+        acc += lam_p[r - 1] - mu_p[r - 1]
+        num = (n + 1) * acc - r * wdiff
+        if num % (n + 1) != 0 or num > 0:
+            return False
+    return True
+
+
+def min_column(mu) -> int:
+    """Smallest j with mu_j > mu_{j+1}; 0 for the empty partition."""
+    mu = trim(mu)
+    for j in range(len(mu)):
+        nxt = mu[j + 1] if j + 1 < len(mu) else 0
+        if mu[j] > nxt:
+            return j + 1
+    return 0
+
+
+def partition_to_weight(lam, n: int) -> tuple[int, ...]:
+    """Dominant-weight coordinates l_r = lam_r - lam_{r+1} of a partition."""
+    lam = trim(lam)
+    if not is_partition(lam) or len(lam) > n:
+        raise ValueError(f"{lam} is not a partition with at most {n} parts")
+    padded = pad(lam, n + 1)
+    return tuple(padded[r] - padded[r + 1] for r in range(n))
+
+
+def positions(basis) -> dict:
+    """The basis index of each partition of the box, keyed by the partition."""
+    return {lam: i for i, lam in enumerate(basis.order)}
 
 
 def reduce_partition(mu, n: int) -> tuple[int, ...]:
@@ -331,6 +395,15 @@ def principal_eigenfunction_value(mu, nu, params: ModelParams) -> complex:
     poly = macdonald_coeffs(mu, params.q, params.t, params.n + 1)
     value = poly.evaluate(staircase_point(nu, params))
     return norm_constant(mu, replace(params, p=0.0)) * prefactor(weight(mu), nu, params) * value
+
+
+def paired_hop_operator(r: int, params: ModelParams, basis) -> np.ndarray:
+    """M_r from the dense D_r and D_{n+1-r}: sign(D_r[s, t]) sqrt(D_r[s, t] D_{n+1-r}[t, s]) on the moves s -> t."""
+    forward, backward = (build_hop_operator(k, params, basis) for k in (r, params.n + 1 - r))
+    s, _, t = basis.box_moves(r)
+    a, b = forward[s, t], backward[t, s]
+    forward[s, t] = np.sign(a) * np.sqrt(a * b)
+    return forward
 
 
 def conjugate_by_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -26,13 +26,7 @@ from rlatt.eigenpoly import (
 )
 from rlatt.macdonald import compare_trig
 from rlatt.operators import build_hop_operator, commutator_residual, transpose_residual
-from rlatt.partitions import (
-    add_strip,
-    dominance_leq,
-    enumerate_lattice,
-    partition_to_weight,
-    vertical_strips,
-)
+from rlatt.partitions import add_strip, enumerate_lattice, vertical_strips
 from rlatt.spectral import (
     joint_diagonalize,
     label_spectrum,
@@ -41,9 +35,11 @@ from rlatt.spectral import (
 )
 from rlatt.weightlattice import crosscheck_hop_coefficients
 from scalar_reference import (
+    dominance_leq,
     lattice_weight,
     memoized,
     norm_constant,
+    partition_to_weight,
     reduce_partition,
     second_difference_residual,
     weight_to_partition,
@@ -104,7 +100,7 @@ def test_criterion_2_truncation_dichotomy():
         basis = enumerate_lattice(n, m)
         for lam, strip, reduced in moves(params, basis):
             b = hop_coefficient(lam, strip, params)
-            if reduced in basis.index:
+            if reduced in basis.order:
                 floor_ok = floor_ok and b > 1e-10
             else:
                 worst_outside = max(worst_outside, abs(b))
@@ -118,7 +114,7 @@ def test_criterion_3_weight_recurrence_and_psi():
         params = memoized(ModelParams(n, m, g, p))
         basis = enumerate_lattice(n, m)
         for lam, strip, reduced in moves(params, basis):
-            if reduced not in basis.index:
+            if reduced not in basis.order:
                 continue
             complement = tuple(1 - s for s in strip)
             lhs = hop_coefficient(lam, strip, params) * lattice_weight(lam, params)
@@ -180,13 +176,12 @@ def test_criterion_7_diagonalization_suite():
         worst_pieri = max(worst_pieri, pieri_residual(table, spectrum, pieri))
         norms, weights = norm_vector(basis, params), weight_vector(basis, params)
         worst_reco = max(worst_reco, reconstruct_and_compare(table, spectrum, norms, weights))
-        for mu in basis.order:
-            row = coeffs[basis.index[mu]]
-            if row[basis.index[mu]] != 1.0:
+        for row, mu in zip(coeffs, basis.order):
+            if row[basis.order.index(mu)] != 1.0:
                 support_ok = False
             for col in np.flatnonzero(row):
                 nu = weight_to_partition(partition_to_weight(basis.order[col], n))
-                if nu not in basis.index or not dominance_leq(nu, mu, n):
+                if nu not in basis.order or not dominance_leq(nu, mu, n):
                     support_ok = False
     ok = report("7a orthogonality", worst_orth, 1e-9)
     ok &= report("7b pieri", worst_pieri, 1e-8)

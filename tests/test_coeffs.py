@@ -74,7 +74,7 @@ def test_truncation_dichotomy(n, m, g, p):
     basis = enumerate_lattice(n, m)
     for lam, strip, red in admissible_moves(params, basis):
         b = hop_coefficient(lam, strip, params)
-        if red in basis.index:
+        if red in basis.order:
             assert b > 1e-10
         else:
             assert abs(b) < 1e-12
@@ -97,7 +97,7 @@ def test_weight_recurrence(n, m, g, p):
     params = ModelParams(n, m, g, p)
     basis = enumerate_lattice(n, m)
     for lam, strip, red in admissible_moves(params, basis):
-        if red not in basis.index:
+        if red not in basis.order:
             continue
         complement = tuple(1 - s for s in strip)
         lhs = hop_coefficient(lam, strip, params) * lattice_weight(lam, params)
@@ -110,7 +110,7 @@ def test_pieri_equals_hop_times_norm_ratio(n, m, g, p):
     params = ModelParams(n, m, g, p)
     basis = enumerate_lattice(n, m)
     for lam, strip, red in admissible_moves(params, basis):
-        if red not in basis.index:
+        if red not in basis.order:
             continue
         psi = pieri_coefficient(lam, strip, params)
         ratio = hop_coefficient(lam, strip, params) * norm_constant(red, params) / norm_constant(lam, params)

@@ -1,24 +1,28 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rlatt import eigenpoly
 from rlatt.coeffs import ModelParams, box_pieri_coefficients, norm_vector, weight_vector
+from rlatt.errors import ConsistencyError
 from rlatt.eigenpoly import (
+    _recurrence_steps,
     build_polynomials,
     dual_orthogonality_residual,
     pieri_residual,
     reconstruct_and_compare,
     value_table,
 )
-from rlatt.partitions import dominance_leq, enumerate_lattice, partition_to_weight
+from rlatt.partitions import enumerate_lattice, trim
 from rlatt.spectral import joint_diagonalize
-from scalar_reference import weight_to_partition
+from scalar_reference import dominance_leq, min_column, partition_to_weight, positions, weight_to_partition
 
 
 def _terms(coeffs, basis, mu):
     """{exponent key: coefficient} of the polynomial of mu."""
-    row = coeffs[basis.index[mu]]
+    row = coeffs[basis.order.index(mu)]
     return {partition_to_weight(basis.order[k], basis.n): row[k] for k in np.flatnonzero(row)}
 
 
@@ -29,7 +33,7 @@ def _pieri(basis, params):
 def _value(coeffs, basis, mu, e):
     """Value of the polynomial of mu at one vector of joint eigenvalues."""
     points = SimpleNamespace(basis=basis, eigenvalues=np.asarray(e)[None, :])
-    return value_table(coeffs, points)[basis.index[mu], 0]
+    return value_table(coeffs, points)[basis.order.index(mu), 0]
 
 
 def test_constant_polynomial():
@@ -66,10 +70,43 @@ def test_monic_triangular_support(n, m, g, p):
         assert terms[partition_to_weight(mu, n)] == 1.0
         for key in terms:
             nu = weight_to_partition(key)
-            assert nu in basis.index
+            assert nu in basis.order
             assert dominance_leq(nu, mu, n)
             if nu != mu:
                 assert not dominance_leq(mu, nu, n)
+
+
+@pytest.mark.parametrize("n,m", [(1, 8), (2, 9), (3, 4), (5, 5), (4, 8), (6, 2)])
+def test_recurrence_steps_match_the_scalar_helpers(n, m):
+    # minimal columns, predecessors mu - (1^r) and the (mu_1, minimal column, basis order) order
+    basis = enumerate_lattice(n, m)
+    index = positions(basis)
+    order, column, predecessor = _recurrence_steps(basis)
+    expected = sorted(basis.order, key=lambda mu: ((mu[0] if mu else 0), min_column(mu), index[mu]))
+    assert [basis.order[k] for k in order.tolist()] == expected
+    assert set(column[1:].tolist()) == set(range(1, n + 1))
+    for k, mu in enumerate(basis.order[1:], start=1):
+        r = min_column(mu)
+        assert column[k] == r
+        assert predecessor[k] == index[trim(tuple(x - 1 for x in mu[:r]) + mu[r:])]
+
+
+def test_out_of_box_key_is_the_shifted_dominant_weight(monkeypatch):
+    # pretend that every multiplication pushes the column (2, 1) off the box: building
+    # (3, 1) from (2, 1) by the first eigenvalue leaves its coefficient 1 on key(2, 1) + e_1
+    basis = enumerate_lattice(3, 3)
+    column = basis.order.index((2, 1))
+    exact = eigenpoly._column_shift
+
+    def pushed(basis, r):
+        shift = exact(basis, r).copy()
+        shift[column] = -1
+        return shift
+
+    monkeypatch.setattr(eigenpoly, "_column_shift", pushed)
+    key = tuple(x + (j == 0) for j, x in enumerate(partition_to_weight((2, 1), 3)))
+    with pytest.raises(ConsistencyError, match=re.escape(f"1.0 survived on the out-of-box key {key} while building (3, 1)")):
+        build_polynomials(ModelParams(3, 3, 0.7, 0.3), basis)
 
 
 def test_coefficients_are_real_floats():

@@ -17,10 +17,11 @@ from rlatt.macdonald import (
     macdonald_coeffs,
     trig_joint_eigenvalues,
 )
-from rlatt.partitions import dominance_leq, enumerate_lattice, pad, weight
+from rlatt.partitions import enumerate_lattice, pad, weight
 from rlatt.spectral import joint_diagonalize, label_spectrum
 from scalar_reference import (
     antisymmetrized_form,
+    dominance_leq,
     monomial_sym_eval,
     principal_eigenfunction_value,
     trig_joint_eigenvalue,
@@ -97,6 +98,16 @@ def test_eigen_equation_at_unit_circle_parameters():
             lhs = apply_first_difference_operator(poly, q, t, point)
             rhs = eig * poly.evaluate(point)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+def test_dominance_mask_matches_the_scalar_order():
+    # every same-weight pair of partitions of d <= 10 into at most nvars <= 6 parts
+    for nvars in range(1, 7):
+        for d in range(11):
+            parts = _partitions_of_weight(d, nvars)
+            for top, mu in enumerate(parts):
+                expected = [dominance_leq(lam, mu, nvars) for lam in parts]
+                assert macdonald._dominated(parts, top, nvars).tolist() == expected
 
 
 def test_triangular_support():

@@ -4,7 +4,7 @@ import pytest
 from rlatt.coeffs import ModelParams, weight_vector
 from rlatt.operators import build_hop_operator, commutator_residual, symmetric_hop_operator, transpose_residual
 from rlatt.partitions import add_strip, enumerate_lattice, pad, vertical_strips
-from scalar_reference import bracket_trig, conjugate_by_weights, off_regime, reduce_partition
+from scalar_reference import bracket_trig, conjugate_by_weights, off_regime, paired_hop_operator, reduce_partition
 
 GRID = [
     (n, m, g, p)
@@ -32,9 +32,10 @@ def trig_hop_matrix(r, params):
             mu, dominant = add_strip(lam, strip)
             if not dominant:
                 continue
-            col = basis.index.get(reduce_partition(mu, params.n))
-            if col is None:
+            red = reduce_partition(mu, params.n)
+            if red not in basis.order:
                 continue
+            col = basis.order.index(red)
             value = 1.0
             for j in range(n1):
                 for k in range(j + 1, n1):
@@ -88,6 +89,8 @@ def test_symmetric_operator_is_the_weight_conjugated_hop(params, negative):
         mat = symmetric_hop_operator(r, params, basis)
         reference = conjugate_by_weights(build_hop_operator(r, params, basis), w)
         assert np.max(np.abs(mat - reference)) <= 1e-15 * np.max(np.abs(reference))
+        # equal bit for bit to the pairing of the dense D_r and D_{n+1-r}, middle order of odd n included
+        assert mat.tobytes() == paired_hop_operator(r, params, basis).tobytes()
         assert np.any(mat < 0) == negative
         # both entries of a pair come from one product
         assert np.array_equal(symmetric_hop_operator(params.n + 1 - r, params, basis), mat.T)

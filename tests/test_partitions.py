@@ -4,17 +4,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from rlatt.partitions import (
-    add_strip,
+from rlatt.partitions import add_strip, enumerate_lattice, trim, vertical_strips, weight
+from scalar_reference import (
     dominance_leq,
-    enumerate_lattice,
     min_column,
     partition_to_weight,
-    trim,
-    vertical_strips,
-    weight,
+    positions,
+    reduce_partition,
+    weight_to_partition,
 )
-from scalar_reference import reduce_partition, weight_to_partition
 
 
 def test_enumerate_small_cases():
@@ -35,8 +33,7 @@ def test_enumerate_order_is_graded_and_indexed():
     for w in set(weights):
         block = [lam + (0,) * (3 - len(lam)) for lam in basis.order if weight(lam) == w]
         assert block == sorted(block, reverse=True)
-    for i, lam in enumerate(basis.order):
-        assert basis.index[lam] == i
+    assert basis.indices(basis.parts[:, :3]).tolist() == list(range(len(basis)))
 
 
 def test_enumerate_rejects_bad_shapes():
@@ -112,7 +109,7 @@ def test_min_column_strip_is_removable():
                 continue
             r = min_column(mu)
             lam = trim(tuple(x - 1 for x in mu[:r]) + mu[r:])
-            assert lam in basis.index
+            assert lam in basis.order
 
 
 def test_weight_bijection():
@@ -148,6 +145,7 @@ def test_add_strip_reduce_closure():
 def test_move_table_matches_enumeration(n, m):
     basis = enumerate_lattice(n, m)
     table = basis.move_arrays
+    index = positions(basis)
     assert sorted(table) == list(range(1, n + 2))
     for r in range(1, n + 2):
         expected = []
@@ -155,7 +153,7 @@ def test_move_table_matches_enumeration(n, m):
             for strip in vertical_strips(r, n):
                 mu, dominant = add_strip(lam, strip)
                 if dominant:
-                    expected.append((i, strip, basis.index.get(reduce_partition(mu, n), -1)))
+                    expected.append((i, strip, index.get(reduce_partition(mu, n), -1)))
         moves = table[r]
         found = zip(moves.source.tolist(), map(tuple, moves.strip.tolist()), moves.target.tolist())
         assert list(found) == expected

@@ -115,10 +115,10 @@ def test_nan_pieri_coefficient_fails_its_checks(monkeypatch):
 def test_nan_amplitude_off_the_box_fails_the_dichotomy(monkeypatch):
     exact = report.hop_amplitudes
 
-    def poisoned(basis, r, params):
-        amplitudes = exact(basis, r, params)
-        # the size-1 moves off the box come first, with finite amplitudes
-        return np.where(basis.move_arrays[r].target < 0, NAN, amplitudes) if r == 2 else amplitudes
+    def poisoned(basis, moves, params):
+        amplitudes = exact(basis, moves, params)
+        # NaN on the size-2 moves off the box, after the size-1 ones with finite amplitudes
+        return np.where(moves.target < 0, NAN, amplitudes) if moves.strip[0].sum() == 2 else amplitudes
 
     monkeypatch.setattr(report, "hop_amplitudes", poisoned)
     assert _failed_checks(ModelParams(2, 2, 0.7, 0.3)) == {"truncation-dichotomy"}

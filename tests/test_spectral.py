@@ -156,7 +156,7 @@ def test_dual_weights_sum_to_one(labeled):
 def test_labels_constant_in_nome_for_two_state_model():
     spectra = sweep_spectra(ModelParams(1, 1, 1.0, 0.0), [0.1 * k for k in range(10)])
     for spectrum in spectra:
-        assert spectrum.eigenvalues[spectrum.basis.index[()], 0] == pytest.approx(1.0, abs=1e-12)
+        assert spectrum.eigenvalues[spectrum.basis.order.index(()), 0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,m,g", [(2, 2, 0.7), (3, 2, 1.0)])
@@ -196,8 +196,8 @@ def test_smoothness_statistic_flags_label_swaps():
             swapped.append(spectrum)
             continue
         order = np.arange(len(spectrum))
-        i = spectrum.basis.index[(2,)]
-        j = spectrum.basis.index[(1, 1)]
+        i = spectrum.basis.order.index((2,))
+        j = spectrum.basis.order.index((1, 1))
         order[i], order[j] = j, i
         swapped.append(replace(spectrum, eigenvalues=spectrum.eigenvalues[order]))
     assert second_difference_residual(swapped) > 0.5

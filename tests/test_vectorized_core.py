@@ -30,7 +30,7 @@ from rlatt.operators import build_hop_operator, symmetric_hop_operator
 from rlatt.partitions import add_strip, enumerate_lattice, vertical_strips
 from rlatt.report import CHECK_NAMES, run_verification
 from rlatt.spectral import joint_diagonalize
-from scalar_reference import lattice_weight, memoized, norm_constant, reduce_partition
+from scalar_reference import lattice_weight, memoized, norm_constant, positions, reduce_partition
 
 BOXES = [(1, 1), (2, 3), (3, 4), (4, 2)]
 NOMES = [0.0, 0.3, -0.6, 0.9]
@@ -63,7 +63,7 @@ def test_hop_amplitudes_match_every_move(n, m, p):
     basis = enumerate_lattice(n, m)
     for r in range(1, n + 2):
         moves = basis.move_arrays[r]
-        amplitudes = hop_amplitudes(basis, r, params)
+        amplitudes = hop_amplitudes(basis, moves, params)
         scalar = np.array(
             [hop_coefficient(basis.order[i], tuple(strip), params) for i, strip in zip(moves.source, moves.strip)]
         )
@@ -74,12 +74,13 @@ def test_hop_amplitudes_match_every_move(n, m, p):
 
 def _scalar_pieri_moves(basis, r, params):
     """(source, target, pieri_coefficient) of every size-r move that stays on the box, from the scalar functions."""
-    for lam in basis.order:
+    index = positions(basis)
+    for i, lam in enumerate(basis.order):
         for strip in vertical_strips(r, basis.n):
             mu, dominant = add_strip(lam, strip)
-            target = basis.index.get(reduce_partition(mu, basis.n), -1) if dominant else -1
+            target = index.get(reduce_partition(mu, basis.n), -1) if dominant else -1
             if target >= 0:
-                yield basis.index[lam], target, pieri_coefficient(lam, strip, params)
+                yield i, target, pieri_coefficient(lam, strip, params)
 
 
 @pytest.mark.parametrize("n,m,g", [(1, 8, 0.7), (3, 4, 0.9814989379240225), (5, 5, 1.18), (4, 8, 0.7), (2, 9, 1.6)])
@@ -111,6 +112,7 @@ def test_move_arrays_follow_the_move_table(n, m):
     # every row of the array table is one dominant strip addition, reduced by
     # the scalar functions to the row's target (-1 when it leaves the box)
     basis = enumerate_lattice(n, m)
+    index = positions(basis)
     for r in range(1, n + 2):
         arrays = basis.move_arrays[r]
         assert np.all(np.diff(arrays.source) >= 0)
@@ -118,7 +120,7 @@ def test_move_arrays_follow_the_move_table(n, m):
         for i, strip, target in zip(arrays.source.tolist(), map(tuple, arrays.strip.tolist()), arrays.target.tolist()):
             mu, dominant = add_strip(basis.order[i], strip)
             assert dominant
-            assert target == basis.index.get(reduce_partition(mu, n), -1)
+            assert target == index.get(reduce_partition(mu, n), -1)
         per_source = [sum(add_strip(lam, s)[1] for s in vertical_strips(r, n)) for lam in basis.order]
         assert np.bincount(arrays.source, minlength=len(basis)).tolist() == per_source
     assert [tuple(row) for row in basis.parts.tolist()] == [lam + (0,) * (n + 1 - len(lam)) for lam in basis.order]
