@@ -5,12 +5,14 @@
 # M_2 of n = 3, two labeled spectra solved by rotation
 # sector, (4, 8) with five sectors of 99 and (5, 4) whose sectors 0 and 3 are
 # real, and one at the nome cap, where the lattice weights overflow and the
-# bracket takes 2063 factors.  Each must exit 0 and print canonical JSON, exactly
-# json.dumps(sort_keys=True, indent=2) of what it parses to.  Then `--help`
-# of rlatt and of each command must exit 0: argparse formats help text only
-# when asked, so a help string it cannot format (a stray "%", say) fails
-# nowhere else.  Needs `rlatt` and `python` on PATH; fails on the first
-# command that breaks a rule.
+# bracket takes 2063 factors; two sweeps, whose nomes are solved in one stacked
+# pass, on (5, 4) (real sectors 0 and 3, self-paired middle order 3) and on
+# (3, 3), and the self-paired M_3 of (5, 4).  Each must exit 0 and print
+# canonical JSON, exactly json.dumps(sort_keys=True, indent=2) of what it
+# parses to.  Then `--help` of rlatt and of each command must exit 0: argparse
+# formats help text only when asked, so a help string it cannot format (a
+# stray "%", say) fails nowhere else.  Needs `rlatt` and `python` on PATH;
+# fails on the first command that breaks a rule.
 #
 #   bash scripts/cli_examples.sh
 set -euo pipefail
@@ -35,6 +37,9 @@ run operator  --kind M --n 3 --m 2 --g 0.7 --p 0.5 --r 2
 run spectrum  --n 4 --m 8 --g 0.7 --p 0.3
 run spectrum  --n 5 --m 4 --g 0.7 --p -0.6
 run spectrum  --n 2 --m 4 --g 1.3 --p 0.99
+run spectrum  --n 5 --m 4 --g 0.7 --p-start 0 --p-stop -0.6 --p-step 0.1
+run spectrum  --n 3 --m 3 --g 0.7 --p-start 0 --p-stop 0.6 --p-step 0.1
+run operator  --kind M --n 5 --m 4 --g 0.7 --p 0.5 --r 3
 
 echo "rlatt --help"
 rlatt --help > /dev/null

@@ -30,6 +30,7 @@ __all__ = [
     "ModelParams",
     "hop_coefficient",
     "hop_amplitudes",
+    "move_amplitudes",
     "pieri_coefficient",
     "box_pieri_coefficients",
     "weight_vector",
@@ -112,12 +113,14 @@ class ModelParams:
         shifted_args = np.arange(self.m + 1) + self.g * np.arange(self.n + 2)[:, None]
         low_args = (1.0 + self.g * np.arange(self.n)[:, None]) + np.arange(self.m)
         with np.errstate(over="ignore", invalid="ignore"):
-            shifted = th.bracket_array(shifted_args)
+            # the product form is elementwise, so one call serves both tables
+            values = th.bracket_array(np.concatenate([shifted_args.ravel(), low_args.ravel()]))
+            shifted = values[: shifted_args.size].reshape(shifted_args.shape)
             return BoxBrackets(
                 shifted,
                 th.is_zero_array(shifted_args),
                 _rising_products(shifted[:, :-1]),
-                _rising_products(th.bracket_array(low_args)),
+                _rising_products(values[shifted_args.size :].reshape(low_args.shape)),
             )
 
 
@@ -158,21 +161,21 @@ def hop_coefficient(lam, strip, params: ModelParams) -> float:
     return 0.0 if vanished else value
 
 
-def _pair_differences(basis: LatticeBasis):
-    """Pairs j < k in ``_pair_range`` order, their distances k - j, and lam_j - lam_k per basis point."""
-    j, k = np.triu_indices(basis.n + 1, 1)
-    return j, k, k - j, basis.parts[:, j] - basis.parts[:, k]
-
-
 def hop_amplitudes(basis: LatticeBasis, moves: MoveArrays, params: ModelParams) -> np.ndarray:
-    """``hop_coefficient`` at the source and strip of each of ``moves``, a move table of ``basis``, in order.
+    """``hop_coefficient`` at the source and strip of each of ``moves``, a move table of ``basis``, in order."""
+    return move_amplitudes(basis, params, moves.source, basis.numerators(moves.source, moves.strip))
+
+
+def move_amplitudes(basis: LatticeBasis, params: ModelParams, source: np.ndarray, numerators: np.ndarray) -> np.ndarray:
+    """The hop amplitudes of the moves from ``source`` whose numerators are ``LatticeBasis.numerators``.
 
     Raises TruncationViolationError when a denominator falls below DENOM_TOL
     at any basis point, and gives exactly 0.0 wherever a numerator bracket
-    sits on a zero, which includes every move off the box.
+    sits on a zero, which includes every move off the box.  The pair factors
+    are multiplied one pair at a time, in pair order.
     """
     table = params.brackets
-    j, k, dist, diffs = _pair_differences(basis)
+    j, k, dist, diffs = basis.pairs
     den = table.shifted[dist, diffs]
     bad = np.abs(den) < DENOM_TOL
     if bad.any():
@@ -180,11 +183,9 @@ def hop_amplitudes(basis: LatticeBasis, moves: MoveArrays, params: ModelParams) 
         raise TruncationViolationError(
             f"hop denominator vanished at pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[row]}"
         )
-    offset = dist + moves.strip[:, j] - moves.strip[:, k]
-    moved = diffs[moves.source]
-    vanished = table.on_zero[offset, moved]
-    ratios = np.where(vanished, 1.0, table.shifted[offset, moved] / den[moves.source])
-    value = np.ones(len(moves.source))
+    vanished = table.on_zero.take(numerators)
+    ratios = np.where(vanished, 1.0, table.shifted.take(numerators) / den[source])
+    value = np.ones(len(source))
     for column in ratios.T:
         value *= column
     return np.where(vanished.any(axis=1), 0.0, value)
@@ -234,7 +235,7 @@ def _pieri_terms(basis: LatticeBasis, r: int, params: ModelParams):
     """
     source, strip, target = basis.box_moves(r)
     table = params.brackets
-    j, k, dist, diffs = _pair_differences(basis)
+    j, k, dist, diffs = basis.pairs
     lam = diffs[source]
     inverted = (strip[:, k] - strip[:, j] == 1)[..., None]
     # the nu factor, then the lam factor, of each pair; nu_jk = lam_jk - 1 >= 0 on an
@@ -282,7 +283,7 @@ def _box_product(basis: LatticeBasis, factors, bad: np.ndarray, what: str, name:
     if failed.any():
         row = int(np.argmax(failed))
         if bad[row].any():
-            j, k, _, _ = _pair_differences(basis)
+            j, k, _, _ = basis.pairs
             pair = int(np.argmax(bad[row]))
             raise TruncationViolationError(
                 f"{what} denominator vanished at pair ({j[pair] + 1},{k[pair] + 1}) for {name}={basis.order[row]}"
@@ -301,7 +302,7 @@ def weight_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
     [l + d g] / [d g] times [(d+1)g]_l / [1 + (d-1)g]_l, [z]_l = [z][z+1]...[z+l-1].
     """
     table = params.brackets
-    _, _, dist, diffs = _pair_differences(basis)
+    _, _, dist, diffs = basis.pairs
     den = table.shifted[dist, 0]
     den_f = table.rising_low[dist - 1, diffs]
     bad = (np.abs(den) < DENOM_TOL) | (np.abs(den_f) < DENOM_TOL)
@@ -317,7 +318,7 @@ def norm_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
     Here d = k - j and l = mu_j - mu_k, as in ``weight_vector``; in basis order.
     """
     table = params.brackets
-    _, _, dist, diffs = _pair_differences(basis)
+    _, _, dist, diffs = basis.pairs
     den_f = table.rising[dist + 1, diffs]
     with np.errstate(divide="ignore", invalid="ignore"):
         factorial = table.rising[dist, diffs] / den_f

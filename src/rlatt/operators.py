@@ -3,17 +3,20 @@
 The hop operator of order r moves a lattice point along every admissible
 vertical r-strip; the matrices are small and dense.  By the weight recurrence
 D_r[s, t] w_s = D_{n+1-r}[t, s] w_t, the weight-conjugated M_r = W^{1/2} D_r W^{-1/2},
-with M_{n+1-r} = M_r^T, follows from the amplitudes of D_r and D_{n+1-r}.
+with M_{n+1-r} = M_r^T, follows from the amplitudes of D_r and D_{n+1-r}, one
+value per move (``symmetric_hop_values``), which the joint solve scatters
+straight into its sector blocks.
 """
 
 import numpy as np
 
-from .coeffs import ModelParams, hop_amplitudes
+from .coeffs import ModelParams, hop_amplitudes, move_amplitudes
 from .errors import TruncationViolationError
-from .partitions import LatticeBasis, MoveArrays, enumerate_lattice
+from .partitions import HopTable, LatticeBasis, enumerate_lattice
 
 __all__ = [
     "build_hop_operator",
+    "symmetric_hop_values",
     "symmetric_hop_operator",
     "commutator_residual",
     "transpose_residual",
@@ -34,26 +37,29 @@ def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis | None =
     return mat
 
 
-def symmetric_hop_operator(r: int, params: ModelParams, basis: LatticeBasis) -> np.ndarray:
-    """M_r = W^{1/2} D_r W^{-1/2} from the amplitudes alone, so M_{n+1-r} = M_r^T bit for bit.
+def symmetric_hop_values(basis: LatticeBasis, r: int, params: ModelParams, hops: HopTable) -> np.ndarray:
+    """M_r = W^{1/2} D_r W^{-1/2} on the moves of ``hops``, the ``HopTable`` of order r, from the amplitudes alone.
 
-    On a move s -> t on the box, M_r[s, t] = sign(D_r[s, t]) sqrt(D_r[s, t] D_{n+1-r}[t, s]).
+    On a move s -> t, M_r[s, t] = sign(D_r[s, t]) sqrt(D_r[s, t] D_{n+1-r}[t, s]).
     The reverse of the move along the strip e is the order-(n+1-r) move
     t -> s along 1 - e, so both amplitudes come from the moves of order r.
     A move whose two amplitudes differ in sign, one of them zero included,
     admits no positive weights and raises TruncationViolationError.
     """
-    moves = basis.box_moves(r)
-    s, t = moves.source, moves.target
-    a = hop_amplitudes(basis, moves, params)
-    b = hop_amplitudes(basis, MoveArrays(t, 1 - moves.strip, s), params)
+    s, t = hops.source, hops.target
+    a, b = move_amplitudes(basis, params, s, hops.forward), move_amplitudes(basis, params, t, hops.reverse)
     (bad,) = np.nonzero(np.sign(a) != np.sign(b))
     if len(bad):
         i = bad[0]
         move = f"{basis.order[s[i]]} -> {basis.order[t[i]]} (order {r})"
         raise TruncationViolationError(f"amplitudes of {move} and back differ in sign: {a[i]}, {b[i]}")
-    mat = np.zeros((len(basis), len(basis)))
-    mat[s, t] = np.sign(a) * np.sqrt(a * b)
+    return np.sign(a) * np.sqrt(a * b)
+
+
+def symmetric_hop_operator(r: int, params: ModelParams, basis: LatticeBasis) -> np.ndarray:
+    """The dense M_r of ``symmetric_hop_values``, so M_{n+1-r} = M_r^T bit for bit."""
+    hops, mat = basis.hop_table(r), np.zeros((len(basis), len(basis)))
+    mat[hops.source, hops.target] = symmetric_hop_values(basis, r, params, hops)
     return mat
 
 

@@ -5,7 +5,8 @@ trailing zeros trimmed away; the empty partition is ``()``.  The functions
 here enumerate the lattice of partitions fitting inside an ``n x m`` box,
 manipulate vertical strips, and tabulate their moves and the cyclic rotation
 of the box.  ``LatticeBasis`` holds the box as arrays, which the rest of the
-package reads; tuples serve as labels only.
+package reads, with the per-box tables of the coefficients and the joint
+solve; tuples serve as labels only.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ __all__ = [
     "weight",
     "MoveArrays",
     "Rotation",
+    "HopTable",
     "LatticeBasis",
     "enumerate_lattice",
     "vertical_strips",
@@ -71,6 +73,18 @@ class Rotation(NamedTuple):
     powers: np.ndarray
     representatives: np.ndarray
     orbit_sizes: np.ndarray
+
+
+class HopTable(NamedTuple):
+    """The moves s -> t along e of D_r on the box (``LatticeBasis.box_moves``), the ``numerators`` of
+    their amplitudes (``forward``) and of those of t -> s along 1 - e (``reverse``), and ``union``, the
+    place of (s, t), then of (R^-1 s, R^-1 t), in the union of the supports of M_r and R^T M_r R."""
+
+    source: np.ndarray
+    target: np.ndarray
+    forward: np.ndarray
+    reverse: np.ndarray
+    union: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,6 +148,57 @@ class LatticeBasis:
         # R^j fixes a point for (n+1)/s of the j = 0..n, s the size of its orbit
         sizes = (n + 1) // np.sum(powers[:, reps] == reps, axis=0)
         return Rotation(powers, reps, sizes)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The pairs j < k of 0..n in row-major order, the order of every product over pairs, their
+        distances k - j, and lam_j - lam_k per basis point (one row each), built once per box."""
+        j, k = np.triu_indices(self.n + 1, 1)
+        return j, k, k - j, self.parts[:, j] - self.parts[:, k]
+
+    def numerators(self, source: np.ndarray, strip: np.ndarray) -> np.ndarray:
+        """Flat indices into the (n+2) x (m+1) table [l + e g] of [lam_jk + g(k - j + e_j - e_k)] per move and pair."""
+        j, k, dist, diffs = self.pairs
+        return (dist + strip[:, j] - strip[:, k]) * (self.m + 1) + diffs[source]
+
+    def hop_table(self, r: int) -> HopTable:
+        """The ``HopTable`` of D_r, r = 1..n."""
+        s, e, t = self.box_moves(r)
+        back = self.rotation.powers[self.n]
+        union = np.unique(np.append(s, back[s]) * len(self) + np.append(t, back[t]), return_inverse=True)[1]
+        return HopTable(s, t, self.numerators(s, e), self.numerators(t, 1 - e), union)
+
+    @cached_property
+    def sector_plan(self) -> tuple:
+        """What the joint solve reads of the box at any nome, built once with array operations only: the
+        ``HopTable`` of r = 1..ceil(n/2), and per solved sector k = 0..floor((n+1)/2) its orbits and, per
+        entry of its blocks B_1..B_n (n x L x L), the move (in the tables, concatenated) whose value it
+        takes, its flat position and its factor sqrt(s_a / s_b) omega^(jk), real where omega^k = +-1."""
+        n, half = self.n, (self.n + 1) // 2
+        powers, reps, sizes = self.rotation
+        orders = tuple(self.hop_table(r) for r in range(1, half + 1))
+        # the orbit of each point, and the j < s_a with R^j a = point for its least point a
+        orbit = np.searchsorted(reps, np.min(powers, axis=0))
+        shift = -np.argmin(powers, axis=0) % sizes[orbit]
+        # M_{i+1} (operator index i) on the moves of order i + 1 and M_{n-i} = M_{i+1}^T on them
+        # reversed, unless n - i = i + 1; the blocks read the entries a -> t = R^j b from a representative a
+        src, tgt = (np.concatenate(ends) for ends in zip(*[(h.source, h.target) for h in orders]))
+        order = np.repeat(np.arange(half), [len(h.source) for h in orders])
+        flip = order < n - 1 - order
+        move, op = np.append(np.arange(len(src)), np.flatnonzero(flip)), np.append(order, n - 1 - order[flip])
+        src, tgt = np.append(src, tgt[flip]), np.append(tgt, src[flip])
+        (keep,) = np.nonzero(shift[src] == 0)
+        move, op, a, b, j = move[keep], op[keep], orbit[src[keep]], orbit[tgt[keep]], shift[tgt[keep]]
+        # B_k[a, b] = sqrt(s_a / s_b) sum_j omega^(jk) M_r[a, R^j b] over j < s_b
+        scale, sectors = np.sqrt(sizes[a] / sizes[b]), []
+        for k in range(half + 1):
+            inside = k * sizes % (n + 1) == 0
+            position, size = np.cumsum(inside) - 1, np.count_nonzero(inside)
+            keep = inside[a] & inside[b]
+            flat = (op[keep] * size + position[a[keep]]) * size + position[b[keep]]
+            phased = scale[keep] * np.exp(2j * np.pi * (j[keep] * k % (n + 1)) / (n + 1))
+            sectors.append((np.flatnonzero(inside), move[keep], flat, phased.real if 2 * k % (n + 1) == 0 else phased))
+        return orders, sectors
 
     def indices(self, rows: np.ndarray) -> np.ndarray:
         """Basis indices of the points whose first n parts, which tell basis points apart, are the rows."""

@@ -5,6 +5,8 @@ the amplitudes alone determine, are commuting normal matrices with
 M_{n+1-r} = M_r^T that commute with the cyclic rotation R of the box.
 joint_diagonalize solves half the sectors of R (its eigenspaces), one block
 each, and conjugates the rest; residuals carry the leakage between sectors.
+The blocks and the leakage are sums over the move table, with no N x N
+operator, and a sweep solves all its nomes in one pass stacked over them.
 Labels (partitions in the box) come from the zero-nome closed form and are
 carried to nonzero nome by continuation, matching eigenvectors between
 neighbouring nomes by overlap; the label nu lies in sector -|nu| mod (n+1),
@@ -18,9 +20,10 @@ import numpy as np
 
 from .coeffs import ModelParams
 from .errors import ContinuationError, DegenerateSpectrumError, LabelingError, NormalizationError
+from .errors import TruncationViolationError
 from .macdonald import trig_joint_eigenvalues
-from .operators import symmetric_hop_operator
-from .partitions import LatticeBasis, enumerate_lattice
+from .operators import symmetric_hop_values
+from .partitions import HopTable, LatticeBasis, enumerate_lattice
 
 __all__ = [
     "Spectrum",
@@ -80,31 +83,115 @@ def _permuted(spectrum: Spectrum, order: np.ndarray) -> Spectrum:
     )
 
 
-def _solve_block(blocks: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
-    """Joint eigenvectors v (columns) of one sector's blocks B_1..B_n, stacked as (n, L, L),
-    with their Rayleigh quotients e and norms ||B_r v - e_r v|| (row k, column r - 1)."""
+def _solve_sector(blocks: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Joint eigenvectors v (columns) of one sector's blocks B_1..B_n at each nome, stacked as
+    (nomes, n, L, L), with their Rayleigh quotients e and norms ||B_r v - e_r v|| (nomes, L, n)."""
     # B_{n+1-r} = B_r^H, so B_1..B_ceil(n/2) carry the whole family; in a real
     # sector conjugate labels share an eigenvalue 2 sum_r a_r Re e_r of this combination
-    half = blocks[: len(a)]
-    vals, vecs = np.linalg.eigh(np.einsum("r,rij->ij", a, half + half.conj().swapaxes(1, 2)))
+    half = blocks[:, : len(a)]
+    vals, vecs = np.linalg.eigh(np.einsum("r,brij->bij", a, half + half.conj().swapaxes(2, 3)))
     # eigh gets a vector right to eps ||A|| / gap (Davis-Kahan), so eigenvalues
     # closer than the gap at which that reaches _RESIDUAL_TOL form one chain
-    gap = 10 * np.finfo(float).eps / _RESIDUAL_TOL * np.max(np.abs(vals))
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(vals) >= gap)))
-    sizes = np.diff(np.concatenate((starts, [len(vals)])))
+    gap = 10 * np.finfo(float).eps / _RESIDUAL_TOL * np.max(np.abs(vals), axis=1, keepdims=True)
+    heads = np.flatnonzero(np.concatenate([np.ones_like(gap, dtype=bool), np.diff(vals, axis=1) >= gap], axis=1))
+    sizes = np.diff(np.append(heads, vals.size))
+    nomes, starts = np.divmod(heads, vals.shape[1])
     vecs = vecs.astype(complex)
     # each chain is rotated by eigh of its restriction of G + G^H, G = sum_r (x_r + i y_r) B_r;
-    # chains of one length are stacked, as columns (K, L) and unitaries (K, L, L)
-    gv = np.einsum("r,rij->ij", x + 1j * y, half) @ vecs
+    # chains of one length are stacked over the nomes, as rows (K, size, L) and unitaries (K, size, size)
+    gv = np.einsum("r,brij->bij", x + 1j * y, half) @ vecs
     for size in np.unique(sizes[sizes > 1]):
-        cols = starts[sizes == size, None] + np.arange(size)
-        block = np.einsum("nki,nkj->kij", vecs[:, cols].conj(), gv[:, cols])
+        chain = (nomes[sizes == size, None], slice(None), starts[sizes == size, None] + np.arange(size))
+        block = vecs[chain].conj() @ gv[chain].swapaxes(1, 2)
         rotations = np.linalg.eigh(block + block.conj().swapaxes(1, 2))[1]
-        vecs[:, cols] = np.einsum("nki,kij->nkj", vecs[:, cols], rotations)
-    products = blocks @ vecs
-    eigenvalues = np.einsum("ij,rij->jr", vecs.conj(), products)
-    norms = np.linalg.norm(products - vecs * eigenvalues.T[:, None, :], axis=1).T
-    return vecs, eigenvalues, norms
+        vecs[chain] = rotations.swapaxes(1, 2) @ vecs[chain]
+    products = blocks @ vecs[:, None]
+    eigenvalues = np.einsum("bij,brij->bjr", vecs.conj(), products)
+    norms = np.linalg.norm(products - vecs[:, None] * eigenvalues.swapaxes(1, 2)[:, :, None], axis=2)
+    return vecs, eigenvalues, norms.swapaxes(1, 2)
+
+
+def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Per nome (row of ``weights``, nomes x entries), the sums of its weights in the bins ``index`` of 0..size-1."""
+    count = len(weights)
+    sums = np.bincount((index + size * np.arange(count)[:, None]).ravel(), weights.ravel(), count * size)
+    return sums.reshape(count, size)
+
+
+def _leakage(hops: HopTable, values: np.ndarray) -> np.ndarray:
+    """||M_r - R^T M_r R||_F at each nome from M_r on the moves of ``hops`` (nomes x moves), summed over the
+    union of the two supports, as (R^T M_r R)[R^-1 s, R^-1 t] = M_r[s, t]."""
+    return np.linalg.norm(_scatter(hops.union, np.hstack([values, -values]), np.max(hops.union) + 1), axis=1)
+
+
+def _sector_blocks(values: np.ndarray, n: int, inside, move, flat, factor) -> np.ndarray:
+    """The blocks B_1..B_n of one sector of ``LatticeBasis.sector_plan`` at each nome, (nomes, n, L, L), from the
+    values of M on the moves (nomes x moves): B_k[a, b] += M_r[a, t] sqrt(s_a / s_b) omega^(jk) over a -> t = R^j b."""
+    size, weights = n * len(inside) ** 2, values[:, move] * factor
+    blocks = _scatter(flat, weights.real, size)
+    if np.iscomplexobj(weights):
+        blocks = blocks + 1j * _scatter(flat, weights.imag, size)
+    return blocks.reshape(len(values), n, len(inside), len(inside))
+
+
+def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list) -> Spectrum:
+    """The Spectrum of a point from the orbits, block vectors, eigenvalues and residuals of its solved
+    sectors k = 0..floor((n+1)/2), with the frame in the full space."""
+    n = params.n
+    powers, reps, orbit_sizes = basis.rotation
+    # sector n+1-k is the complex conjugate of sector k: vectors conj(v), eigenvalues conj(e)
+    half = [min(k, n + 1 - k) for k in range(n + 1)]
+    bounds = np.cumsum([0] + [len(sectors[h][0]) for h in half])
+    eigenvalues = np.concatenate([sectors[h][2] if h == k else sectors[h][2].conj() for k, h in enumerate(half)])
+    residuals = np.concatenate([sectors[h][3] for h in half])
+    v = np.zeros((len(basis), len(basis)), dtype=complex)
+    for k, h in enumerate(half):
+        inside, vecs = sectors[h][:2]
+        # v(R^j a) = omega^(jh) b_a / sqrt(s_a) on the orbit of a, for the block vector b, has
+        # unit norm; the empty partition heads its orbit, and the phase of b there is taken off
+        phases = np.exp(2j * np.pi * (h * np.arange(n + 1)) / (n + 1))
+        values = (phases[:, None] / np.sqrt(orbit_sizes[inside]))[:, :, None] * vecs * np.exp(-1j * np.angle(vecs[0]))
+        values = values.reshape(-1, len(inside))
+        v[powers[:, reps[inside]].ravel(), bounds[k] : bounds[k + 1]] = values if h == k else values.conj()
+    offenders = int(np.count_nonzero(residuals > _RESIDUAL_TOL))
+    if offenders:
+        raise DegenerateSpectrumError(f"{offenders} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}")
+    v0 = np.abs(v[0])
+    (small,) = np.nonzero(v0 < _ZERO_COMPONENT_TOL)
+    if len(small):
+        k = small[0]
+        raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {v0[k]}")
+    # unit norm and w(empty) = 1, so the dual weight 1 / sum_lam w(lam) |u(lam) / u(0)|^2 is |v(0)|^2
+    return Spectrum(params, basis, eigenvalues, v, v0**2, residuals, np.repeat(np.arange(n + 1), np.diff(bounds)))
+
+
+def _spectra(points: list, basis: LatticeBasis):
+    """The Spectrum of each point on one box in turn (``joint_diagonalize``), every step stacked over the
+    points; a point's failure is raised, and its frame built, only when it is reached."""
+    n, (orders, plan) = basis.n, basis.sector_plan
+    offsets, failures, rows = np.cumsum([0] + [len(hops.source) for hops in orders]), {}, []
+    for i, params in enumerate(points):
+        try:
+            rows.append(np.concatenate([symmetric_hop_values(basis, r, params, h) for r, h in enumerate(orders, 1)]))
+        except TruncationViolationError as error:
+            failures[i] = error
+    values = np.reshape(rows, (len(rows), offsets[-1]))
+    # the blocks leave out what M_r leaks between sectors: with L = ||M_r - R^T M_r R|| <= its
+    # Frobenius norm, a block vector's full-space residual exceeds its block residual by at
+    # most (1 + sqrt(n)) n L / 2 < (n+1)^(3/2) L
+    leakage = [_leakage(hops, values[:, start:end]) for hops, start, end in zip(orders, offsets, offsets[1:])]
+    leakage = (n + 1) ** 1.5 * np.array([leakage[min(r, n + 1 - r) - 1] for r in range(1, n + 1)]).T
+    a, x, y = np.random.default_rng(_COMBINATION_SEED).standard_normal((3, (n + 1) // 2))
+    # one sector at a time, so each sector's blocks are freed after its solve
+    solved = [_solve_sector(_sector_blocks(values, n, *sector), a, x, y) for sector in plan]
+    # M_r commutes with its transpose M_{n+1-r}, so its 2-norm is its spectral radius max_k |e_rk|
+    radius = np.max([np.max(np.abs(e), axis=1) for _, e, _ in solved], axis=0)
+    solved = [(v, e, np.max((norms + leakage[:, None]) / radius[:, None], axis=2)) for v, e, norms in solved]
+    # every point before the first failure was solved, so point i is row i of the stacks
+    for i, params in enumerate(points):
+        if i in failures:
+            raise failures[i]
+        yield _spectrum(params, basis, [(s[0], v[i], e[i], res[i]) for s, (v, e, res) in zip(plan, solved)])
 
 
 def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) -> Spectrum:
@@ -117,6 +204,11 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
     conjugate of sector k, with vectors conj(v), eigenvalues conj(e) and the
     residuals of v.  Each residual adds the leakage of M_r between sectors to
     the block residual, so it bounds the full-space residual.
+
+    The blocks come straight from the move table (``LatticeBasis.sector_plan``):
+    a move a -> t = R^j b from an orbit representative adds M_r[a, t]
+    sqrt(s_a / s_b) omega^(jk) to B_k[a, b], so no N x N operator is formed.
+    This is the one-nome case of the stacked solve of ``sweep_spectra``.
 
     Each block is solved through two Hermitian combinations of its operators,
     with coefficients from one fixed draw (_COMBINATION_SEED): a generic
@@ -143,63 +235,11 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
     NormalizationError
         if an eigenvector has no component at the empty partition.
     TruncationViolationError
-        from ``symmetric_hop_operator``, off the truncation regime.
+        from ``symmetric_hop_values``, off the truncation regime.
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
-    n = params.n
-    mats = [symmetric_hop_operator(r, params, basis) for r in range(1, (n + 1) // 2 + 1)]
-    mats += [mats[n - r].T for r in range(len(mats) + 1, n + 1)]
-    powers, reps, orbit_sizes = basis.rotation
-    # phases[k, j] = omega^(jk) for the solved sectors k; the block of M_r in sector k between orbits
-    # a, b of sizes s_a, s_b is sqrt(s_a / s_b) sum_{j < s_b} omega^(jk) M_r[a, R^j b], which is
-    # sqrt(s_a s_b) / (n+1) sum_{j <= n} omega^(jk) M_r[a, R^j b]
-    phases = np.exp(2j * np.pi * np.outer(np.arange((n + 1) // 2 + 1), np.arange(n + 1)) / (n + 1))
-    scale = np.sqrt(np.outer(orbit_sizes, orbit_sizes)) / (n + 1)
-    gathered = np.array([m[reps[:, None], powers[:, None, reps]] for m in mats]).reshape(n, n + 1, -1)
-    folded = scale * (phases @ gathered).reshape(n, len(phases), *scale.shape)
-    # the blocks leave out what M_r leaks between sectors: with L = ||M_r - R^T M_r R|| <= its
-    # Frobenius norm, a block vector's full-space residual exceeds its block residual by at
-    # most (1 + sqrt(n)) n L / 2 < (n+1)^(3/2) L
-    leakage = [(n + 1) ** 1.5 * np.linalg.norm(m.take(powers[1], 0).take(powers[1], 1) - m) for m in mats]
-    a, x, y = np.random.default_rng(_COMBINATION_SEED).standard_normal((3, (n + 1) // 2))
-    solved = []
-    for k in range(len(phases)):
-        (inside,) = np.nonzero(k * orbit_sizes % (n + 1) == 0)
-        blocks = folded[:, k][:, inside[:, None], inside]  # taken real where omega^k = +-1
-        solved.append((inside, *_solve_block(blocks.real if 2 * k % (n + 1) == 0 else blocks, a, x, y)))
-    del gathered, folded
-    # M_r commutes with its transpose M_{n+1-r}, so its 2-norm is its spectral radius max_k |e_rk|
-    radius = np.max([np.max(np.abs(e), axis=0) for _, _, e, _ in solved], axis=0)
-    # sector n+1-k is the complex conjugate of sector k: vectors conj(v), eigenvalues conj(e)
-    half = [min(k, n + 1 - k) for k in range(n + 1)]
-    bounds = np.cumsum([0] + [len(solved[h][0]) for h in half])
-    eigenvalues = np.concatenate([solved[h][2] if h == k else solved[h][2].conj() for k, h in enumerate(half)])
-    residuals = np.concatenate([np.max((solved[h][3] + leakage) / radius, axis=1) for h in half])
-    v = np.zeros((len(basis), len(basis)), dtype=complex)
-    for k, h in enumerate(half):
-        if h != k:
-            np.conj(v[:, bounds[h] : bounds[h + 1]], out=v[:, bounds[k] : bounds[k + 1]])
-            continue
-        inside, vecs = solved[k][:2]
-        # v(R^j a) = omega^(jk) b_a / sqrt(s_a) on the orbit of a, for the block vector b, has
-        # unit norm; the empty partition heads its orbit, and the phase of b there is taken off
-        rows = powers[:, reps[inside]]
-        values = (phases[k, :, None] / np.sqrt(orbit_sizes[inside]))[:, :, None] * vecs
-        values *= np.exp(-1j * np.angle(vecs[0]))
-        v[rows.ravel(), bounds[k] : bounds[k + 1]] = values.reshape(-1, len(inside))
-    offenders = int(np.count_nonzero(residuals > _RESIDUAL_TOL))
-    if offenders:
-        raise DegenerateSpectrumError(
-            f"{offenders} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}"
-        )
-    v0 = np.abs(v[0])
-    (small,) = np.nonzero(v0 < _ZERO_COMPONENT_TOL)
-    if len(small):
-        k = small[0]
-        raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {v0[k]}")
-    # unit norm and w(empty) = 1, so the dual weight 1 / sum_lam w(lam) |u(lam) / u(0)|^2 is |v(0)|^2
-    return Spectrum(params, basis, eigenvalues, v, v0**2, residuals, np.repeat(np.arange(n + 1), np.diff(bounds)))
+    return next(_spectra([params], basis))
 
 
 def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,18 +351,21 @@ def label_spectrum(spectrum: Spectrum) -> Spectrum:
 
 
 def sweep_spectra(params: ModelParams, p_values) -> list:
-    """Labeled spectra along a nome sweep, propagating labels point to point."""
-    basis = enumerate_lattice(params.n, params.m)
+    """Labeled spectra along a nome sweep, solved in one stacked pass, propagating labels point to point.
+
+    A refused nome or a failed solve raises when the sweep reaches it, after any earlier failure.
+    """
+    basis, points, refused = enumerate_lattice(params.n, params.m), [], None
+    try:
+        for p in p_values:
+            points.append(replace(params, p=float(p)))
+    except (TypeError, ValueError) as error:
+        refused = error
     spectra = []
-    current = None
-    for p in p_values:
-        point = replace(params, p=float(p))
-        target = joint_diagonalize(point, basis=basis)
-        if current is None:
-            current = label_spectrum(target)
-        else:
-            current = continue_labels(current, target)
-        spectra.append(current)
+    for target in _spectra(points, basis):
+        spectra.append(continue_labels(spectra[-1], target) if spectra else label_spectrum(target))
+    if refused is not None:
+        raise refused
     return spectra
 
 

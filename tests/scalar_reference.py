@@ -47,6 +47,13 @@ same-weight case ``macdonald._dominated`` computes.
 ``paired_hop_operator`` is the dense pairing of two ``build_hop_operator``
 matrices that ``operators.symmetric_hop_operator`` forms from the moves of
 one order.
+
+The dense forms the joint solve replaced are the references for its move-table
+forms: ``folded_blocks``, the sector blocks of ``spectral._sector_blocks`` as a
+fold of the dense M_r over the orbits; ``dense_leakage``, the leakage of
+``spectral._leakage`` as a difference of dense matrices; and
+``sweep_nome_by_nome``, the sweep that solved and labeled one nome at a time,
+the reference for the stacked ``spectral.sweep_spectra``.
 """
 
 import cmath
@@ -63,6 +70,7 @@ from rlatt.errors import GenericityViolationError, TruncationViolationError
 from rlatt.macdonald import _partitions_of_weight, macdonald_coeffs
 from rlatt.operators import build_hop_operator
 from rlatt.partitions import enumerate_lattice, pad, trim, weight
+from rlatt.spectral import continue_labels, joint_diagonalize, label_spectrum
 from rlatt.weightlattice import GENERICITY_TOL
 
 
@@ -404,6 +412,44 @@ def paired_hop_operator(r: int, params: ModelParams, basis) -> np.ndarray:
     a, b = forward[s, t], backward[t, s]
     forward[s, t] = np.sign(a) * np.sqrt(a * b)
     return forward
+
+
+def folded_blocks(mats: list, basis) -> list:
+    """The blocks of M_1..M_n in the solved sectors k = 0..floor((n+1)/2), each (n, L, L) over the orbits in it.
+
+    The block between orbits a, b of sizes s_a, s_b is
+    sqrt(s_a s_b) / (n+1) sum_{j <= n} omega^(jk) M_r[a, R^j b], gathered
+    from the dense matrices and folded by one product with the phases; taken
+    real where omega^k = +-1.
+    """
+    n = basis.n
+    powers, reps, orbit_sizes = basis.rotation
+    phases = np.exp(2j * np.pi * np.outer(np.arange((n + 1) // 2 + 1), np.arange(n + 1)) / (n + 1))
+    scale = np.sqrt(np.outer(orbit_sizes, orbit_sizes)) / (n + 1)
+    gathered = np.array([m[reps[:, None], powers[:, None, reps]] for m in mats]).reshape(n, n + 1, -1)
+    folded = scale * (phases @ gathered).reshape(n, len(phases), *scale.shape)
+    blocks = []
+    for k in range(len(phases)):
+        (inside,) = np.nonzero(k * orbit_sizes % (n + 1) == 0)
+        block = folded[:, k][:, inside[:, None], inside]
+        blocks.append(block.real if 2 * k % (n + 1) == 0 else block)
+    return blocks
+
+
+def dense_leakage(mat: np.ndarray, basis) -> float:
+    """||M - R^T M R||_F from the dense matrix and the rotation's permutation."""
+    rot = basis.rotation.powers[1]
+    return float(np.linalg.norm(mat.take(rot, 0).take(rot, 1) - mat))
+
+
+def sweep_nome_by_nome(params: ModelParams, p_values) -> list:
+    """Labeled spectra along a nome sweep, each nome solved on its own before it is labeled."""
+    basis = enumerate_lattice(params.n, params.m)
+    spectra = []
+    for p in p_values:
+        target = joint_diagonalize(replace(params, p=float(p)), basis=basis)
+        spectra.append(continue_labels(spectra[-1], target) if spectra else label_spectrum(target))
+    return spectra
 
 
 def conjugate_by_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:

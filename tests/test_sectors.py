@@ -12,13 +12,14 @@ import re
 import numpy as np
 import pytest
 
+from rlatt import spectral
 from rlatt.coeffs import ModelParams
 from rlatt.errors import DegenerateSpectrumError, TruncationViolationError
-from rlatt.operators import symmetric_hop_operator
+from rlatt.operators import symmetric_hop_operator, symmetric_hop_values
 from rlatt.partitions import enumerate_lattice
 from rlatt.report import run_verification
 from rlatt.spectral import joint_diagonalize
-from scalar_reference import off_regime
+from scalar_reference import dense_leakage, folded_blocks, off_regime
 
 # short orbits and fixed points: (1, 8), (2, 3), (2, 6); unequal sectors
 # 10, 8, 9, 8: (3, 4); two real sectors, 0 and 3: (5, 4)
@@ -110,3 +111,55 @@ def test_off_regime_solve_names_the_move_without_positive_weights():
     for name in ("orthogonality", "pieri", "dual-orthogonality", "reconstruction", "trig-comparison"):
         assert not checks[name].passed
         assert move in checks[name].error
+
+
+def _move_values(params, basis):
+    """M_r on the moves of each order r = 1..ceil(n/2) of the box's sector plan."""
+    return [symmetric_hop_values(basis, r, params, hops) for r, hops in enumerate(basis.sector_plan[0], 1)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.93])
+@pytest.mark.parametrize("g,p", [(0.7, 0.3), (1.43, -0.6), (1.0, 0.0)])
+@pytest.mark.parametrize("n,m", BOXES)
+def test_direct_blocks_match_the_dense_fold(n, m, g, p, scale):
+    # the fold gathers M_r[a, R^j b] over all j <= n from the dense matrices; the direct form
+    # scatters each move from a representative once, so they differ by rounding only
+    params, basis = off_regime(n, m, g, p, scale), enumerate_lattice(n, m)
+    mats = [symmetric_hop_operator(r, params, basis) for r in range(1, n + 1)]
+    values = np.concatenate(_move_values(params, basis))[None]
+    largest = max(np.max(np.abs(mat)) for mat in mats)
+    folded = folded_blocks(mats, basis)
+    assert len(folded) == len(basis.sector_plan[1]) == (n + 1) // 2 + 1
+    for sector, reference in zip(basis.sector_plan[1], folded):
+        blocks = spectral._sector_blocks(values, n, *sector)[0]
+        assert blocks.dtype == reference.dtype and blocks.shape == reference.shape
+        assert np.max(np.abs(blocks - reference)) <= 1e-14 * largest
+
+
+@pytest.mark.parametrize(
+    "n,m,scale",
+    [(n, m, s) for n, m in BOXES for s in (1.0, 0.93)] + [(1, 8, 1.3), (2, 3, 1.3), (3, 2, 1.3)],
+)
+def test_move_table_leakage_matches_the_dense_difference(n, m, scale):
+    # in the regime the leakage is rounding, off it (alpha scaled by 0.93 or 1.3) of the order of M_r
+    params, basis = off_regime(n, m, 0.7, 0.3, scale), enumerate_lattice(n, m)
+    orders, values = basis.sector_plan[0], _move_values(params, basis)
+    for r in range(1, n + 1):
+        # M_{n+1-r} = M_r^T leaks as much as M_r
+        i = min(r, n + 1 - r) - 1
+        leakage = spectral._leakage(orders[i], values[i][None])[0]
+        dense = dense_leakage(symmetric_hop_operator(r, params, basis), basis)
+        assert abs(leakage - dense) <= 1e-14 * dense
+        assert (dense < 1e-13 * np.max(np.abs(values[i]))) == (scale == 1.0)
+
+
+@pytest.mark.parametrize("n,m,p_stop", [(3, 4, 0.6), (5, 4, -0.6), (2, 6, 0.9), (1, 8, 0.3), (4, 5, 0.6)])
+def test_sweep_point_is_bit_identical_to_the_single_nome_solve(n, m, p_stop):
+    g = 0.9814989379240225
+    points = [ModelParams(n, m, g, round(p_stop * k / 6, 10)) for k in range(7)]
+    basis = enumerate_lattice(n, m)
+    stacked = list(spectral._spectra(points, basis))
+    for spectrum, params in zip(stacked, points):
+        single = joint_diagonalize(params)
+        for field in ("eigenvalues", "eigenvectors", "norm_hat", "residuals", "sectors"):
+            assert np.array_equal(getattr(spectrum, field), getattr(single, field)), field

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from math import comb, copysign
 
@@ -6,7 +7,7 @@ import pytest
 
 from rlatt import spectral
 from rlatt.coeffs import ModelParams, weight_vector
-from rlatt.errors import ContinuationError
+from rlatt.errors import ContinuationError, DegenerateSpectrumError, LabelingError, TruncationViolationError
 from rlatt.operators import build_hop_operator
 from rlatt.partitions import enumerate_lattice
 from rlatt.spectral import (
@@ -20,8 +21,10 @@ from scalar_reference import (
     conjugate_by_weights,
     conjugate_pairing_residual,
     min_eigenvalue_gap,
+    off_regime,
     operator_eigenvectors,
     second_difference_residual,
+    sweep_nome_by_nome,
     trig_joint_eigenvalue,
     unitarity_residual,
 )
@@ -262,6 +265,27 @@ def test_refusing_every_match_raises_at_the_step_floor(monkeypatch, labeled):
     assert min(nomes) >= spectral._MIN_STEP > min(nomes) / 2
 
 
+# a sweep as the benchmark runs it: 13 nomes from 0 in steps of 0.05
+SWEEP_NOMES = [round(0.05 * k, 10) for k in range(13)]
+
+
+def test_a_sweep_solves_its_nomes_in_one_stacked_pass(monkeypatch):
+    solves = []
+    stacked = spectral._spectra
+
+    def recording(points, basis):
+        solves.append([params.p for params in points])
+        return stacked(points, basis)
+
+    monkeypatch.setattr(spectral, "_spectra", recording)
+    nomes = _record_solves(monkeypatch)
+    sweep_spectra(ModelParams(3, 4, 0.7, 0.0), SWEEP_NOMES)
+    # one stacked solve of every nome, and no single-nome solve: p = 0 is labeled by the closed
+    # form, and no continuation step is halved
+    assert solves == [SWEEP_NOMES]
+    assert nomes == []
+
+
 def test_label_spectrum_solves_only_the_zero_nome(monkeypatch):
     target = joint_diagonalize(ModelParams(3, 4, 0.9814989379240225, 0.3))
     nomes = _record_solves(monkeypatch)
@@ -378,3 +402,85 @@ def test_any_combination_draw_gives_the_same_labeled_spectrum(monkeypatch, label
     a, b = u / u[0], u_other / u_other[0]
     assert np.max(np.abs(a - b) / np.max(np.abs(a), axis=0)) <= 1e-10
     assert max(np.max(fixed.residuals), np.max(other.residuals)) < 1e-9
+
+
+def _failure(sweep, params, p_values):
+    """The class and message a sweep raises, or None."""
+    try:
+        sweep(params, p_values)
+    except Exception as error:  # the comparison is the point: any class must match
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("scale", [1.3, 1.7])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 8), (2, 2), (2, 3), (3, 2), (3, 4), (5, 4)])
+def test_off_regime_sweep_fails_as_nome_by_nome(n, m, scale):
+    # with alpha scaled by 1.3 the sweeps fail the residual tolerance, the closed-form match or
+    # the sign of a move's amplitudes; by 1.7, the sign at every box
+    params = off_regime(n, m, 0.7, 0.0, scale)
+    failure = _failure(sweep_spectra, params, SWEEP_NOMES)
+    messages = {
+        DegenerateSpectrumError: r"\d+ eigenvectors exceed the residual tolerance 1e-09",
+        LabelingError: r"no closed-form match within 1e-06 for eigenvalue vector .* \(best gap .*\)",
+        TruncationViolationError: r"amplitudes of \(.*\) -> \(.*\) \(order 1\) and back differ in sign: \S+, \S+",
+    }
+    assert re.fullmatch(messages[failure[0]], failure[1])
+    assert failure == _failure(sweep_nome_by_nome, params, SWEEP_NOMES)
+
+
+def _poison(monkeypatch, p, kind):
+    """Make the solve at nome p fail: a sign error from the amplitudes, or M_r values without the rotation symmetry."""
+    values = spectral.symmetric_hop_values
+
+    def poisoned(basis, r, params, hops):
+        exact = values(basis, r, params, hops)
+        if params.p != p:
+            return exact
+        if kind is TruncationViolationError:
+            raise TruncationViolationError(f"poisoned at p = {p}")
+        return exact * (1 + np.arange(len(exact)) / len(exact))
+
+    monkeypatch.setattr(spectral, "symmetric_hop_values", poisoned)
+
+
+@pytest.mark.parametrize("kind", [TruncationViolationError, DegenerateSpectrumError])
+def test_a_failed_nome_raises_when_the_sweep_reaches_it(monkeypatch, kind):
+    params = ModelParams(3, 4, 0.7, 0.0)
+    _poison(monkeypatch, 0.3, kind)
+    labeled = []
+    transfer = spectral._transfer_labels
+
+    def recording(previous, candidate):
+        labeled.append(candidate.params.p)
+        return transfer(previous, candidate)
+
+    monkeypatch.setattr(spectral, "_transfer_labels", recording)
+    failure = _failure(sweep_spectra, params, SWEEP_NOMES)
+    message = "poisoned at p = 0.3" if kind is TruncationViolationError else r"\d+ eigenvectors exceed .*"
+    assert failure[0] is kind and re.fullmatch(message, failure[1])
+    # every nome before the failed one was labeled first
+    assert labeled == SWEEP_NOMES[1:6]
+    assert failure == _failure(sweep_nome_by_nome, params, SWEEP_NOMES)
+
+
+@pytest.mark.parametrize("kind", [TruncationViolationError, DegenerateSpectrumError])
+def test_an_earlier_refusal_wins_over_a_later_failed_nome(monkeypatch, kind):
+    params = ModelParams(3, 4, 0.7, 0.0)
+    _poison(monkeypatch, 0.3, kind)
+    _refuse_matches(monkeypatch, 10**6)
+    failure = _failure(sweep_spectra, params, SWEEP_NOMES)
+    assert failure[0] is ContinuationError and "persisted below the smallest step" in failure[1]
+    assert failure == _failure(sweep_nome_by_nome, params, SWEEP_NOMES)
+
+
+def test_a_refused_nome_raises_when_the_sweep_reaches_it(monkeypatch):
+    params = ModelParams(2, 2, 0.7, 0.0)
+    nomes = [0.0, 0.5, 1.5]
+    failure = _failure(sweep_spectra, params, nomes)
+    assert failure == (ValueError, "|p| = 1.5 is not within the supported cap 0.99")
+    assert failure == _failure(sweep_nome_by_nome, params, nomes)
+    # a continuation that fails before the refused nome comes first
+    _refuse_matches(monkeypatch, 10**6)
+    failure = _failure(sweep_spectra, params, nomes)
+    assert failure[0] is ContinuationError and failure == _failure(sweep_nome_by_nome, params, nomes)

@@ -18,6 +18,8 @@ import pytest
 from rlatt import report, spectral
 from rlatt.coeffs import (
     ModelParams,
+    _pair_range,
+    _rising_products,
     box_pieri_coefficients,
     hop_amplitudes,
     hop_coefficient,
@@ -25,6 +27,7 @@ from rlatt.coeffs import (
     pieri_coefficient,
     weight_vector,
 )
+from rlatt.elliptic import ThetaEvaluator
 from rlatt.errors import LabelingError, TruncationViolationError
 from rlatt.operators import build_hop_operator, symmetric_hop_operator
 from rlatt.partitions import add_strip, enumerate_lattice, vertical_strips
@@ -55,6 +58,40 @@ def test_bracket_array_matches_scalar(n, m, p):
     np.testing.assert_allclose(th.bracket_array(z), [th.bracket(x) for x in z], rtol=1e-14, atol=0)
     assert th.is_zero_array(z).tolist() == [th.is_zero_argument(x) for x in z]
     assert th.bracket_array(z.reshape(2, -1)).shape == (2, len(z) // 2)
+
+
+@pytest.mark.parametrize("n,m,p", POINTS + [(5, 4, 0.99), (2, 9, -0.6)])
+def test_one_bracket_call_gives_both_tables(monkeypatch, n, m, p):
+    """``ModelParams.brackets`` evaluates its two argument tables in one call, bit for bit as two calls would."""
+    params = ModelParams(n, m, G, p)
+    th = params.theta
+    shifted = th.bracket_array(np.arange(m + 1) + G * np.arange(n + 2)[:, None])
+    low = th.bracket_array((1.0 + G * np.arange(n)[:, None]) + np.arange(m))
+    calls = []
+    evaluate = ThetaEvaluator.bracket_array
+
+    def counted(self, z):
+        calls.append(np.shape(z))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(ThetaEvaluator, "bracket_array", counted)
+    table = params.brackets
+    assert calls == [((n + 2) * (m + 1) + n * m,)]
+    assert np.array_equal(table.shifted, shifted)
+    # the elliptic factorials overflow at (5, 4, 0.99), as in the table
+    with np.errstate(over="ignore"):
+        assert np.array_equal(table.rising, _rising_products(shifted[:, :-1]))
+        assert np.array_equal(table.rising_low, _rising_products(low))
+
+
+@pytest.mark.parametrize("n,m", BOXES + [(5, 4)])
+def test_pair_table_is_built_once_per_box(n, m):
+    basis = enumerate_lattice(n, m)
+    j, k, dist, diffs = basis.pairs
+    assert basis.pairs is basis.pairs
+    assert list(zip(j.tolist(), k.tolist())) == list(_pair_range(n + 1))
+    assert np.array_equal(dist, k - j)
+    assert diffs.tolist() == [[lam[a] - lam[b] for a, b in zip(j, k)] for lam in basis.parts.tolist()]
 
 
 @pytest.mark.parametrize("n,m,p", POINTS)
