@@ -7,9 +7,11 @@
 # real, and one at the nome cap, where the lattice weights overflow and the
 # bracket takes 2063 factors; two sweeps, whose nomes are solved in one stacked
 # pass, on (5, 4) (real sectors 0 and 3, self-paired middle order 3) and on
-# (3, 3), and the self-paired M_3 of (5, 4).  Each must exit 0 and print
-# canonical JSON, exactly json.dumps(sort_keys=True, indent=2) of what it
-# parses to.  Then `--help` of rlatt and of each command must exit 0: argparse
+# (3, 3), and the self-paired M_3 of (5, 4); and `verify`, whose operator checks
+# read the move table, at n = 1 (no pair of operators to commute), at n = 3
+# (the self-paired middle order D_2) and with the four operators of n = 4.
+# Each must exit 0 and print canonical JSON, exactly
+# json.dumps(sort_keys=True, indent=2) of what it parses to.  Then `--help` of rlatt and of each command must exit 0: argparse
 # formats help text only when asked, so a help string it cannot format (a
 # stray "%", say) fails nowhere else.  Needs `rlatt` and `python` on PATH;
 # fails on the first command that breaks a rule.
@@ -40,6 +42,9 @@ run spectrum  --n 2 --m 4 --g 1.3 --p 0.99
 run spectrum  --n 5 --m 4 --g 0.7 --p-start 0 --p-stop -0.6 --p-step 0.1
 run spectrum  --n 3 --m 3 --g 0.7 --p-start 0 --p-stop 0.6 --p-step 0.1
 run operator  --kind M --n 5 --m 4 --g 0.7 --p 0.5 --r 3
+run verify    --n 1 --m 8 --g 0.7 --p 0.6
+run verify    --n 3 --m 2 --g 0.7 --p -0.2
+run verify    --n 4 --m 2 --g 0.7 --p 0.2
 
 echo "rlatt --help"
 rlatt --help > /dev/null

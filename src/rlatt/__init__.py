@@ -2,9 +2,10 @@
 
 A numerical toolkit for the finite family of commuting difference operators
 acting on functions of partitions inside an n x m box: coefficient data,
-dense operator matrices and their algebra, the joint spectrum with labels
-carried analytically in the nome, monic polynomials on the spectrum, and an
-independent Macdonald-polynomial oracle for the zero-nome degeneration.
+the operators on the table of lattice moves and their algebra, the joint
+spectrum with labels carried analytically in the nome, monic polynomials on
+the spectrum, and an independent Macdonald-polynomial oracle for the
+zero-nome degeneration.
 """
 
 __version__ = "0.1.0"
@@ -41,11 +42,7 @@ from .macdonald import (
     compare_trig,
     macdonald_coeffs,
 )
-from .operators import (
-    build_hop_operator,
-    commutator_residual,
-    transpose_residual,
-)
+from .operators import build_hop_operator
 from .partitions import (
     LatticeBasis,
     add_strip,

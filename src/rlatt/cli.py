@@ -86,13 +86,17 @@ class RunConfig:
         if not (abs(start) <= NOME_CAP and abs(stop) <= NOME_CAP):
             raise ValueError(f"p-sweep endpoints must lie in [-{NOME_CAP}, {NOME_CAP}]")
         values = []
-        count = 0
         direction = 1.0 if stop >= start else -1.0
         p = start
         while direction * (p - stop) <= 1e-12:
-            values.append(round(p, 12))
-            count += 1
-            p = start + direction * count * step
+            # 12 decimals take the float error off start + k step; one put on or past stop is stop, the last
+            value = round(p, 12) if direction * (stop - round(p, 12)) > 0 else stop
+            if values and direction * (value - values[-1]) <= 0:
+                raise ValueError(f"p-sweep step {step} is below the resolution of the nomes, 12 decimals")
+            values.append(value)
+            if value == stop:
+                break
+            p = start + direction * len(values) * step
         return values
 
 

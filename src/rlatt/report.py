@@ -11,6 +11,7 @@ exception is a bug and propagates.
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .eigenpoly import (
 )
 from .errors import RlattError
 from .macdonald import compare_trig
-from .operators import build_hop_operator, commutator_residual, transpose_residual
+from .operators import paired_moves
 from .partitions import enumerate_lattice
 from .spectral import continue_labels, joint_diagonalize, label_spectrum, orthogonality_residual
 from .weightlattice import crosscheck_hop_coefficients
@@ -110,23 +111,46 @@ class VerificationReport:
 
 
 # np.max, unlike the builtin max, lets a NaN residual through to a FAIL
-def check_commutators(hops) -> float:
-    residuals = [commutator_residual(a, b) for r, a in enumerate(hops) for b in hops[r + 1 :]]
+def check_commutators(basis, moves) -> float:
+    """Largest ||D_r D_s - D_s D_r||_F / (||D_r||_F ||D_s||_F) over r < s, from ``moves()``, which n = 1 never calls."""
+    size, residuals = len(basis), []
+    for r, s in combinations(range(basis.n), 2):
+        first, second = moves()[r], moves()[s]
+        comm = _product(first, second, size) - _product(second, first, size)
+        residuals.append(np.linalg.norm(comm) / (np.linalg.norm(first[2]) * np.linalg.norm(second[2])))
     return float(np.max(residuals, initial=0.0))
 
 
-def check_adjointness(hops, weights) -> float:
-    # <D_r f, g>_w = <f, D_{n+1-r} g>_w for all f, g iff W D_r = D_{n+1-r}^T W iff M_r^T = M_{n+1-r}
-    residuals = [transpose_residual(a, b, weights) for a, b in zip(hops, reversed(hops))]
+def _product(first, second, size: int) -> np.ndarray:
+    """D_r D_s, flattened, from the moves of D_r and D_s: each path u -> v -> w along one move of each adds
+    D_r[u, v] D_s[v, w] at u N + w.  The moves are source-major, so those from v are one slice of ``second``."""
+    source, target, a, _ = first
+    start, stop = np.searchsorted(second[0], [target, target + 1])
+    step = np.repeat(np.arange(len(a)), stop - start)
+    # path k along move i goes on along move start_i + k - (the paths along the moves before i)
+    then = np.arange(len(step)) + (stop - np.cumsum(stop - start))[step]
+    return np.bincount(source[step] * size + second[1][then], a[step] * second[2][then], size * size)
+
+
+def check_adjointness(moves, weights) -> float:
+    # <D_r f, g>_w = <f, D_{n+1-r} g>_w for all f, g iff W D_r = D_{n+1-r}^T W iff M_r^T = M_{n+1-r},
+    # which on a move s -> t of D_r reads sqrt(w_s / w_t) D_r[s, t] = sqrt(w_t / w_s) D_{n+1-r}[t, s]
+    root, residuals = np.sqrt(weights), []
+    for s, t, a, b in moves:
+        forward = root[s] * a / root[t]
+        residuals.append(np.linalg.norm(forward - root[t] * b / root[s]) / np.linalg.norm(forward))
     return float(np.max(residuals, initial=0.0))
 
 
-def _worst_relative(a: np.ndarray, b: np.ndarray, worst: float) -> float:
-    """Largest |a - b| / max(|a|, |b|) over the entries and ``worst``; 0 where a = b = 0, NaN on a NaN entry."""
-    scale = np.maximum(np.abs(a), np.abs(b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relative = np.where(scale == 0.0, 0.0, np.abs(a - b) / scale)
-    return float(np.max(relative, initial=worst))
+def _worst_relative(pairs) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the entries of the array pairs (a, b); 0 where a = b = 0, NaN on NaN."""
+    worst = 0.0
+    for a, b in pairs:
+        scale = np.maximum(np.abs(a), np.abs(b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relative = np.where(scale == 0.0, 0.0, np.abs(a - b) / scale)
+        worst = np.max(relative, initial=worst)
+    return float(worst)
 
 
 def check_truncation_dichotomy(params, basis):
@@ -141,34 +165,26 @@ def check_truncation_dichotomy(params, basis):
     return float(max_outside), float(min_inside)
 
 
-def check_weight_recurrence(basis, hops, weights) -> float:
+def check_weight_recurrence(moves, weights) -> float:
     """Defect of D_r[s, t] w_s = D_{n+1-r}[t, s] w_t over the moves s -> t on the box."""
-    n = len(hops)
-    worst = 0.0
-    for r in range(1, n + 1):
-        s, _, t = basis.box_moves(r)
-        worst = _worst_relative(hops[r - 1][s, t] * weights[s], hops[n - r][t, s] * weights[t], worst)
-    return worst
+    return _worst_relative((a * weights[s], b * weights[t]) for s, t, a, b in moves)
 
 
-def check_psi_consistency(hops, norms, pieri) -> float:
+def check_psi_consistency(moves, norms, pieri) -> float:
     """Defect of Pieri coefficient = D_r[s, t] c_t / c_s over the moves s -> t on the box.
 
-    ``pieri`` holds ``box_pieri_coefficients(basis, r, params)`` for r = 1..n.
+    ``pieri`` holds ``box_pieri_coefficients(basis, r, params)`` for r = 1..n, on the same moves.
     """
-    worst = 0.0
-    for r, (s, t, psi) in enumerate(pieri, start=1):
-        worst = _worst_relative(psi, hops[r - 1][s, t] * norms[t] / norms[s], worst)
-    return worst
+    return _worst_relative((psi, a * norms[t] / norms[s]) for (s, t, a, _), (_, _, psi) in zip(moves, pieri))
 
 
 def run_verification(params: ModelParams) -> VerificationReport:
     """Run every named check at the given parameter point.
 
-    The hop matrices, weights, norm constants, Pieri coefficients, spectra
-    and polynomial value table of the point are each built once, on first
-    use, and shared by every check; the spectrum at ``p = 0`` labels the one
-    at ``p`` and feeds the oracle.
+    The moves of the operators with their amplitudes, the weights, norm
+    constants, Pieri coefficients, spectra and polynomial value table of the
+    point are each built once, on first use, and shared by every check; the
+    spectrum at ``p = 0`` labels the one at ``p`` and feeds the oracle.
     """
     basis = enumerate_lattice(params.n, params.m)
     checks: list[CheckResult] = []
@@ -194,7 +210,7 @@ def run_verification(params: ModelParams) -> VerificationReport:
 
     # cache keeps nothing of a call that raises, so each check that needs a
     # quantity which cannot be built records the error of building it
-    hops = cache(lambda: [build_hop_operator(r, params, basis) for r in range(1, params.n + 1)])
+    moves = cache(lambda: [paired_moves(basis, params, basis.hop_table(r)) for r in range(1, params.n + 1)])
     weights = cache(lambda: weight_vector(basis, params))
     norms = cache(lambda: norm_vector(basis, params))
     # the scalar Pieri coefficients of the moves on the box, read by psi-consistency and pieri
@@ -210,9 +226,8 @@ def run_verification(params: ModelParams) -> VerificationReport:
     # the polynomial values on the labeled spectrum, read by the three polynomial checks
     table = cache(lambda: value_table(build_polynomials(params, basis), labeled()))
 
-    # n = 1 has no pair to commute, so it needs no matrix
-    run("commutators", lambda: check_commutators(hops()) if params.n > 1 else 0.0)
-    run("adjointness", lambda: check_adjointness(hops(), weights()))
+    run("commutators", lambda: check_commutators(basis, moves))
+    run("adjointness", lambda: check_adjointness(moves(), weights()))
     run(
         "truncation-dichotomy",
         lambda: check_truncation_dichotomy(params, basis),
@@ -222,8 +237,8 @@ def run_verification(params: ModelParams) -> VerificationReport:
             {"max_outside": pair[0], "min_inside": pair[1], "floor": DICHOTOMY_FLOOR},
         ),
     )
-    run("weight-recurrence", lambda: check_weight_recurrence(basis, hops(), weights()))
-    run("psi-consistency", lambda: check_psi_consistency(hops(), norms(), pieri()))
+    run("weight-recurrence", lambda: check_weight_recurrence(moves(), weights()))
+    run("psi-consistency", lambda: check_psi_consistency(moves(), norms(), pieri()))
     run("orthogonality", lambda: orthogonality_residual(labeled()))
     run("pieri", lambda: pieri_residual(table(), labeled(), pieri()))
     run("dual-orthogonality", lambda: dual_orthogonality_residual(table(), labeled(), norms(), weights()))

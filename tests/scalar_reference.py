@@ -46,7 +46,10 @@ same-weight case ``macdonald._dominated`` computes.
 
 ``paired_hop_operator`` is the dense pairing of two ``build_hop_operator``
 matrices that ``operators.symmetric_hop_operator`` forms from the moves of
-one order.
+one order.  ``commutator_residual`` and ``transpose_residual`` are the dense
+forms of the ``commutators`` and ``adjointness`` checks of ``report``, which
+read the moves of each operator: ``dense_operator_checks`` gives the four
+operator checks of ``rlatt verify`` from the matrices D_1..D_n.
 
 The dense forms the joint solve replaced are the references for its move-table
 forms: ``folded_blocks``, the sector blocks of ``spectral._sector_blocks`` as a
@@ -64,12 +67,21 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from rlatt.coeffs import DENOM_TOL, ModelParams, _pair_range, hop_coefficient, weight_vector
+from rlatt.coeffs import (
+    DENOM_TOL,
+    ModelParams,
+    _pair_range,
+    box_pieri_coefficients,
+    hop_coefficient,
+    norm_vector,
+    weight_vector,
+)
 from rlatt.elliptic import ThetaEvaluator
 from rlatt.errors import GenericityViolationError, TruncationViolationError
 from rlatt.macdonald import _partitions_of_weight, macdonald_coeffs
 from rlatt.operators import build_hop_operator
 from rlatt.partitions import enumerate_lattice, pad, trim, weight
+from rlatt.report import _worst_relative
 from rlatt.spectral import continue_labels, joint_diagonalize, label_spectrum
 from rlatt.weightlattice import GENERICITY_TOL
 
@@ -412,6 +424,42 @@ def paired_hop_operator(r: int, params: ModelParams, basis) -> np.ndarray:
     a, b = forward[s, t], backward[t, s]
     forward[s, t] = np.sign(a) * np.sqrt(a * b)
     return forward
+
+
+def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Relative Frobenius norm of [A, B] for the matrices of D_r and D_s."""
+    comm = a @ b - b @ a
+    return float(np.linalg.norm(comm) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def transpose_residual(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
+    """Relative Frobenius defect of transpose(M_r) = M_{n+1-r}, from D_r, D_{n+1-r} and the weights it tests."""
+    s = np.sqrt(weights)
+    ma, mb = (s[:, None] * a) / s, (s[:, None] * b) / s
+    return float(np.linalg.norm(ma.T - mb) / np.linalg.norm(ma))
+
+
+def dense_operator_checks(params: ModelParams, basis) -> dict:
+    """The residuals of the four operator checks of ``report`` from the dense D_1..D_n, by check name.
+
+    ``weight-recurrence`` and ``psi-consistency`` read D_r[s, t] and
+    D_{n+1-r}[t, s] on the moves s -> t of D_r out of the matrices.
+    """
+    n = params.n
+    hops = [build_hop_operator(r, params, basis) for r in range(1, n + 1)]
+    weights, norms = weight_vector(basis, params), norm_vector(basis, params)
+    commutators = [commutator_residual(a, b) for r, a in enumerate(hops) for b in hops[r + 1 :]]
+    recurrence, psi = [], []
+    for r in range(1, n + 1):
+        s, t, coefficients = box_pieri_coefficients(basis, r, params)
+        recurrence.append((hops[r - 1][s, t] * weights[s], hops[n - r][t, s] * weights[t]))
+        psi.append((coefficients, hops[r - 1][s, t] * norms[t] / norms[s]))
+    return {
+        "commutators": float(np.max(commutators, initial=0.0)),
+        "adjointness": float(np.max([transpose_residual(a, b, weights) for a, b in zip(hops, reversed(hops))])),
+        "weight-recurrence": _worst_relative(recurrence),
+        "psi-consistency": _worst_relative(psi),
+    }
 
 
 def folded_blocks(mats: list, basis) -> list:

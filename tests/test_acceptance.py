@@ -25,7 +25,7 @@ from rlatt.eigenpoly import (
     value_table,
 )
 from rlatt.macdonald import compare_trig
-from rlatt.operators import build_hop_operator, commutator_residual, transpose_residual
+from rlatt.operators import build_hop_operator
 from rlatt.partitions import add_strip, enumerate_lattice, vertical_strips
 from rlatt.spectral import (
     joint_diagonalize,
@@ -35,6 +35,7 @@ from rlatt.spectral import (
 )
 from rlatt.weightlattice import crosscheck_hop_coefficients
 from scalar_reference import (
+    commutator_residual,
     dominance_leq,
     lattice_weight,
     memoized,
@@ -42,6 +43,7 @@ from scalar_reference import (
     partition_to_weight,
     reduce_partition,
     second_difference_residual,
+    transpose_residual,
     weight_to_partition,
 )
 

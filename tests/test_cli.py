@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rlatt.cli import SETTINGS, build_parser, load_config, main
+from rlatt.cli import SETTINGS, RunConfig, build_parser, load_config, main
 from rlatt.coeffs import ModelParams, weight_vector
 from rlatt.operators import build_hop_operator
 from rlatt.partitions import enumerate_lattice
@@ -59,7 +59,7 @@ def test_operator_json_roundtrip_is_bit_exact(tmp_path):
     args = ["operator", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.5", "--r", "2"]
     code, payload = run_json(tmp_path, args)
     assert code == 0
-    direct = build_hop_operator(2, ModelParams(2, 2, 0.7, 0.5))
+    direct = build_hop_operator(2, ModelParams(2, 2, 0.7, 0.5), enumerate_lattice(2, 2))
     reloaded = np.array(payload["entries"]).reshape(payload["size"], payload["size"])
     assert np.array_equal(reloaded, direct)
 
@@ -97,20 +97,20 @@ OPERATOR_POINTS = [(1, 1, 1.0, 0.0), (2, 2, 0.7, 0.3), (3, 3, 0.7, 0.5), (4, 2, 
 @pytest.mark.parametrize("n,m,g,p", OPERATOR_POINTS)
 def test_operator_kind_c_is_the_half_sum(tmp_path, n, m, g, p):
     # r = n + 1 - r included: C is then D_r itself, as (D_r + D_r) / 2
-    params = ModelParams(n, m, g, p)
+    params, basis = ModelParams(n, m, g, p), enumerate_lattice(n, m)
     for r in range(1, (n + 1) // 2 + 1):
-        pair = build_hop_operator(r, params) + build_hop_operator(n + 1 - r, params)
+        pair = build_hop_operator(r, params, basis) + build_hop_operator(n + 1 - r, params, basis)
         assert np.array_equal(operator_matrix(tmp_path, params, r, "C"), 0.5 * pair)
     if n % 2:
         middle = (n + 1) // 2
-        assert np.array_equal(operator_matrix(tmp_path, params, middle, "C"), build_hop_operator(middle, params))
+        assert np.array_equal(operator_matrix(tmp_path, params, middle, "C"), build_hop_operator(middle, params, basis))
 
 
 @pytest.mark.parametrize("n,m,g,p", OPERATOR_POINTS)
 def test_operator_kind_s_is_the_half_difference(tmp_path, n, m, g, p):
-    params = ModelParams(n, m, g, p)
+    params, basis = ModelParams(n, m, g, p), enumerate_lattice(n, m)
     for r in range(1, n // 2 + 1):
-        pair = build_hop_operator(r, params) - build_hop_operator(n + 1 - r, params)
+        pair = build_hop_operator(r, params, basis) - build_hop_operator(n + 1 - r, params, basis)
         assert np.array_equal(operator_matrix(tmp_path, params, r, "S"), pair / 2j)
 
 
@@ -118,10 +118,10 @@ def test_operator_kind_s_is_the_half_difference(tmp_path, n, m, g, p):
 def test_operator_kind_m_is_the_weight_conjugated_hop(tmp_path, n, m, g, p):
     # M is formed from the amplitudes of D_r and D_{n+1-r}, without the weights: equal to
     # the conjugation up to rounding
-    params = ModelParams(n, m, g, p)
-    w = weight_vector(enumerate_lattice(n, m), params)
+    params, basis = ModelParams(n, m, g, p), enumerate_lattice(n, m)
+    w = weight_vector(basis, params)
     for r in range(1, n + 1):
-        hop = build_hop_operator(r, params)
+        hop = build_hop_operator(r, params, basis)
         exported = operator_matrix(tmp_path, params, r, "M")
         reference = conjugate_by_weights(hop, w)
         assert np.max(np.abs(exported - reference)) <= 1e-15 * np.max(np.abs(reference))
@@ -413,6 +413,29 @@ def test_sweep_step_must_be_finite_and_positive(tmp_path, capsys, step):
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
     assert "p-sweep step must be a finite positive number" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_sweep_step_below_the_nome_resolution_is_usage_error(tmp_path, capsys):
+    # the nomes are rounded to 12 decimals: this step gave 0, 0, 1e-12, 1e-12, 2e-12, 2e-12, 2e-12, 3e-12
+    argv = ["spectrum", "--n", "2", "--m", "2", "--g", "0.7", "--p-start", "0", "--p-stop", "2e-12",
+            "--p-step", "4e-13"]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert "p-sweep step 4e-13 is below the resolution of the nomes" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+# a nome rounded onto or past the stop is the stop, and the last
+@pytest.mark.parametrize(
+    "sweep,nomes",
+    [
+        ((0.0, 0.5 - 1e-13, 0.5), [0.0, 0.5 - 1e-13]),
+        ((0.0, 1e-13 - 0.5, 0.5), [0.0, 1e-13 - 0.5]),
+        ((0.0, 3e-12, 1e-12), [0.0, 1e-12, 2e-12, 3e-12]),
+        ((0.0, 0.9, 0.1), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+    ],
+)
+def test_sweep_is_monotone_and_never_passes_its_stop(sweep, nomes):
+    assert RunConfig(1, 1, p_sweep=sweep).sweep_values() == nomes
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):

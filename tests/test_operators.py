@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from rlatt.coeffs import ModelParams, weight_vector
-from rlatt.operators import build_hop_operator, commutator_residual, symmetric_hop_operator, transpose_residual
+from rlatt.operators import build_hop_operator, symmetric_hop_operator
 from rlatt.partitions import add_strip, enumerate_lattice, pad, vertical_strips
-from scalar_reference import bracket_trig, conjugate_by_weights, off_regime, paired_hop_operator, reduce_partition
+from scalar_reference import (
+    bracket_trig,
+    commutator_residual,
+    conjugate_by_weights,
+    off_regime,
+    paired_hop_operator,
+    reduce_partition,
+    transpose_residual,
+)
 
 GRID = [
     (n, m, g, p)
@@ -16,7 +24,7 @@ GRID = [
 
 def test_hop_operator_2x2():
     params = ModelParams(1, 1, 1.0, 0.0)
-    mat = build_hop_operator(1, params)
+    mat = build_hop_operator(1, params, enumerate_lattice(1, 1))
     assert mat == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0]]), abs=1e-14)
     assert mat[0, 0] == 0.0 and mat[1, 1] == 0.0
 
@@ -51,7 +59,7 @@ def trig_hop_matrix(r, params):
 def test_zero_nome_matches_trig_assembly(n, m, g):
     params = ModelParams(n, m, g, 0.0)
     for r in range(1, n + 1):
-        built = build_hop_operator(r, params)
+        built = build_hop_operator(r, params, enumerate_lattice(n, m))
         assert built == pytest.approx(trig_hop_matrix(r, params), abs=1e-12)
 
 

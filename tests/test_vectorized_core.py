@@ -247,7 +247,7 @@ def test_closed_form_labels_reject_two_vectors_on_one_target():
 
 
 def test_linalg_error_fails_its_check_only(monkeypatch):
-    def broken(hops):
+    def broken(basis, moves):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(report, "check_commutators", broken)
@@ -260,7 +260,7 @@ def test_linalg_error_fails_its_check_only(monkeypatch):
 
 
 def test_other_errors_still_propagate(monkeypatch):
-    def broken(hops):
+    def broken(basis, moves):
         raise ValueError("a bug, not a failed check")
 
     monkeypatch.setattr(report, "check_commutators", broken)
