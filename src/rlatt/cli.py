@@ -32,6 +32,8 @@ __all__ = ["main", "entry", "RunConfig"]
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
+# a sweep solves all its nomes in one stacked pass
+MAX_SWEEP_NOMES = 10_000
 
 
 class Setting(NamedTuple):
@@ -85,6 +87,10 @@ class RunConfig:
         # the closed bound of ModelParams; a NaN endpoint fails it too
         if not (abs(start) <= NOME_CAP and abs(stop) <= NOME_CAP):
             raise ValueError(f"p-sweep endpoints must lie in [-{NOME_CAP}, {NOME_CAP}]")
+        # the k = 0, 1, ... with start + k step at most 1e-12 past stop, the bound of the loop below
+        count = (abs(stop - start) + 1e-12) // step + 1
+        if count > MAX_SWEEP_NOMES:
+            raise ValueError(f"p-sweep has {count:.0f} nomes, more than the bound of {MAX_SWEEP_NOMES}")
         values = []
         direction = 1.0 if stop >= start else -1.0
         p = start
@@ -181,7 +187,7 @@ def _header(schema: str, config: RunConfig) -> dict:
     return {"schema": schema, "n": config.n, "m": config.m, "g": config.g, "p": config.p}
 
 
-def cmd_enumerate(config: RunConfig) -> int:
+def cmd_enumerate(config: RunConfig, args: argparse.Namespace) -> int:
     params = config.model_params()
     basis = enumerate_lattice(config.n, config.m)
     records = [
@@ -220,16 +226,16 @@ def _operator_matrix(params: ModelParams, r: int, kind: str) -> np.ndarray:
     return hop
 
 
-def cmd_operator(config: RunConfig, r: int, kind: str) -> int:
-    mat = _operator_matrix(config.model_params(), r, kind)
+def cmd_operator(config: RunConfig, args: argparse.Namespace) -> int:
+    mat = _operator_matrix(config.model_params(), args.r, args.kind)
     is_complex = np.iscomplexobj(mat)
     # (i, j, re/im); a real matrix has imaginary parts 0.0
     pairs = np.stack([mat.real, mat.imag], axis=-1)
     if config.format == "json":
         payload = {
             **_header("rlatt/operator", config),
-            "kind": kind,
-            "r": r,
+            "kind": args.kind,
+            "r": args.r,
             "size": int(mat.shape[0]),
             "dtype": "complex" if is_complex else "real",
             "entries": pairs.reshape(-1, 2).tolist() if is_complex else mat.ravel().tolist(),
@@ -318,14 +324,14 @@ def _render_spectrum(config: RunConfig, values: list, spectra: list) -> str:
     return document % tuple(points)
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     values = config.sweep_values()
     spectra = sweep_spectra(config.model_params(), values)
     _emit(_render_spectrum(config, values, spectra), config.out)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     if config.p_sweep is not None:
         raise ValueError("verify runs at a single --p, not a sweep")
     report = run_verification(config.model_params())
@@ -342,7 +348,7 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if report.passed else FAILURE_EXIT
 
 
-def cmd_polys(config: RunConfig) -> int:
+def cmd_polys(config: RunConfig, args: argparse.Namespace) -> int:
     params = config.model_params()
     basis = enumerate_lattice(config.n, config.m)
     coeffs = build_polynomials(params, basis)
@@ -363,6 +369,10 @@ def cmd_polys(config: RunConfig) -> int:
     return 0
 
 
+COMMANDS = {"enumerate": cmd_enumerate, "operator": cmd_operator, "spectrum": cmd_spectrum, "verify": cmd_verify,
+            "polys": cmd_polys}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -372,23 +382,13 @@ def main(argv=None) -> int:
         print(f"rlatt: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        if args.command == "enumerate":
-            return cmd_enumerate(config)
-        if args.command == "operator":
-            return cmd_operator(config, args.r, args.kind)
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "polys":
-            return cmd_polys(config)
+        return COMMANDS[args.command](config, args)
     except ValueError as exc:
         print(f"rlatt: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except RlattError as exc:
         print(f"rlatt: {type(exc).__name__}: {exc}", file=sys.stderr)
         return FAILURE_EXIT
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def entry():

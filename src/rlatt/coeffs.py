@@ -233,7 +233,7 @@ def _pieri_terms(basis: LatticeBasis, r: int, params: ModelParams):
     errors map each move with a denominator below DENOM_TOL to the message
     ``pieri_coefficient`` raises for it.
     """
-    source, strip, target = basis.box_moves(r)
+    source, strip, target = basis.hop_table(r)[:3]
     table = params.brackets
     j, k, dist, diffs = basis.pairs
     lam = diffs[source]

@@ -130,14 +130,14 @@ def pieri_residual(table: np.ndarray, spectrum, pieri) -> float:
     ``pieri`` holds ``box_pieri_coefficients(basis, r, params)`` for
     r = 1..n.  For each r, ``table[row(1^r)] * table`` must equal
     ``Psi_r @ table``, where ``Psi_r[lam, nu]`` is the Pieri coefficient of
-    the size-r move lam -> nu; the residual is relative to the largest table
-    entry.
+    the one size-r move lam -> nu (``LatticeBasis.hop_table``); the residual
+    is relative to the largest table entry.
     """
     basis = spectrum.basis
     largest = []
     for r, (source, target, psi) in enumerate(pieri, start=1):
         matrix = np.zeros((len(basis), len(basis)))
-        np.add.at(matrix, (source, target), psi)
+        matrix[source, target] = psi
         # the row of (1^r), the column strip added to the empty partition
         defect = table[_column_shift(basis, r)[0]] * table - matrix @ table
         largest.append(np.max(np.abs(defect)))

@@ -11,7 +11,7 @@ its sector blocks.  Only ``rlatt operator`` forms the dense matrices.
 
 import numpy as np
 
-from .coeffs import ModelParams, hop_amplitudes, move_amplitudes
+from .coeffs import ModelParams, move_amplitudes
 from .errors import TruncationViolationError
 from .partitions import HopTable, LatticeBasis
 
@@ -27,11 +27,10 @@ def build_hop_operator(r: int, params: ModelParams, basis: LatticeBasis) -> np.n
     """Matrix of the order-r hop operator over the bounded lattice.
 
     Row lam holds the amplitudes of the r-strips whose reduced target stays
-    on the lattice, one strip per target (``LatticeBasis.box_moves``).
+    on the lattice, one strip per target (``LatticeBasis.hop_table``).
     """
-    moves = basis.box_moves(r)
-    mat = np.zeros((len(basis), len(basis)))
-    mat[moves.source, moves.target] = hop_amplitudes(basis, moves, params)
+    hops, mat = basis.hop_table(r), np.zeros((len(basis), len(basis)))
+    mat[hops.source, hops.target] = move_amplitudes(basis, params, hops.source, hops.forward)
     return mat
 
 

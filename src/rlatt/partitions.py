@@ -76,15 +76,14 @@ class Rotation(NamedTuple):
 
 
 class HopTable(NamedTuple):
-    """The moves s -> t along e of D_r on the box (``LatticeBasis.box_moves``), the ``numerators`` of
-    their amplitudes (``forward``) and of those of t -> s along 1 - e (``reverse``), and ``union``, the
-    place of (s, t), then of (R^-1 s, R^-1 t), in the union of the supports of M_r and R^T M_r R."""
+    """The moves s -> t along e of D_r that stay on the box (``LatticeBasis.hop_table``), the ``numerators``
+    of their amplitudes (``forward``) and of those of t -> s along 1 - e (``reverse``)."""
 
     source: np.ndarray
+    strip: np.ndarray
     target: np.ndarray
     forward: np.ndarray
     reverse: np.ndarray
-    union: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,20 +119,6 @@ class LatticeBasis:
             arrays[r] = MoveArrays(source, strips[which], target)
         return arrays
 
-    def box_moves(self, r: int) -> MoveArrays:
-        """The moves of D_r, r = 1..n: those of ``move_arrays[r]`` whose target stays on the box.
-
-        The size-(n+1) strip maps every point to itself with amplitude and
-        Pieri coefficient exactly 1, so the identities between operators leave
-        it out.  For r <= n no two strips from one point share a target, so
-        D_r[s, t] is the amplitude of the one move s -> t.
-        """
-        if not 1 <= r <= self.n:
-            raise ValueError(f"operator order {r} outside 1..{self.n}")
-        moves = self.move_arrays[r]
-        inside = moves.target >= 0
-        return MoveArrays(*(a[inside] for a in moves))
-
     @cached_property
     def rotation(self) -> Rotation:
         """The cyclic rotation of the box (``Rotation``), built once per box."""
@@ -162,21 +147,32 @@ class LatticeBasis:
         return (dist + strip[:, j] - strip[:, k]) * (self.m + 1) + diffs[source]
 
     def hop_table(self, r: int) -> HopTable:
-        """The ``HopTable`` of D_r, r = 1..n."""
-        s, e, t = self.box_moves(r)
-        back = self.rotation.powers[self.n]
-        union = np.unique(np.append(s, back[s]) * len(self) + np.append(t, back[t]), return_inverse=True)[1]
-        return HopTable(s, t, self.numerators(s, e), self.numerators(t, 1 - e), union)
+        """The ``HopTable`` of D_r, r = 1..n: the moves of ``move_arrays[r]`` whose target stays on the box.
+
+        The size-(n+1) strip maps every point to itself with amplitude and
+        Pieri coefficient exactly 1, so the identities between operators leave
+        it out.  For r <= n no two strips from one point share a target, so
+        D_r[s, t] is the amplitude of the one move s -> t.
+        """
+        if not 1 <= r <= self.n:
+            raise ValueError(f"operator order {r} outside 1..{self.n}")
+        moves = self.move_arrays[r]
+        s, e, t = (a[moves.target >= 0] for a in moves)
+        return HopTable(s, e, t, self.numerators(s, e), self.numerators(t, 1 - e))
 
     @cached_property
     def sector_plan(self) -> tuple:
         """What the joint solve reads of the box at any nome, built once with array operations only: the
-        ``HopTable`` of r = 1..ceil(n/2), and per solved sector k = 0..floor((n+1)/2) its orbits and, per
-        entry of its blocks B_1..B_n (n x L x L), the move (in the tables, concatenated) whose value it
-        takes, its flat position and its factor sqrt(s_a / s_b) omega^(jk), real where omega^k = +-1."""
+        ``HopTable`` of r = 1..ceil(n/2); per order, the places of its moves (s, t), then of (R^-1 s, R^-1 t),
+        in the union of the supports of M_r and R^T M_r R; and per solved sector k = 0..floor((n+1)/2) its
+        orbits and, per entry of its blocks B_1..B_n (n x L x L), the move (in the tables, concatenated) whose
+        value it takes, its flat position and its factor sqrt(s_a / s_b) omega^(jk), real where omega^k = +-1."""
         n, half = self.n, (self.n + 1) // 2
         powers, reps, sizes = self.rotation
         orders = tuple(self.hop_table(r) for r in range(1, half + 1))
+        back = powers[n]  # R^n = R^-1
+        codes = [np.append(h.source, back[h.source]) * len(self) + np.append(h.target, back[h.target]) for h in orders]
+        unions = tuple(np.unique(c, return_inverse=True)[1] for c in codes)
         # the orbit of each point, and the j < s_a with R^j a = point for its least point a
         orbit = np.searchsorted(reps, np.min(powers, axis=0))
         shift = -np.argmin(powers, axis=0) % sizes[orbit]
@@ -198,7 +194,7 @@ class LatticeBasis:
             flat = (op[keep] * size + position[a[keep]]) * size + position[b[keep]]
             phased = scale[keep] * np.exp(2j * np.pi * (j[keep] * k % (n + 1)) / (n + 1))
             sectors.append((np.flatnonzero(inside), move[keep], flat, phased.real if 2 * k % (n + 1) == 0 else phased))
-        return orders, sectors
+        return orders, unions, sectors
 
     def indices(self, rows: np.ndarray) -> np.ndarray:
         """Basis indices of the points whose first n parts, which tell basis points apart, are the rows."""

@@ -9,7 +9,7 @@ exception is a bug and propagates.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from itertools import combinations
 
@@ -82,7 +82,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(bool(c.passed) for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
         return {
@@ -95,18 +95,7 @@ class VerificationReport:
                 "alpha": self.params.alpha,
             },
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": None if c.residual is None else float(c.residual),
-                    "tolerance": float(c.tolerance),
-                    "passed": bool(c.passed),
-                    "seconds": float(c.seconds),
-                    "error": c.error,
-                    "detail": {k: float(v) for k, v in c.detail.items()},
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -201,7 +190,7 @@ def run_verification(params: ModelParams) -> VerificationReport:
             return
         seconds = time.perf_counter() - start
         if judge is None:
-            checks.append(CheckResult(name, float(residual), tolerance, residual < tolerance, seconds))
+            checks.append(CheckResult(name, float(residual), tolerance, bool(residual < tolerance), seconds))
         else:
             residual_value, passed, detail = judge(residual)
             checks.append(

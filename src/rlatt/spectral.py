@@ -23,7 +23,7 @@ from .errors import ContinuationError, DegenerateSpectrumError, LabelingError, N
 from .errors import TruncationViolationError
 from .macdonald import trig_joint_eigenvalues
 from .operators import symmetric_hop_values
-from .partitions import HopTable, LatticeBasis, enumerate_lattice
+from .partitions import LatticeBasis, enumerate_lattice
 
 __all__ = [
     "Spectrum",
@@ -118,10 +118,10 @@ def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return sums.reshape(count, size)
 
 
-def _leakage(hops: HopTable, values: np.ndarray) -> np.ndarray:
-    """||M_r - R^T M_r R||_F at each nome from M_r on the moves of ``hops`` (nomes x moves), summed over the
-    union of the two supports, as (R^T M_r R)[R^-1 s, R^-1 t] = M_r[s, t]."""
-    return np.linalg.norm(_scatter(hops.union, np.hstack([values, -values]), np.max(hops.union) + 1), axis=1)
+def _leakage(union: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """||M_r - R^T M_r R||_F at each nome from M_r on the moves of one order (nomes x moves), summed over the
+    union of the two supports (``union`` of ``LatticeBasis.sector_plan``), as (R^T M_r R)[R^-1 s, R^-1 t] = M_r[s, t]."""
+    return np.linalg.norm(_scatter(union, np.hstack([values, -values]), np.max(union) + 1), axis=1)
 
 
 def _sector_blocks(values: np.ndarray, n: int, inside, move, flat, factor) -> np.ndarray:
@@ -168,7 +168,7 @@ def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list) -> Spectr
 def _spectra(points: list, basis: LatticeBasis):
     """The Spectrum of each point on one box in turn (``joint_diagonalize``), every step stacked over the
     points; a point's failure is raised, and its frame built, only when it is reached."""
-    n, (orders, plan) = basis.n, basis.sector_plan
+    n, (orders, unions, plan) = basis.n, basis.sector_plan
     offsets, failures, rows = np.cumsum([0] + [len(hops.source) for hops in orders]), {}, []
     for i, params in enumerate(points):
         try:
@@ -179,7 +179,7 @@ def _spectra(points: list, basis: LatticeBasis):
     # the blocks leave out what M_r leaks between sectors: with L = ||M_r - R^T M_r R|| <= its
     # Frobenius norm, a block vector's full-space residual exceeds its block residual by at
     # most (1 + sqrt(n)) n L / 2 < (n+1)^(3/2) L
-    leakage = [_leakage(hops, values[:, start:end]) for hops, start, end in zip(orders, offsets, offsets[1:])]
+    leakage = [_leakage(union, values[:, start:end]) for union, start, end in zip(unions, offsets, offsets[1:])]
     leakage = (n + 1) ** 1.5 * np.array([leakage[min(r, n + 1 - r) - 1] for r in range(1, n + 1)]).T
     a, x, y = np.random.default_rng(_COMBINATION_SEED).standard_normal((3, (n + 1) // 2))
     # one sector at a time, so each sector's blocks are freed after its solve

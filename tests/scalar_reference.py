@@ -420,7 +420,7 @@ def principal_eigenfunction_value(mu, nu, params: ModelParams) -> complex:
 def paired_hop_operator(r: int, params: ModelParams, basis) -> np.ndarray:
     """M_r from the dense D_r and D_{n+1-r}: sign(D_r[s, t]) sqrt(D_r[s, t] D_{n+1-r}[t, s]) on the moves s -> t."""
     forward, backward = (build_hop_operator(k, params, basis) for k in (r, params.n + 1 - r))
-    s, _, t = basis.box_moves(r)
+    s, _, t = basis.hop_table(r)[:3]
     a, b = forward[s, t], backward[t, s]
     forward[s, t] = np.sign(a) * np.sqrt(a * b)
     return forward

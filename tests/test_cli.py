@@ -424,6 +424,19 @@ def test_sweep_step_below_the_nome_resolution_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_sweep_grid_above_the_bound_is_usage_error(capsys):
+    # 1e-4 across [0, 0.99] is the finest step the bound of 10 000 nomes lets through
+    assert len(RunConfig(1, 1, p_sweep=(0.0, 0.99, 1e-4)).sweep_values()) == 9901
+    with pytest.raises(ValueError, match="p-sweep has 99001 nomes, more than the bound of 10000"):
+        RunConfig(1, 1, p_sweep=(0.0, 0.99, 1e-5)).sweep_values()
+    # this step is above the resolution of the nomes, and the grid was enumerated without end
+    argv = ["spectrum", "--n", "1", "--m", "1", "--p-start", "0", "--p-stop", "0.99", "--p-step", "2e-12"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rlatt: p-sweep has 495000000001 nomes, more than the bound of 10000\n"
+
+
 # a nome rounded onto or past the stop is the stop, and the last
 @pytest.mark.parametrize(
     "sweep,nomes",

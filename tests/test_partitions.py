@@ -158,6 +158,13 @@ def test_move_table_matches_enumeration(n, m):
         found = zip(moves.source.tolist(), map(tuple, moves.strip.tolist()), moves.target.tolist())
         assert list(found) == expected
         assert moves.strip.shape == (len(expected), n + 1)
+        if r <= n:
+            # the moves of D_r are the rows of the table that stay on the box, in table order
+            hops, inside = basis.hop_table(r), moves.target >= 0
+            for view, column in zip((hops.source, hops.strip, hops.target), moves):
+                assert np.array_equal(view, column[inside])
+            # no two strips from one point share a target
+            assert len(set(zip(hops.source.tolist(), hops.target.tolist()))) == len(hops.source)
     targets = np.concatenate([moves.target for moves in table.values()])
     assert (targets < 0).any() and (targets >= 0).any()
     assert basis.move_arrays is table

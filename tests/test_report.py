@@ -11,7 +11,7 @@ from rlatt.coeffs import ModelParams, box_pieri_coefficients, norm_vector, weigh
 from rlatt.operators import build_hop_operator, paired_moves
 from rlatt.partitions import enumerate_lattice
 from rlatt.report import CHECK_NAMES, run_verification
-from scalar_reference import dense_operator_checks
+from scalar_reference import dense_operator_checks, off_regime
 
 HOP = "hop denominator vanished at pair (1,2) for lam=()"
 PIERI = "Pieri denominator vanished at pair (1,2) for lam=(1,)"
@@ -171,3 +171,26 @@ def test_nan_amplitude_off_the_box_fails_the_dichotomy(monkeypatch):
 
     monkeypatch.setattr(report, "hop_amplitudes", poisoned)
     assert _failed_checks(ModelParams(2, 2, 0.7, 0.3)) == {"truncation-dichotomy"}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(2, 3, 0.7, 0.3),
+        ModelParams(2, 2, 1.0, 0.0, alpha_override=2 * math.pi),
+        off_regime(3, 3, 0.7, 0.3, 1.3),
+    ],
+    ids=["passing", "errors", "alpha-scale-1.3"],
+)
+def test_verification_record_holds_builtins(params):
+    # as_dict copies the records as they are, so no numpy scalar may reach the JSON; a numpy
+    # float is a float subclass, hence the exact types
+    result = run_verification(params)
+    for check in result.checks:
+        for name, value in vars(check).items():
+            if name == "detail":
+                assert all(type(v) is float for v in value.values()), (check.name, value)
+            else:
+                assert value is None or type(value) in (float, bool, str), (check.name, name, value)
+    # the passing point records the dichotomy's detail, each failing one an error
+    assert any(c.detail if result.passed else c.error for c in result.checks)

@@ -129,8 +129,8 @@ def test_direct_blocks_match_the_dense_fold(n, m, g, p, scale):
     values = np.concatenate(_move_values(params, basis))[None]
     largest = max(np.max(np.abs(mat)) for mat in mats)
     folded = folded_blocks(mats, basis)
-    assert len(folded) == len(basis.sector_plan[1]) == (n + 1) // 2 + 1
-    for sector, reference in zip(basis.sector_plan[1], folded):
+    assert len(folded) == len(basis.sector_plan[2]) == (n + 1) // 2 + 1
+    for sector, reference in zip(basis.sector_plan[2], folded):
         blocks = spectral._sector_blocks(values, n, *sector)[0]
         assert blocks.dtype == reference.dtype and blocks.shape == reference.shape
         assert np.max(np.abs(blocks - reference)) <= 1e-14 * largest
@@ -143,11 +143,11 @@ def test_direct_blocks_match_the_dense_fold(n, m, g, p, scale):
 def test_move_table_leakage_matches_the_dense_difference(n, m, scale):
     # in the regime the leakage is rounding, off it (alpha scaled by 0.93 or 1.3) of the order of M_r
     params, basis = off_regime(n, m, 0.7, 0.3, scale), enumerate_lattice(n, m)
-    orders, values = basis.sector_plan[0], _move_values(params, basis)
+    unions, values = basis.sector_plan[1], _move_values(params, basis)
     for r in range(1, n + 1):
         # M_{n+1-r} = M_r^T leaks as much as M_r
         i = min(r, n + 1 - r) - 1
-        leakage = spectral._leakage(orders[i], values[i][None])[0]
+        leakage = spectral._leakage(unions[i], values[i][None])[0]
         dense = dense_leakage(symmetric_hop_operator(r, params, basis), basis)
         assert abs(leakage - dense) <= 1e-14 * dense
         assert (dense < 1e-13 * np.max(np.abs(values[i]))) == (scale == 1.0)
