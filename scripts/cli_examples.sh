@@ -10,8 +10,9 @@
 # (3, 3), and the self-paired M_3 of (5, 4); and `verify`, whose operator checks
 # read the move table, at n = 1 (no pair of operators to commute), at n = 3
 # (the self-paired middle order D_2) and with the four operators of n = 4.
-# Each must exit 0 and print canonical JSON, exactly
-# json.dumps(sort_keys=True, indent=2) of what it parses to.  Then `--help` of rlatt and of each command must exit 0: argparse
+# Each must exit 0, write nothing to stderr (a numpy RuntimeWarning, say) and
+# print canonical JSON, exactly json.dumps(sort_keys=True, indent=2) of what
+# it parses to.  Then `--help` of rlatt and of each command must exit 0: argparse
 # formats help text only when asked, so a help string it cannot format (a
 # stray "%", say) fails nowhere else.  Needs `rlatt` and `python` on PATH;
 # fails on the first command that breaks a rule.
@@ -21,9 +22,17 @@ set -euo pipefail
 
 canonical='import json, sys; text = sys.stdin.read(); sys.exit(text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")'
 
+stderr_file=$(mktemp)
+trap 'rm -f "$stderr_file"' EXIT
+
 run() {
   echo "rlatt $*"
-  rlatt "$@" | python -c "$canonical"
+  rlatt "$@" 2> "$stderr_file" | python -c "$canonical"
+  if [[ -s "$stderr_file" ]]; then
+    cat "$stderr_file" >&2
+    echo "rlatt $* wrote to stderr" >&2
+    exit 1
+  fi
 }
 
 run enumerate --n 2 --m 2

@@ -50,9 +50,9 @@ class BoxBrackets(NamedTuple):
 
     Row e and column l of ``shifted`` hold [l + e*g] for e = 0..n+1 and
     l = 0..m, and ``on_zero`` tells whether that argument sits on a zero of
-    the bracket.  ``rising`` holds the elliptic factorials of the same rows,
-    [e*g][e*g + 1]...[e*g + l - 1], and ``rising_low`` those starting at
-    1 + e*g for e = 0..n-1.
+    the bracket.  ``rising`` and ``rising_low`` hold the running products of
+    each row from column 0 and from column 1, the elliptic factorials
+    [e*g][e*g + 1]...[e*g + l - 1] and [1 + e*g]...[l + e*g].
     """
 
     shifted: np.ndarray
@@ -110,17 +110,11 @@ class ModelParams:
     def brackets(self) -> BoxBrackets:
         """Bracket tables of this parameter point, evaluated on first use."""
         th = self.theta
-        shifted_args = np.arange(self.m + 1) + self.g * np.arange(self.n + 2)[:, None]
-        low_args = (1.0 + self.g * np.arange(self.n)[:, None]) + np.arange(self.m)
+        args = np.arange(self.m + 1) + self.g * np.arange(self.n + 2)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            # the product form is elementwise, so one call serves both tables
-            values = th.bracket_array(np.concatenate([shifted_args.ravel(), low_args.ravel()]))
-            shifted = values[: shifted_args.size].reshape(shifted_args.shape)
+            shifted = th.bracket_array(args)
             return BoxBrackets(
-                shifted,
-                th.is_zero_array(shifted_args),
-                _rising_products(shifted[:, :-1]),
-                _rising_products(values[shifted_args.size :].reshape(low_args.shape)),
+                shifted, th.is_zero_array(args), _rising_products(shifted[:, :-1]), _rising_products(shifted[:, 1:])
             )
 
 
@@ -171,8 +165,7 @@ def move_amplitudes(basis: LatticeBasis, params: ModelParams, source: np.ndarray
 
     Raises TruncationViolationError when a denominator falls below DENOM_TOL
     at any basis point, and gives exactly 0.0 wherever a numerator bracket
-    sits on a zero, which includes every move off the box.  The pair factors
-    are multiplied one pair at a time, in pair order.
+    sits on a zero, which includes every move off the box.
     """
     table = params.brackets
     j, k, dist, diffs = basis.pairs
@@ -183,12 +176,7 @@ def move_amplitudes(basis: LatticeBasis, params: ModelParams, source: np.ndarray
         raise TruncationViolationError(
             f"hop denominator vanished at pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[row]}"
         )
-    vanished = table.on_zero.take(numerators)
-    ratios = np.where(vanished, 1.0, table.shifted.take(numerators) / den[source])
-    value = np.ones(len(source))
-    for column in ratios.T:
-        value *= column
-    return np.where(vanished.any(axis=1), 0.0, value)
+    return _pair_product(table.shifted.take(numerators), den[source], table.on_zero.take(numerators))
 
 
 def pieri_coefficient(lam, strip, params: ModelParams) -> float:
@@ -241,20 +229,16 @@ def _pieri_terms(basis: LatticeBasis, r: int, params: ModelParams):
     # the nu factor, then the lam factor, of each pair; nu_jk = lam_jk - 1 >= 0 on an
     # inverted pair, since nu is dominant
     base = np.stack([lam - 1, lam], axis=-1)
-    den = table.shifted[dist[:, None], base]
     num_rows = dist[:, None] + np.array([1, -1])
-    vanished = inverted & table.on_zero[num_rows, base]
+    # the factors of the other pairs read 1 / 1
+    num = np.where(inverted, table.shifted[num_rows, base], 1.0)
+    den = np.where(inverted, table.shifted[dist[:, None], base], 1.0)
     errors = {}
     # argwhere runs in C order, so each move keeps its first vanished denominator
-    for move, pair, _ in np.argwhere(inverted & (np.abs(den) < DENOM_TOL)).tolist():
+    for move, pair, _ in np.argwhere(np.abs(den) < DENOM_TOL).tolist():
         where = f"pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[source[move]]}"
         errors.setdefault(move, f"Pieri denominator vanished at {where}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(inverted & ~vanished, table.shifted[num_rows, base] / den, 1.0)
-    value = np.ones(len(source))
-    for column in ratios.reshape(len(source), -1).T:
-        value *= column
-    return source, target, np.where(vanished.any(axis=(1, 2)), 0.0, value), errors
+    return source, target, _pair_product(num, den, inverted & table.on_zero[num_rows, base]), errors
 
 
 def box_pieri_coefficients(basis: LatticeBasis, r: int, params: ModelParams):
@@ -268,30 +252,39 @@ def box_pieri_coefficients(basis: LatticeBasis, r: int, params: ModelParams):
     return source, target, psi
 
 
-def _box_product(basis: LatticeBasis, factors, bad: np.ndarray, what: str, name: str, label: str) -> np.ndarray:
-    """Row products of the per-pair factors, with the guards of the weights and norm constants.
+def _pair_product(num: np.ndarray, den: np.ndarray, vanished=False) -> np.ndarray:
+    """Per row, the product of its pair factors num / den (rows x pairs, or rows x pairs x factors of each pair),
+    multiplied one column at a time in pair order; a ``vanished`` factor reads as 1 and its row gives 0.0."""
+    rows = len(num)
+    vanished = np.broadcast_to(vanished, num.shape).reshape(rows, -1)
+    value = np.ones(rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for column in np.where(vanished, 1.0, (num / den).reshape(rows, -1)).T:
+            value *= column
+    return np.where(vanished.any(axis=1), 0.0, value)
 
-    The error names the first basis point, in basis order, with a vanishing
-    denominator (``bad``, per pair) or a product that is not finite and positive.
+
+def _box_product(basis: LatticeBasis, num, den, what: str, name: str, label: str) -> np.ndarray:
+    """``_pair_product`` of the per-pair factors num / den, with the guards of the weights and norm constants.
+
+    The error names the first basis point, in basis order, with a denominator
+    below DENOM_TOL or a product that is not finite and positive.
     """
-    value = np.ones(len(basis))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for column in range(bad.shape[1]):
-            for factor in factors:
-                value *= factor[:, column]
+    j, k, _, _ = basis.pairs
+    bad = (np.abs(den) < DENOM_TOL).reshape(len(basis), len(j), -1).any(axis=2)
+    value = _pair_product(num, den)
     failed = bad.any(axis=1) | ~((0.0 < value) & (value < math.inf))
     if failed.any():
         row = int(np.argmax(failed))
         if bad[row].any():
-            j, k, _, _ = basis.pairs
             pair = int(np.argmax(bad[row]))
             raise TruncationViolationError(
                 f"{what} denominator vanished at pair ({j[pair] + 1},{k[pair] + 1}) for {name}={basis.order[row]}"
             )
-        raise TruncationViolationError(
-            f"{label} of {name}={basis.order[row]} is {value[row]}, not finite and positive: "
-            "off the truncation regime"
-        )
+        reason = "not finite and positive: off the truncation regime"
+        if not np.isfinite(value[row]):
+            reason = "not finite: the bracket products overflow double precision"
+        raise TruncationViolationError(f"{label} of {name}={basis.order[row]} is {value[row]}, {reason}")
     return value
 
 
@@ -303,13 +296,9 @@ def weight_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
     """
     table = params.brackets
     _, _, dist, diffs = basis.pairs
-    den = table.shifted[dist, 0]
-    den_f = table.rising_low[dist - 1, diffs]
-    bad = (np.abs(den) < DENOM_TOL) | (np.abs(den_f) < DENOM_TOL)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = table.shifted[dist, diffs] / den
-        factorial = table.rising[dist + 1, diffs] / den_f
-    return _box_product(basis, (shifted, factorial), bad, "weight", "lam", "weight")
+    num = np.stack([table.shifted[dist, diffs], table.rising[dist + 1, diffs]], axis=-1)
+    den = np.stack([table.shifted[dist, np.zeros_like(diffs)], table.rising_low[dist - 1, diffs]], axis=-1)
+    return _box_product(basis, num, den, "weight", "lam", "weight")
 
 
 def norm_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
@@ -319,7 +308,4 @@ def norm_vector(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
     """
     table = params.brackets
     _, _, dist, diffs = basis.pairs
-    den_f = table.rising[dist + 1, diffs]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factorial = table.rising[dist, diffs] / den_f
-    return _box_product(basis, (factorial,), np.abs(den_f) < DENOM_TOL, "norm", "mu", "norm constant")
+    return _box_product(basis, table.rising[dist, diffs], table.rising[dist + 1, diffs], "norm", "mu", "norm constant")

@@ -152,8 +152,10 @@ def dual_orthogonality_residual(table: np.ndarray, spectrum, norms: np.ndarray, 
     1/(c^2 * w), c = ``norms``, w = ``weights``; the residual is relative to those entries row by row.
     """
     gram = (table * spectrum.norm_hat[None, :]) @ table.conj().T
-    target = 1.0 / (norms * norms * weights)
-    return float(np.max(np.abs(gram - np.diag(target)) / target[:, None]))
+    # where c^2 w overflows the residual is inf or NaN, a FAIL
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        target = 1.0 / (norms * norms * weights)
+        return float(np.max(np.abs(gram - np.diag(target)) / target[:, None]))
 
 
 def reconstruct_and_compare(table: np.ndarray, spectrum, norms: np.ndarray, weights: np.ndarray) -> float:

@@ -16,6 +16,8 @@ references they are tested against, and serve the scalar functions of ``coeffs``
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +29,7 @@ _ZERO_ARG_TOL = 1e-12
 NOME_CAP = 0.99
 
 
+@dataclass(frozen=True)
 class ThetaEvaluator:
     """Evaluator for the rescaled theta bracket at fixed scaling and nome.
 
@@ -42,28 +45,23 @@ class ThetaEvaluator:
     argument, so they are safe to share across threads.
     """
 
-    __slots__ = ("alpha", "nome", "truncation_depth", "period")
+    alpha: float
+    nome: float
 
-    def __init__(self, alpha: float, nome: float):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if abs(nome) > NOME_CAP:
-            raise ValueError(f"|nome| = {abs(nome)} exceeds the cap {NOME_CAP}")
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "nome", float(nome))
-        if nome == 0.0:
-            depth = 0
-        else:
-            # retain product terms until |p|^{2l} < 1e-18: 2063 of them at |p| = 0.99
-            depth = 1 + math.ceil(0.5 * math.log(_TERM_EPS) / math.log(abs(nome)))
-        object.__setattr__(self, "truncation_depth", depth)
-        object.__setattr__(self, "period", 2.0 * math.pi / float(alpha))
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if abs(self.nome) > NOME_CAP:
+            raise ValueError(f"|nome| = {abs(self.nome)} exceeds the cap {NOME_CAP}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaEvaluator is immutable")
+    @cached_property
+    def period(self) -> float:
+        return 2.0 * math.pi / self.alpha
 
-    def __repr__(self):
-        return f"ThetaEvaluator(alpha={self.alpha!r}, nome={self.nome!r})"
+    @cached_property
+    def truncation_depth(self) -> int:
+        # retain product terms until |p|^{2l} < 1e-18: none at p = 0, 2063 of them at |p| = 0.99
+        return 0 if self.nome == 0.0 else 1 + math.ceil(0.5 * math.log(_TERM_EPS) / math.log(abs(self.nome)))
 
     def bracket(self, z: float) -> float:
         """Value of [z]; real for real z, odd in z.  The scalar reference for ``bracket_array``."""

@@ -163,16 +163,15 @@ class LatticeBasis:
     @cached_property
     def sector_plan(self) -> tuple:
         """What the joint solve reads of the box at any nome, built once with array operations only: the
-        ``HopTable`` of r = 1..ceil(n/2); per order, the places of its moves (s, t), then of (R^-1 s, R^-1 t),
-        in the union of the supports of M_r and R^T M_r R; and per solved sector k = 0..floor((n+1)/2) its
-        orbits and, per entry of its blocks B_1..B_n (n x L x L), the move (in the tables, concatenated) whose
-        value it takes, its flat position and its factor sqrt(s_a / s_b) omega^(jk), real where omega^k = +-1."""
-        n, half = self.n, (self.n + 1) // 2
+        ``HopTable`` of r = 1..ceil(n/2); per order, the place of (R s, R t) among its moves (s, t), which R
+        permutes; and per solved sector k = 0..floor((n+1)/2) its orbits and, per entry of its blocks B_1..B_n
+        (n x L x L), the move (in the tables, concatenated) whose value it takes, its flat position and its
+        factor sqrt(s_a / s_b) omega^(jk), real where omega^k = +-1."""
+        n, half, points = self.n, (self.n + 1) // 2, len(self)
         powers, reps, sizes = self.rotation
         orders = tuple(self.hop_table(r) for r in range(1, half + 1))
-        back = powers[n]  # R^n = R^-1
-        codes = [np.append(h.source, back[h.source]) * len(self) + np.append(h.target, back[h.target]) for h in orders]
-        unions = tuple(np.unique(c, return_inverse=True)[1] for c in codes)
+        codes = [(h.source * points + h.target, powers[1][h.source] * points + powers[1][h.target]) for h in orders]
+        perms = tuple(np.argsort(c)[np.searchsorted(c, rotated, sorter=np.argsort(c))] for c, rotated in codes)
         # the orbit of each point, and the j < s_a with R^j a = point for its least point a
         orbit = np.searchsorted(reps, np.min(powers, axis=0))
         shift = -np.argmin(powers, axis=0) % sizes[orbit]
@@ -194,7 +193,7 @@ class LatticeBasis:
             flat = (op[keep] * size + position[a[keep]]) * size + position[b[keep]]
             phased = scale[keep] * np.exp(2j * np.pi * (j[keep] * k % (n + 1)) / (n + 1))
             sectors.append((np.flatnonzero(inside), move[keep], flat, phased.real if 2 * k % (n + 1) == 0 else phased))
-        return orders, unions, sectors
+        return orders, perms, sectors
 
     def indices(self, rows: np.ndarray) -> np.ndarray:
         """Basis indices of the points whose first n parts, which tell basis points apart, are the rows."""

@@ -118,10 +118,10 @@ def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return sums.reshape(count, size)
 
 
-def _leakage(union: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """||M_r - R^T M_r R||_F at each nome from M_r on the moves of one order (nomes x moves), summed over the
-    union of the two supports (``union`` of ``LatticeBasis.sector_plan``), as (R^T M_r R)[R^-1 s, R^-1 t] = M_r[s, t]."""
-    return np.linalg.norm(_scatter(union, np.hstack([values, -values]), np.max(union) + 1), axis=1)
+def _leakage(perm: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """||M_r - R^T M_r R||_F at each nome from M_r on the moves of one order (nomes x moves), as (R^T M_r R)[s, t]
+    = M_r[R s, R t] and ``perm`` (of ``LatticeBasis.sector_plan``) places (R s, R t) among the moves (s, t)."""
+    return np.linalg.norm(values - values[:, perm], axis=1)
 
 
 def _sector_blocks(values: np.ndarray, n: int, inside, move, flat, factor) -> np.ndarray:
@@ -168,7 +168,7 @@ def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list) -> Spectr
 def _spectra(points: list, basis: LatticeBasis):
     """The Spectrum of each point on one box in turn (``joint_diagonalize``), every step stacked over the
     points; a point's failure is raised, and its frame built, only when it is reached."""
-    n, (orders, unions, plan) = basis.n, basis.sector_plan
+    n, (orders, perms, plan) = basis.n, basis.sector_plan
     offsets, failures, rows = np.cumsum([0] + [len(hops.source) for hops in orders]), {}, []
     for i, params in enumerate(points):
         try:
@@ -179,7 +179,7 @@ def _spectra(points: list, basis: LatticeBasis):
     # the blocks leave out what M_r leaks between sectors: with L = ||M_r - R^T M_r R|| <= its
     # Frobenius norm, a block vector's full-space residual exceeds its block residual by at
     # most (1 + sqrt(n)) n L / 2 < (n+1)^(3/2) L
-    leakage = [_leakage(union, values[:, start:end]) for union, start, end in zip(unions, offsets, offsets[1:])]
+    leakage = [_leakage(perm, values[:, start:end]) for perm, start, end in zip(perms, offsets, offsets[1:])]
     leakage = (n + 1) ** 1.5 * np.array([leakage[min(r, n + 1 - r) - 1] for r in range(1, n + 1)]).T
     a, x, y = np.random.default_rng(_COMBINATION_SEED).standard_normal((3, (n + 1) // 2))
     # one sector at a time, so each sector's blocks are freed after its solve

@@ -239,9 +239,10 @@ def lattice_weight(lam, params: ModelParams) -> float:
         value *= th.bracket(dl + (k - j) * g) / den
         value *= bracket_factorial(th, (k - j + 1) * g, dl) / den_f
     if not 0.0 < value < math.inf:
-        raise TruncationViolationError(
-            f"weight of lam={trim(lam)} is {value}, not finite and positive: off the truncation regime"
-        )
+        reason = "not finite and positive: off the truncation regime"
+        if not math.isfinite(value):
+            reason = "not finite: the bracket products overflow double precision"
+        raise TruncationViolationError(f"weight of lam={trim(lam)} is {value}, {reason}")
     return value
 
 
@@ -261,9 +262,10 @@ def norm_constant(mu, params: ModelParams) -> float:
             )
         value *= bracket_factorial(th, (k - j) * g, dm) / den_f
     if not 0.0 < value < math.inf:
-        raise TruncationViolationError(
-            f"norm constant of mu={trim(mu)} is {value}, not finite and positive: off the truncation regime"
-        )
+        reason = "not finite and positive: off the truncation regime"
+        if not math.isfinite(value):
+            reason = "not finite: the bracket products overflow double precision"
+        raise TruncationViolationError(f"norm constant of mu={trim(mu)} is {value}, {reason}")
     return value
 
 

@@ -270,6 +270,34 @@ def test_alpha_scale_must_be_finite_and_positive(capsys, command, scale):
     assert "scaling alpha must be finite and positive" in err
 
 
+ALL_CHECKS = set(TOLERANCES)
+
+
+@pytest.mark.parametrize(
+    "argv,code,failed",
+    [
+        ("polys --n 3 --m 3 --g 0.3 --p 0.99 --alpha-scale 3", 0, None),
+        ("verify --n 3 --m 3 --g 1 --p 0.99 --alpha-scale 1.3", 1, ALL_CHECKS),
+        ("verify --n 4 --m 2 --g 7 --p 0.99 --alpha-scale 0.5", 1, ALL_CHECKS - {"psi-consistency"}),
+        ("verify --n 3 --m 3 --g 0.3 --p 0.99 --alpha-scale 3", 1, ALL_CHECKS),
+        ("verify --n 2 --m 2 --g 50 --p 0.99", 1, {"truncation-dichotomy", "dual-orthogonality", "reconstruction"}),
+        (
+            "verify --n 1 --m 12 --g 1e6 --p 0.9",
+            1,
+            {"truncation-dichotomy", "dual-orthogonality", "reconstruction", "trig-comparison"},
+        ),
+    ],
+)
+def test_overflow_near_the_cap_fails_checks_without_warnings(tmp_path, capsys, argv, code, failed):
+    # numpy overflows at each of these (in the Pieri products, the commutator norms and products,
+    # or c^2 w); the filter of this suite turns a RuntimeWarning that escapes its guard into an error
+    assert run_json(tmp_path, argv.split())[0] == code
+    assert capsys.readouterr().err == ""
+    if failed is not None:
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == failed
+
+
 def test_polys_two_state_table(tmp_path):
     code, payload = run_json(
         tmp_path, ["polys", "--n", "1", "--m", "1", "--g", "1", "--p", "0.5"]

@@ -7,6 +7,7 @@ lie in its eigenspaces: the one labeled nu in sector k = -|nu| mod (n+1), where
 v(R lam) = omega^k v(lam), omega = exp(2 pi i / (n+1)).
 """
 
+import math
 import re
 
 import numpy as np
@@ -143,14 +144,29 @@ def test_direct_blocks_match_the_dense_fold(n, m, g, p, scale):
 def test_move_table_leakage_matches_the_dense_difference(n, m, scale):
     # in the regime the leakage is rounding, off it (alpha scaled by 0.93 or 1.3) of the order of M_r
     params, basis = off_regime(n, m, 0.7, 0.3, scale), enumerate_lattice(n, m)
-    unions, values = basis.sector_plan[1], _move_values(params, basis)
+    perms, values = basis.sector_plan[1], _move_values(params, basis)
     for r in range(1, n + 1):
         # M_{n+1-r} = M_r^T leaks as much as M_r
         i = min(r, n + 1 - r) - 1
-        leakage = spectral._leakage(unions[i], values[i][None])[0]
+        leakage = spectral._leakage(perms[i], values[i][None])[0]
         dense = dense_leakage(symmetric_hop_operator(r, params, basis), basis)
         assert abs(leakage - dense) <= 1e-14 * dense
         assert (dense < 1e-13 * np.max(np.abs(values[i]))) == (scale == 1.0)
+
+
+# every box with n <= 8, m <= 40 and N <= 500
+GRID = [(n, m) for n in range(1, 9) for m in range(1, 41) if math.comb(n + m, n) <= 500]
+
+
+def test_rotation_permutes_the_moves_of_each_order():
+    assert len(GRID) == 109
+    for n, m in GRID:
+        basis = enumerate_lattice(n, m)
+        rotate = basis.rotation.powers[1]
+        for hops, perm in zip(*basis.sector_plan[:2]):
+            assert np.array_equal(np.sort(perm), np.arange(len(hops.source)))
+            assert np.array_equal(hops.source[perm], rotate[hops.source])
+            assert np.array_equal(hops.target[perm], rotate[hops.target])
 
 
 @pytest.mark.parametrize("n,m,p_stop", [(3, 4, 0.6), (5, 4, -0.6), (2, 6, 0.9), (1, 8, 0.3), (4, 5, 0.6)])

@@ -33,7 +33,7 @@ from rlatt.operators import build_hop_operator, symmetric_hop_operator
 from rlatt.partitions import add_strip, enumerate_lattice, vertical_strips
 from rlatt.report import CHECK_NAMES, run_verification
 from rlatt.spectral import joint_diagonalize
-from scalar_reference import lattice_weight, memoized, norm_constant, positions, reduce_partition
+from scalar_reference import lattice_weight, memoized, norm_constant, off_regime, positions, reduce_partition
 
 BOXES = [(1, 1), (2, 3), (3, 4), (4, 2)]
 NOMES = [0.0, 0.3, -0.6, 0.9]
@@ -62,11 +62,11 @@ def test_bracket_array_matches_scalar(n, m, p):
 
 @pytest.mark.parametrize("n,m,p", POINTS + [(5, 4, 0.99), (2, 9, -0.6)])
 def test_one_bracket_call_gives_both_tables(monkeypatch, n, m, p):
-    """``ModelParams.brackets`` evaluates its two argument tables in one call, bit for bit as two calls would."""
+    """``ModelParams.brackets`` evaluates one table, [l + e g], in one call; both elliptic factorial tables are
+    running products of its rows, bit for bit."""
     params = ModelParams(n, m, G, p)
     th = params.theta
     shifted = th.bracket_array(np.arange(m + 1) + G * np.arange(n + 2)[:, None])
-    low = th.bracket_array((1.0 + G * np.arange(n)[:, None]) + np.arange(m))
     calls = []
     evaluate = ThetaEvaluator.bracket_array
 
@@ -76,12 +76,16 @@ def test_one_bracket_call_gives_both_tables(monkeypatch, n, m, p):
 
     monkeypatch.setattr(ThetaEvaluator, "bracket_array", counted)
     table = params.brackets
-    assert calls == [((n + 2) * (m + 1) + n * m,)]
+    assert calls == [(n + 2, m + 1)]
     assert np.array_equal(table.shifted, shifted)
     # the elliptic factorials overflow at (5, 4, 0.99), as in the table
     with np.errstate(over="ignore"):
         assert np.array_equal(table.rising, _rising_products(shifted[:, :-1]))
-        assert np.array_equal(table.rising_low, _rising_products(low))
+        # [1 + e g]...[l + e g], multiplied in that order
+        running = [np.ones(n + 2)]
+        for column in shifted[:, 1:].T:
+            running.append(running[-1] * column)
+        assert np.array_equal(table.rising_low, np.transpose(running))
 
 
 @pytest.mark.parametrize("n,m", BOXES + [(5, 4)])
@@ -217,9 +221,21 @@ def test_weight_vector_names_the_first_overflowing_weight(g):
     with pytest.raises(TruncationViolationError) as info:
         weight_vector(basis, params)
     assert str(info.value) == _first_scalar_error(lattice_weight, basis, params)
+    # inf / inf of overflowed bracket products, not a sign off the regime
+    assert str(info.value).endswith("is nan, not finite: the bracket products overflow double precision")
     with pytest.raises(TruncationViolationError) as info:
         norm_vector(basis, params)
     assert str(info.value) == _first_scalar_error(norm_constant, basis, params)
+
+
+def test_weight_vector_tells_a_negative_weight_from_an_overflow():
+    # alpha three times its locked value: the weights are finite, and (1,) has the wrong sign
+    params, basis = off_regime(3, 3, 0.3, 0.99, 3.0), enumerate_lattice(3, 3)
+    with pytest.raises(TruncationViolationError) as info:
+        weight_vector(basis, params)
+    assert str(info.value) == _first_scalar_error(lattice_weight, basis, params)
+    assert str(info.value).startswith("weight of lam=(1,) is -")
+    assert str(info.value).endswith("not finite and positive: off the truncation regime")
 
 
 def test_closed_form_labels_reject_colliding_targets(monkeypatch):
