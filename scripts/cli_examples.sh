@@ -12,10 +12,14 @@
 # (the self-paired middle order D_2) and with the four operators of n = 4.
 # Each must exit 0, write nothing to stderr (a numpy RuntimeWarning, say) and
 # print canonical JSON, exactly json.dumps(sort_keys=True, indent=2) of what
-# it parses to.  Then `--help` of rlatt and of each command must exit 0: argparse
-# formats help text only when asked, so a help string it cannot format (a
-# stray "%", say) fails nowhere else.  Needs `rlatt` and `python` on PATH;
-# fails on the first command that breaks a rule.
+# it parses to.  Then `enumerate`, `operator`, `verify` and `polys` each write
+# `--format csv` to an `--out` file: each must exit 0, write nothing to stdout
+# or stderr, and leave a file that Python's csv module reads, opening with the
+# command's header and with as many fields in every row.  Last, `--help` of
+# rlatt and of each command must exit 0: argparse formats help text only when
+# asked, so a help string it cannot format (a stray "%", say) fails nowhere
+# else.  Needs `rlatt` and `python` on PATH; fails on the first command that
+# breaks a rule.
 #
 #   bash scripts/cli_examples.sh
 set -euo pipefail
@@ -23,7 +27,9 @@ set -euo pipefail
 canonical='import json, sys; text = sys.stdin.read(); sys.exit(text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")'
 
 stderr_file=$(mktemp)
-trap 'rm -f "$stderr_file"' EXIT
+stdout_file=$(mktemp)
+csv_file=$(mktemp)
+trap 'rm -f "$stderr_file" "$stdout_file" "$csv_file"' EXIT
 
 run() {
   echo "rlatt $*"
@@ -54,6 +60,30 @@ run operator  --kind M --n 5 --m 4 --g 0.7 --p 0.5 --r 3
 run verify    --n 1 --m 8 --g 0.7 --p 0.6
 run verify    --n 3 --m 2 --g 0.7 --p -0.2
 run verify    --n 4 --m 2 --g 0.7 --p 0.2
+
+# the header the CSV file must open with, then the command
+csv_table='import csv, sys; rows = list(csv.reader(open(sys.argv[1], newline=""))); sys.exit(not (len(rows) > 1 and rows[0] == sys.argv[2].split(",") and all(len(row) == len(rows[0]) for row in rows)))'
+
+run_csv() {
+  local header=$1
+  shift
+  echo "rlatt $* --format csv --out FILE"
+  rlatt "$@" --format csv --out "$csv_file" > "$stdout_file" 2> "$stderr_file"
+  if [[ -s "$stdout_file" || -s "$stderr_file" ]]; then
+    cat "$stdout_file" "$stderr_file" >&2
+    echo "rlatt $* --format csv --out FILE wrote to stdout or stderr" >&2
+    exit 1
+  fi
+  if ! python -c "$csv_table" "$csv_file" "$header"; then
+    echo "rlatt $* --format csv --out FILE did not write a CSV table with the header $header" >&2
+    exit 1
+  fi
+}
+
+run_csv index,partition,weight,delta enumerate --n 2 --m 2
+run_csv i,j,re,im operator --n 2 --m 2 --g 0.7 --p 0.5 --r 1
+run_csv name,residual,tolerance,passed,seconds,error verify --n 2 --m 2 --g 1 --p 0.3
+run_csv mu,nu,u polys --n 2 --m 2 --g 0.7 --p 0.3
 
 echo "rlatt --help"
 rlatt --help > /dev/null

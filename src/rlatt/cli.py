@@ -4,11 +4,13 @@ JSON is the canonical output format (floats keep full precision through the
 shortest round-trip representation); ``spectrum`` renders it from the
 spectrum arrays with the same bytes as ``json.dumps(sort_keys=True,
 indent=2)``.  CSV flattens complex numbers into re/im columns.  Exit codes:
-0 success, 1 verification or continuation failure, 2 usage error.
+0 success, 1 verification or continuation failure, 2 usage error or a file
+that cannot be read or written.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -106,6 +108,7 @@ class RunConfig:
         return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for name, setting in SETTINGS.items():
@@ -182,6 +185,16 @@ def _csv_text(header: list, rows: list) -> str:
     return buffer.getvalue()
 
 
+def _write(config: RunConfig, payload: dict, records: list, header: list):
+    """The payload as canonical JSON, or per record a CSV row of its header keys, a list as items joined by spaces."""
+    if config.format == "json":
+        _emit(_to_json(payload), config.out)
+    else:
+        rows = [[" ".join(map(str, v)) if isinstance(v, list) else v for v in map(record.__getitem__, header)]
+                for record in records]
+        _emit(_csv_text(header, rows), config.out)
+
+
 def _header(schema: str, config: RunConfig) -> dict:
     """The schema and the parameter point that open the basis, operator and polys documents."""
     return {"schema": schema, "n": config.n, "m": config.m, "g": config.g, "p": config.p}
@@ -199,12 +212,8 @@ def cmd_enumerate(config: RunConfig, args: argparse.Namespace) -> int:
         }
         for i, (lam, delta) in enumerate(zip(basis.order, weight_vector(basis, params).tolist()))
     ]
-    if config.format == "json":
-        payload = {**_header("rlatt/basis", config), "size": len(basis), "records": records}
-        _emit(_to_json(payload), config.out)
-    else:
-        rows = [[r["index"], " ".join(map(str, r["partition"])), r["weight"], repr(r["delta"])] for r in records]
-        _emit(_csv_text(["index", "partition", "weight", "delta"], rows), config.out)
+    payload = {**_header("rlatt/basis", config), "size": len(basis), "records": records}
+    _write(config, payload, records, ["index", "partition", "weight", "delta"])
     return 0
 
 
@@ -336,15 +345,7 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError("verify runs at a single --p, not a sweep")
     report = run_verification(config.model_params())
     payload = report.as_dict()
-    if config.format == "json":
-        _emit(_to_json(payload), config.out)
-    else:
-        rows = [
-            [c["name"], "" if c["residual"] is None else repr(c["residual"]),
-             repr(c["tolerance"]), c["passed"], repr(c["seconds"]), c["error"] or ""]
-            for c in payload["checks"]
-        ]
-        _emit(_csv_text(["name", "residual", "tolerance", "passed", "seconds", "error"], rows), config.out)
+    _write(config, payload, payload["checks"], ["name", "residual", "tolerance", "passed", "seconds", "error"])
     return 0 if report.passed else FAILURE_EXIT
 
 
@@ -357,15 +358,7 @@ def cmd_polys(config: RunConfig, args: argparse.Namespace) -> int:
         {"mu": list(basis.order[row]), "nu": list(basis.order[col]), "u": float(coeffs[row, col])}
         for row, col in zip(*np.nonzero(coeffs))
     ]
-    if config.format == "json":
-        payload = {**_header("rlatt/polys", config), "triples": triples}
-        _emit(_to_json(payload), config.out)
-    else:
-        rows = [
-            [" ".join(map(str, t["mu"])), " ".join(map(str, t["nu"])), repr(t["u"])]
-            for t in triples
-        ]
-        _emit(_csv_text(["mu", "nu", "u"], rows), config.out)
+    _write(config, {**_header("rlatt/polys", config), "triples": triples}, triples, ["mu", "nu", "u"])
     return 0
 
 
@@ -374,16 +367,11 @@ COMMANDS = {"enumerate": cmd_enumerate, "operator": cmd_operator, "spectrum": cm
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a malformed config file (json.JSONDecodeError is a ValueError) and a file that cannot be read or written
     try:
-        config = load_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"rlatt: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        return COMMANDS[args.command](config, args)
-    except ValueError as exc:
+        return COMMANDS[args.command](load_config(args), args)
+    except (ValueError, OSError) as exc:
         print(f"rlatt: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except RlattError as exc:

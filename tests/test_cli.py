@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import re
@@ -363,6 +364,79 @@ def test_spectrum_csv(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["p", "nu", "norm_hat", "residual", "e1_re", "e1_im"]
     assert len(rows) == 3
+
+
+def operator_records(document):
+    """One record per matrix entry of an `rlatt operator` document, as its CSV rows give them."""
+    size = document["size"]
+    entries = document["entries"] if document["dtype"] == "complex" else [[re, 0.0] for re in document["entries"]]
+    return [{"i": k // size, "j": k % size, "re": re, "im": im} for k, (re, im) in enumerate(entries)]
+
+
+VERIFY_HEADER = ["name", "residual", "tolerance", "passed", "seconds", "error"]
+OPERATOR_HEADER = ["i", "j", "re", "im"]
+
+# per case: the argv, the CSV header and the records of the JSON document
+CSV_CASES = {
+    "verify": (["verify", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.3"], VERIFY_HEADER,
+               lambda doc: doc["checks"]),
+    # residuals and errors, some None, off the regime
+    "verify-off-regime": (["verify", "--n", "2", "--m", "3", "--g", "0.7", "--p", "0.3", "--alpha-scale", "1.3"],
+                          VERIFY_HEADER, lambda doc: doc["checks"]),
+    "polys": (["polys", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.3"], ["mu", "nu", "u"],
+              lambda doc: doc["triples"]),
+    "operator-D": (["operator", "--n", "2", "--m", "3", "--g", "0.7", "--p", "0.3", "--r", "1"], OPERATOR_HEADER,
+                   operator_records),
+    "operator-M": (["operator", "--n", "3", "--m", "2", "--g", "0.7", "--p", "0.5", "--r", "2", "--kind", "M"],
+                   OPERATOR_HEADER, operator_records),
+    "operator-S": (["operator", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.3", "--r", "1", "--kind", "S"],
+                   OPERATOR_HEADER, operator_records),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_CASES))
+def test_csv_rows_match_the_json_records(capsys, case):
+    argv, header, records_of = CSV_CASES[case]
+    code = main(argv)
+    records = records_of(json.loads(capsys.readouterr().out))
+    assert main(argv + ["--format", "csv"]) == code
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == header
+    assert len(rows) == len(records) + 1
+    for row, record in zip(rows[1:], records):
+        assert len(row) == len(header)
+        for key, cell in zip(header, row):
+            value = record[key]
+            if key == "seconds":  # timings differ between the two calls
+                float(cell)
+            elif isinstance(value, float):
+                assert float(cell) == value or math.isnan(value) and math.isnan(float(cell))
+            elif isinstance(value, list):
+                assert cell == " ".join(map(str, value))
+            else:
+                assert cell == ("" if value is None else str(value))
+
+
+@pytest.mark.parametrize("command", [["enumerate"], ["verify"]])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    assert main(command + ["--n", "2", "--m", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rlatt: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    first = ["operator", "--n", "2", "--m", "2", "--g", "0.7", "--p", "0.5", "--r", "1", "--kind", "M"]
+    outputs = []
+    for argv in (first, first, ["enumerate", "--n", "3", "--m", "1", "--format", "csv"], first):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    # a flag of one call leaves no trace on the next
+    assert outputs[0] == outputs[1] == outputs[3] != outputs[2]
 
 
 def test_config_file_and_overrides(tmp_path):
