@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -162,6 +163,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     for name, setting in SETTINGS.items():
         if setting.choices and values[name] not in setting.choices:
             raise ValueError(f"{name} must be {' or '.join(setting.choices)}, got {values[name]!r}")
+    # refused before the command computes anything, and before anything is created or truncated
+    out = values["out"]
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        problem = "is a directory" if os.path.isdir(out) else "lies in a directory that does not exist"
+        raise ValueError(f"cannot write --out {out}: it {problem}")
     return RunConfig(p_sweep=sweep, **values)
 
 
@@ -204,12 +210,7 @@ def cmd_enumerate(config: RunConfig, args: argparse.Namespace) -> int:
     params = config.model_params()
     basis = enumerate_lattice(config.n, config.m)
     records = [
-        {
-            "index": i,
-            "partition": list(lam),
-            "weight": weight(lam),
-            "delta": delta,
-        }
+        {"index": i, "partition": list(lam), "weight": weight(lam), "delta": delta}
         for i, (lam, delta) in enumerate(zip(basis.order, weight_vector(basis, params).tolist()))
     ]
     payload = {**_header("rlatt/basis", config), "size": len(basis), "records": records}

@@ -7,14 +7,17 @@ joint_diagonalize solves half the sectors of R (its eigenspaces), one block
 each, and conjugates the rest; residuals carry the leakage between sectors.
 The blocks and the leakage are sums over the move table, with no N x N
 operator, and a sweep solves all its nomes in one pass stacked over them.
-Labels (partitions in the box) come from the zero-nome closed form and are
-carried to nonzero nome by continuation, matching eigenvectors between
-neighbouring nomes by overlap; the label nu lies in sector -|nu| mod (n+1),
-so both run sector by sector.  The first step jumps to the target nome; a
-failed match halves the step and a clean one doubles it again.
+A Spectrum keeps its block vectors and expands the N x N frame only when a
+check reads it.  Labels (partitions in the box) come from the zero-nome
+closed form, which a sweep off p = 0 solves in its pass, and are carried to
+nonzero nome by continuation, matching block vectors between neighbouring
+nomes by overlap; the label nu lies in sector -|nu| mod (n+1), so both run
+sector by sector.  The first step jumps to the target nome; a failed match
+halves the step and a clean one doubles it again.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -49,38 +52,52 @@ _COMBINATION_SEED = 0
 class Spectrum:
     """Joint eigenpairs at one parameter point, as arrays indexed by eigenpair k.
 
-    ``eigenvalues[k, r - 1]`` is the eigenvalue of the order-r operator and
-    ``eigenvectors[:, k]`` the orthonormal frame vector v = W^{1/2} u of the
-    eigenvector u of the D_r, its component at the empty partition real and
-    positive; ``norm_hat[k] = |v(empty)|^2`` is the dual weight for the
-    unit-value-at-zero normalization, as w(empty) = 1, and ``residuals[k]``
-    the largest relative residual over the operators; ``sectors[k]`` is the
-    sector of the box's rotation the eigenvector lies in.  Labeling permutes
+    ``eigenvalues[k, r - 1]`` is the eigenvalue of the order-r operator,
+    ``residuals[k]`` the largest relative residual over the operators and
+    ``sectors[k]`` the sector of the box's rotation the eigenvector lies in.
+    ``blocks[h]`` holds the block vectors (columns) of solved sector
+    h = 0..floor((n+1)/2), and eigenpair k is column ``columns[k]`` of block
+    min(sectors[k], n+1-sectors[k]).  ``eigenvectors[:, k]``, expanded from
+    the blocks on first read, is the orthonormal frame vector v = W^{1/2} u
+    of the eigenvector u of the D_r, its component at the empty partition
+    real and positive; ``norm_hat[k] = |v(empty)|^2`` is the dual weight for
+    the unit-value-at-zero normalization, as w(empty) = 1.  Labeling permutes
     the eigenpairs so that eigenpair k carries the label ``basis.order[k]``.
     """
 
     params: ModelParams
     basis: LatticeBasis
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     norm_hat: np.ndarray
     residuals: np.ndarray
     sectors: np.ndarray
+    blocks: tuple
+    columns: np.ndarray
 
     def __len__(self) -> int:
-        return self.eigenvectors.shape[1]
+        return len(self.eigenvalues)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The frame, N x len(self): v(R^j a) = omega^(jh) b_a / sqrt(s_a) on the orbit of a, for block vector b
+        of sector h, has unit norm, with the phase of b at the empty partition, which heads its orbit, taken
+        off; sector n+1-h holds conj(v)."""
+        n, (powers, reps, orbit_sizes) = self.params.n, self.basis.rotation
+        v = np.zeros((len(self.basis), len(self)), dtype=complex)
+        for k in range(n + 1):
+            h, (pairs,) = min(k, n + 1 - k), np.nonzero(self.sectors == k)
+            inside, vecs = self.basis.sector_plan[2][h][0], self.blocks[h]
+            phases = np.exp(2j * np.pi * (h * np.arange(n + 1)) / (n + 1))
+            scale = (phases[:, None] / np.sqrt(orbit_sizes[inside]))[:, :, None]
+            values = (scale * vecs * np.exp(-1j * np.angle(vecs[0]))).reshape(-1, len(inside))[:, self.columns[pairs]]
+            v[np.ix_(powers[:, reps[inside]].ravel(), pairs)] = values if h == k else values.conj()
+        return v
 
 
 def _permuted(spectrum: Spectrum, order: np.ndarray) -> Spectrum:
-    """New spectrum whose eigenpair k is eigenpair order[k] of the given one."""
-    return replace(
-        spectrum,
-        eigenvalues=spectrum.eigenvalues[order],
-        eigenvectors=spectrum.eigenvectors[:, order],
-        norm_hat=spectrum.norm_hat[order],
-        residuals=spectrum.residuals[order],
-        sectors=spectrum.sectors[order],
-    )
+    """New spectrum whose eigenpair k is eigenpair order[k] of the given one, on the same blocks."""
+    fields = ("eigenvalues", "norm_hat", "residuals", "sectors", "columns")
+    return replace(spectrum, **{name: getattr(spectrum, name)[order] for name in fields})
 
 
 def _solve_sector(blocks: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -105,10 +122,13 @@ def _solve_sector(blocks: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarra
         block = vecs[chain].conj() @ gv[chain].swapaxes(1, 2)
         rotations = np.linalg.eigh(block + block.conj().swapaxes(1, 2))[1]
         vecs[chain] = rotations.swapaxes(1, 2) @ vecs[chain]
-    products = blocks @ vecs[:, None]
-    eigenvalues = np.einsum("bij,brij->bjr", vecs.conj(), products)
-    norms = np.linalg.norm(products - vecs[:, None] * eigenvalues.swapaxes(1, 2)[:, :, None], axis=2)
-    return vecs, eigenvalues, norms.swapaxes(1, 2)
+    # one operator at a time, so that one product B_r V of the stacks is held at once
+    eigenvalues, norms, left = [], [], vecs.conj()
+    for block in blocks.swapaxes(0, 1):
+        product = block @ vecs
+        eigenvalues.append(np.einsum("bij,bij->bj", left, product))
+        norms.append(np.linalg.norm(product - vecs * eigenvalues[-1][:, None], axis=1))
+    return vecs, np.stack(eigenvalues, axis=2), np.stack(norms, axis=2)
 
 
 def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -130,44 +150,38 @@ def _sector_blocks(values: np.ndarray, n: int, inside, move, flat, factor) -> np
     size, weights = n * len(inside) ** 2, values[:, move] * factor
     blocks = _scatter(flat, weights.real, size)
     if np.iscomplexobj(weights):
-        blocks = blocks + 1j * _scatter(flat, weights.imag, size)
+        blocks = blocks.astype(complex)
+        blocks.imag = _scatter(flat, weights.imag, size)
     return blocks.reshape(len(values), n, len(inside), len(inside))
 
 
 def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list) -> Spectrum:
-    """The Spectrum of a point from the orbits, block vectors, eigenvalues and residuals of its solved
-    sectors k = 0..floor((n+1)/2), with the frame in the full space."""
+    """The Spectrum of a point, eigenpairs in sector order k = 0..n, from the block vectors, eigenvalues and
+    residuals of its solved sectors k = 0..floor((n+1)/2)."""
     n = params.n
-    powers, reps, orbit_sizes = basis.rotation
     # sector n+1-k is the complex conjugate of sector k: vectors conj(v), eigenvalues conj(e)
     half = [min(k, n + 1 - k) for k in range(n + 1)]
-    bounds = np.cumsum([0] + [len(sectors[h][0]) for h in half])
-    eigenvalues = np.concatenate([sectors[h][2] if h == k else sectors[h][2].conj() for k, h in enumerate(half)])
-    residuals = np.concatenate([sectors[h][3] for h in half])
-    v = np.zeros((len(basis), len(basis)), dtype=complex)
-    for k, h in enumerate(half):
-        inside, vecs = sectors[h][:2]
-        # v(R^j a) = omega^(jh) b_a / sqrt(s_a) on the orbit of a, for the block vector b, has
-        # unit norm; the empty partition heads its orbit, and the phase of b there is taken off
-        phases = np.exp(2j * np.pi * (h * np.arange(n + 1)) / (n + 1))
-        values = (phases[:, None] / np.sqrt(orbit_sizes[inside]))[:, :, None] * vecs * np.exp(-1j * np.angle(vecs[0]))
-        values = values.reshape(-1, len(inside))
-        v[powers[:, reps[inside]].ravel(), bounds[k] : bounds[k + 1]] = values if h == k else values.conj()
+    vecs, eigenvalues, residuals = zip(*sectors)
+    eigenvalues = np.concatenate([eigenvalues[h] if h == k else eigenvalues[h].conj() for k, h in enumerate(half)])
+    residuals = np.concatenate([residuals[h] for h in half])
     offenders = int(np.count_nonzero(residuals > _RESIDUAL_TOL))
     if offenders:
         raise DegenerateSpectrumError(f"{offenders} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}")
-    v0 = np.abs(v[0])
-    (small,) = np.nonzero(v0 < _ZERO_COMPONENT_TOL)
-    if len(small):
-        k = small[0]
+    # |v(empty)| as Spectrum.eigenvectors computes it: the empty partition heads the first orbit of every sector
+    v0 = [np.abs((1 + 0j) / np.sqrt(basis.rotation.orbit_sizes[0]) * b[0] * np.exp(-1j * np.angle(b[0]))) for b in vecs]
+    v0 = np.concatenate([v0[h] for h in half])
+    if np.any(v0 < _ZERO_COMPONENT_TOL):
+        k = np.argmax(v0 < _ZERO_COMPONENT_TOL)
         raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {v0[k]}")
+    columns = [np.arange(len(vecs[h])) for h in half]
+    sector_of = np.repeat(np.arange(n + 1), list(map(len, columns)))
     # unit norm and w(empty) = 1, so the dual weight 1 / sum_lam w(lam) |u(lam) / u(0)|^2 is |v(0)|^2
-    return Spectrum(params, basis, eigenvalues, v, v0**2, residuals, np.repeat(np.arange(n + 1), np.diff(bounds)))
+    return Spectrum(params, basis, eigenvalues, v0**2, residuals, sector_of, vecs, np.concatenate(columns))
 
 
 def _spectra(points: list, basis: LatticeBasis):
     """The Spectrum of each point on one box in turn (``joint_diagonalize``), every step stacked over the
-    points; a point's failure is raised, and its frame built, only when it is reached."""
+    points; a point's failure is raised only when it is reached."""
     n, (orders, perms, plan) = basis.n, basis.sector_plan
     offsets, failures, rows = np.cumsum([0] + [len(hops.source) for hops in orders]), {}, []
     for i, params in enumerate(points):
@@ -191,7 +205,7 @@ def _spectra(points: list, basis: LatticeBasis):
     for i, params in enumerate(points):
         if i in failures:
             raise failures[i]
-        yield _spectrum(params, basis, [(s[0], v[i], e[i], res[i]) for s, (v, e, res) in zip(plan, solved)])
+        yield _spectrum(params, basis, [(v[i], e[i], res[i]) for v, e, res in solved])
 
 
 def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) -> Spectrum:
@@ -283,11 +297,15 @@ def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
 
 
 def _transfer_labels(previous: Spectrum, candidate: Spectrum):
-    """Match candidate vectors to previous labels by overlap, sector by sector; None on failure."""
+    """Match candidate vectors to previous labels by overlap, sector by sector; None on failure.  A frame
+    vector is omega^(jk) b_a / sqrt(s_a) on the orbit of a up to a phase, or its conjugate, so |<v, v'>| =
+    |<b, b'>| for their block vectors: sector k reads the overlaps of block min(k, n+1-k)."""
+    n = candidate.params.n
+    overlaps = [np.abs(b.conj().T @ c) for b, c in zip(previous.blocks, candidate.blocks)]
     order = np.empty(len(candidate), dtype=np.intp)
-    for k in range(candidate.params.n + 1):
+    for k in range(n + 1):
         labels, pairs = np.flatnonzero(previous.sectors == k), np.flatnonzero(candidate.sectors == k)
-        overlap = np.abs(previous.eigenvectors[:, labels].conj().T @ candidate.eigenvectors[:, pairs])
+        overlap = overlaps[min(k, n + 1 - k)][np.ix_(previous.columns[labels], candidate.columns[pairs])]
         cols = np.argmax(overlap, axis=1)
         if np.min(overlap[np.arange(len(labels)), cols]) <= _MIN_OVERLAP or len(np.unique(cols)) < len(cols):
             return None
@@ -353,7 +371,8 @@ def label_spectrum(spectrum: Spectrum) -> Spectrum:
 def sweep_spectra(params: ModelParams, p_values) -> list:
     """Labeled spectra along a nome sweep, solved in one stacked pass, propagating labels point to point.
 
-    A refused nome or a failed solve raises when the sweep reaches it, after any earlier failure.
+    A first nome off p = 0 is labeled from p = 0, which the pass solves right after it.  A refused nome
+    or a failed solve raises when the sweep reaches it, after any earlier failure.
     """
     basis, points, refused = enumerate_lattice(params.n, params.m), [], None
     try:
@@ -361,9 +380,12 @@ def sweep_spectra(params: ModelParams, p_values) -> list:
             points.append(replace(params, p=float(p)))
     except (TypeError, ValueError) as error:
         refused = error
-    spectra = []
-    for target in _spectra(points, basis):
-        spectra.append(continue_labels(spectra[-1], target) if spectra else label_spectrum(target))
+    base = [replace(points[0], p=0.0)] if points and points[0].p != 0.0 else []
+    solved, spectra = _spectra(points[:1] + base + points[1:], basis), []
+    for target in solved:
+        # the first point is labeled at p = 0: its own nome, or the next one of the pass
+        labeled = spectra[-1] if spectra else label_spectrum(next(solved) if base else target)
+        spectra.append(continue_labels(labeled, target))
     if refused is not None:
         raise refused
     return spectra

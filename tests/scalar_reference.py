@@ -56,7 +56,9 @@ forms: ``folded_blocks``, the sector blocks of ``spectral._sector_blocks`` as a
 fold of the dense M_r over the orbits; ``dense_leakage``, the leakage of
 ``spectral._leakage`` as a difference of dense matrices; and
 ``sweep_nome_by_nome``, the sweep that solved and labeled one nome at a time,
-the reference for the stacked ``spectral.sweep_spectra``.
+the reference for the stacked ``spectral.sweep_spectra``; and
+``dense_transfer_labels``, the overlap match on the N x N frames, the
+reference for ``spectral._transfer_labels``, which matches block vectors.
 """
 
 import cmath
@@ -82,7 +84,7 @@ from rlatt.macdonald import _partitions_of_weight, macdonald_coeffs
 from rlatt.operators import build_hop_operator
 from rlatt.partitions import enumerate_lattice, pad, trim, weight
 from rlatt.report import _worst_relative
-from rlatt.spectral import continue_labels, joint_diagonalize, label_spectrum
+from rlatt.spectral import _MIN_OVERLAP, _permuted, continue_labels, joint_diagonalize, label_spectrum
 from rlatt.weightlattice import GENERICITY_TOL
 
 
@@ -500,6 +502,21 @@ def sweep_nome_by_nome(params: ModelParams, p_values) -> list:
         target = joint_diagonalize(replace(params, p=float(p)), basis=basis)
         spectra.append(continue_labels(spectra[-1], target) if spectra else label_spectrum(target))
     return spectra
+
+
+def dense_transfer_labels(previous, candidate):
+    """Match candidate vectors to previous labels by the overlaps of their frame vectors, sector by sector;
+    None on failure."""
+    order = np.empty(len(candidate), dtype=np.intp)
+    for k in range(candidate.params.n + 1):
+        labels, pairs = np.flatnonzero(previous.sectors == k), np.flatnonzero(candidate.sectors == k)
+        overlap = np.abs(previous.eigenvectors[:, labels].conj().T @ candidate.eigenvectors[:, pairs])
+        cols = np.argmax(overlap, axis=1)
+        if np.min(overlap[np.arange(len(labels)), cols]) <= _MIN_OVERLAP or len(np.unique(cols)) < len(cols):
+            return None
+        # previous is in label order: candidate vector pairs[cols[i]] takes label labels[i]
+        order[labels] = pairs[cols]
+    return _permuted(candidate, order)
 
 
 def conjugate_by_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rlatt import cli
 from rlatt.cli import SETTINGS, RunConfig, build_parser, load_config, main
 from rlatt.coeffs import ModelParams, weight_vector
 from rlatt.operators import build_hop_operator
 from rlatt.partitions import enumerate_lattice
 from rlatt.report import REPORT_SCHEMA_VERSION, TOLERANCES
+from rlatt.spectral import Spectrum
 from scalar_reference import conjugate_by_weights
 
 
@@ -426,6 +428,65 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command, target):
     assert captured.out == ""
     assert captured.err.startswith("rlatt: ")
     assert captured.err.count("\n") == 1
+
+
+UNWRITABLE = {
+    "directory": "it is a directory",
+    "missing-directory": "it lies in a directory that does not exist",
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["spectrum", "--p", "0.3"], ["spectrum", "--p-start", "0", "--p-stop", "0.1", "--p-step", "0.05"]],
+)
+@pytest.mark.parametrize("target", sorted(UNWRITABLE))
+def test_unwritable_out_is_refused_before_computing(monkeypatch, tmp_path, capsys, command, target):
+    def computing(*args):
+        raise AssertionError("the command computed before refusing --out")
+
+    monkeypatch.setattr(cli, "run_verification", computing)
+    monkeypatch.setattr(cli, "sweep_spectra", computing)
+    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    assert main(command + ["--n", "2", "--m", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rlatt: cannot write --out {out}: {UNWRITABLE[target]}\n"
+    # nothing was created or truncated
+    assert list(tmp_path.iterdir()) == []
+
+
+class FrameExpanded(Exception):
+    """Raised in place of the N x N frame of a Spectrum."""
+
+
+def _refuse_frames(monkeypatch):
+    def refuse(spectrum):
+        raise FrameExpanded(f"frame expanded at p = {spectrum.params.p}")
+
+    monkeypatch.setattr(Spectrum, "eigenvectors", property(refuse))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "3", "--m", "4", "--p", "0.3"],
+        ["--n", "3", "--m", "4", "--p-start", "0", "--p-stop", "0.6", "--p-step", "0.05"],
+        ["--n", "5", "--m", "4", "--p-start", "0", "--p-stop", "-0.6", "--p-step", "0.05"],
+        ["--n", "5", "--m", "4", "--p-start", "0.3", "--p-stop", "-0.3", "--p-step", "0.1", "--format", "csv"],
+    ],
+)
+def test_spectrum_expands_no_frame(monkeypatch, capsys, argv):
+    # labeling, continuation and the output read the sector blocks and the per-eigenpair arrays only
+    _refuse_frames(monkeypatch)
+    assert main(["spectrum", "--g", "0.7"] + argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_reads_the_frame(monkeypatch):
+    _refuse_frames(monkeypatch)
+    with pytest.raises(FrameExpanded):
+        main(["verify", "--n", "3", "--m", "4", "--g", "0.7", "--p", "0.3"])
 
 
 def test_parser_is_built_once(capsys):

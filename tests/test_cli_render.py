@@ -113,14 +113,16 @@ def test_synthetic_spectrum_with_extreme_floats_renders_as_reference():
             [complex(1e300, -np.inf), complex(-5e-324, 0.1)],
         ]
     )
+    # each of the three sectors is one orbit, the whole box, so every block is 1 x 1
     spectrum = Spectrum(
         params,
         basis,
         eigenvalues,
-        np.eye(3, dtype=complex),
         np.array([np.nan, -0.0, 5e-324]),
         np.array([np.inf, 1e300, -np.inf]),
         np.array([0, 1, 2]),
+        (np.ones((1, 1), dtype=complex),) * 2,
+        np.zeros(3, dtype=np.intp),
     )
     text = cli._render_spectrum(RunConfig(2, 1, 0.7, 0.2), [0.2], [spectrum])
     assert "NaN" in text and "-Infinity" in text and "nan" not in text

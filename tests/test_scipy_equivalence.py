@@ -19,6 +19,7 @@ from rlatt import spectral
 from rlatt.coeffs import ModelParams
 from rlatt.macdonald import _antisymmetrized_form, _operator_matrix, trig_joint_eigenvalues
 from rlatt.spectral import joint_diagonalize, label_spectrum, sweep_spectra
+from scalar_reference import dense_transfer_labels
 
 COUPLINGS = (0.9814989379240225, 1.4277056977549325)
 LABEL_BOXES = [(3, 4), (2, 8), (3, 5), (3, 6), (4, 5), (4, 6), (5, 5)]
@@ -97,13 +98,16 @@ def test_sweep_assignments_match_linear_sum_assignment(checked, n, m, p_stop, g)
 
 
 def test_two_rows_on_one_column_refuse_the_match(checked):
-    # a previous frame with one vector twice: both its rows pick the same candidate with
-    # overlap 1, so only the permutation check refuses the match, as linear_sum_assignment does
+    # a previous spectrum with one block column twice: both its rows pick the same candidate
+    # with overlap 1, so only the permutation check refuses the match, as linear_sum_assignment does
     labeled = label_spectrum(joint_diagonalize(ModelParams(3, 4, COUPLINGS[0], 0.3)))
     first, second = np.flatnonzero(labeled.sectors == 1)[:2]
-    eigenvectors = labeled.eigenvectors.copy()
-    eigenvectors[:, second] = eigenvectors[:, first]
-    assert spectral._transfer_labels(replace(labeled, eigenvectors=eigenvectors), labeled) is None
+    columns = labeled.columns.copy()
+    columns[second] = columns[first]
+    duplicated = replace(labeled, columns=columns)
+    assert np.array_equal(duplicated.eigenvectors[:, second], duplicated.eigenvectors[:, first])
+    assert spectral._transfer_labels(duplicated, labeled) is None
+    assert dense_transfer_labels(duplicated, labeled) is None
     assert spectral._transfer_labels(labeled, labeled) is not None
     assert checked[-2:] == [False, True]
 

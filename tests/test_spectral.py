@@ -20,6 +20,7 @@ from rlatt.spectral import (
 from scalar_reference import (
     conjugate_by_weights,
     conjugate_pairing_residual,
+    dense_transfer_labels,
     min_eigenvalue_gap,
     off_regime,
     operator_eigenvectors,
@@ -56,16 +57,23 @@ def test_labels_match_closed_form_at_zero_nome(labeled):
             assert abs(eigenvalues[r - 1] - closed) < 1e-8
 
 
-ARRAYS = ("eigenvalues", "eigenvectors", "norm_hat", "residuals")
+ARRAYS = ("eigenvalues", "norm_hat", "residuals", "sectors", "columns")
 
 
 def _copy(spectrum):
-    return replace(spectrum, **{name: getattr(spectrum, name).copy() for name in ARRAYS})
+    arrays = {name: getattr(spectrum, name).copy() for name in ARRAYS}
+    return replace(spectrum, blocks=tuple(block.copy() for block in spectrum.blocks), **arrays)
 
 
 def _same_arrays(a, b):
-    """Whether two spectra hold bitwise equal arrays."""
-    return a.params == b.params and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ARRAYS)
+    """Whether two spectra hold bitwise equal arrays, blocks and frames."""
+    return (
+        a.params == b.params
+        and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ARRAYS)
+        and len(a.blocks) == len(b.blocks)
+        and all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+        and np.array_equal(a.eigenvectors, b.eigenvectors)
+    )
 
 
 def _columns_in(unlabeled, labeled_spectrum):
@@ -186,8 +194,34 @@ def test_negative_nome_equals_positive():
 
 def test_single_datum_orthogonality_is_zero(labeled):
     spectrum = labeled(2, 2, 0.7, 0.5)
-    single = replace(spectrum, eigenvectors=spectrum.eigenvectors[:, :1])
+    single = spectral._permuted(spectrum, [0])
+    assert single.eigenvectors.shape == (len(spectrum), 1)
     assert orthogonality_residual(single) == 0.0
+
+
+def _same_match(block, dense):
+    """Whether two overlap matches both passed and put the same eigenpairs in the same order."""
+    if block is None or dense is None:
+        return False
+    return np.array_equal(block.sectors, dense.sectors) and np.array_equal(block.columns, dense.columns)
+
+
+# the boxes of the acceptance suite and the benchmark's label ladder
+TRANSFER_POINTS = [(2, 2, 0.7, 0.5), (3, 2, 1.0, 0.3), (2, 3, 1.7, 0.7)] + [
+    (n, m, 0.9814989379240225, 0.3) for n, m in [(3, 4), (2, 8), (3, 5), (3, 6), (4, 5), (4, 6), (5, 5)]
+]
+
+
+@pytest.mark.parametrize("n,m,g,p", TRANSFER_POINTS)
+def test_block_transfer_matches_the_dense_frames(labeled, n, m, g, p):
+    base = labeled(n, m, g, 0.0)
+    for step in (p, p / 2, -p):
+        # the jump, a halved step, and a jump to the mirror nome
+        candidate = joint_diagonalize(ModelParams(n, m, g, step))
+        matched = spectral._transfer_labels(base, candidate)
+        assert _same_match(matched, dense_transfer_labels(base, candidate))
+        # from the labeled point on, as a halved step continues
+        assert _same_match(spectral._transfer_labels(matched, base), dense_transfer_labels(matched, base))
 
 
 def test_smoothness_statistic_flags_label_swaps():
@@ -284,6 +318,42 @@ def test_a_sweep_solves_its_nomes_in_one_stacked_pass(monkeypatch):
     # form, and no continuation step is halved
     assert solves == [SWEEP_NOMES]
     assert nomes == []
+
+
+@pytest.mark.parametrize("nomes", [[0.3], [-0.6, -0.3, 0.0, 0.3]])
+def test_a_sweep_off_zero_solves_its_base_in_the_same_pass(monkeypatch, nomes):
+    solves = []
+    stacked = spectral._spectra
+
+    def recording(points, basis):
+        solves.append([params.p for params in points])
+        return stacked(points, basis)
+
+    monkeypatch.setattr(spectral, "_spectra", recording)
+    single = _record_solves(monkeypatch)
+    swept = sweep_spectra(ModelParams(3, 4, 0.7, 0.0), nomes)
+    # p = 0 right after the first nome, and no single-nome solve
+    assert solves == [nomes[:1] + [0.0] + nomes[1:]]
+    assert single == []
+    assert [s.params.p for s in swept] == nomes
+    monkeypatch.undo()
+    reference = sweep_nome_by_nome(ModelParams(3, 4, 0.7, 0.0), nomes)
+    for spectrum, expected in zip(swept, reference):
+        assert np.array_equal(spectrum.eigenvalues, expected.eigenvalues)
+
+
+@pytest.mark.parametrize("kind", [TruncationViolationError, DegenerateSpectrumError])
+@pytest.mark.parametrize("poisoned", [[0.3], [0.0], [0.0, 0.3]])
+def test_a_sweep_off_zero_raises_its_first_nome_then_its_base(monkeypatch, kind, poisoned):
+    params = ModelParams(3, 4, 0.7, 0.0)
+    for p in poisoned:
+        _poison(monkeypatch, p, kind)
+    nomes = [0.3, 0.35, 0.4]
+    failure = _failure(sweep_spectra, params, nomes)
+    assert failure[0] is kind
+    if kind is TruncationViolationError:
+        assert failure[1] == f"poisoned at p = {max(poisoned)}"
+    assert failure == _failure(sweep_nome_by_nome, params, nomes)
 
 
 def test_label_spectrum_solves_only_the_zero_nome(monkeypatch):
