@@ -2,9 +2,11 @@
 # The CLI examples: the README's five commands, the operator kinds the CLI
 # forms from the hop matrices, the polynomials of (3, 3), whose recurrence
 # multiplies by each of the three eigenvalues, the self-paired middle order
-# M_2 of n = 3, two labeled spectra solved by rotation
-# sector, (4, 8) with five sectors of 99 and (5, 4) whose sectors 0 and 3 are
-# real, and one at the nome cap, where the lattice weights overflow and the
+# M_2 of n = 3, three labeled spectra solved by rotation
+# sector, (4, 8) with five sectors of 99, (5, 4) whose sectors 0 and 3 are
+# real and (6, 2), the one example at n = 6, whose orders 4, 5 and 6 the solve
+# reads as the adjoints of the blocks of 3, 2 and 1 with no middle order, and
+# one at the nome cap, where the lattice weights overflow and the
 # bracket takes 2063 factors; two sweeps, whose nomes are solved in one stacked
 # pass, on (5, 4) (real sectors 0 and 3, self-paired middle order 3) and on
 # (3, 3), and the self-paired M_3 of (5, 4); and `verify`, whose operator checks
@@ -53,6 +55,7 @@ run polys     --n 3 --m 3 --g 0.7 --p 0.3
 run operator  --kind M --n 3 --m 2 --g 0.7 --p 0.5 --r 2
 run spectrum  --n 4 --m 8 --g 0.7 --p 0.3
 run spectrum  --n 5 --m 4 --g 0.7 --p -0.6
+run spectrum  --n 6 --m 2 --g 0.7 --p 0.3
 run spectrum  --n 2 --m 4 --g 1.3 --p 0.99
 run spectrum  --n 5 --m 4 --g 0.7 --p-start 0 --p-stop -0.6 --p-step 0.1
 run spectrum  --n 3 --m 3 --g 0.7 --p-start 0 --p-stop 0.6 --p-step 0.1

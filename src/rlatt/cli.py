@@ -342,8 +342,6 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    if config.p_sweep is not None:
-        raise ValueError("verify runs at a single --p, not a sweep")
     report = run_verification(config.model_params())
     payload = report.as_dict()
     _write(config, payload, payload["checks"], ["name", "residual", "tolerance", "passed", "seconds", "error"])
@@ -371,7 +369,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # a malformed config file (json.JSONDecodeError is a ValueError) and a file that cannot be read or written
     try:
-        return COMMANDS[args.command](load_config(args), args)
+        config = load_config(args)
+        if config.p_sweep and args.command != "spectrum":
+            raise ValueError(f"{args.command} runs at a single --p, not a sweep")
+        return COMMANDS[args.command](config, args)
     except (ValueError, OSError) as exc:
         print(f"rlatt: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -164,9 +164,9 @@ class LatticeBasis:
     def sector_plan(self) -> tuple:
         """What the joint solve reads of the box at any nome, built once with array operations only: the
         ``HopTable`` of r = 1..ceil(n/2); per order, the place of (R s, R t) among its moves (s, t), which R
-        permutes; and per solved sector k = 0..floor((n+1)/2) its orbits and, per entry of its blocks B_1..B_n
-        (n x L x L), the move (in the tables, concatenated) whose value it takes, its flat position and its
-        factor sqrt(s_a / s_b) omega^(jk), real where omega^k = +-1."""
+        permutes; and per solved sector k = 0..floor((n+1)/2) its orbits and, per entry of its blocks
+        B_1..B_ceil(n/2) (ceil(n/2) x L x L), the move (in the tables, concatenated) whose value it takes, its
+        flat position and its factor sqrt(s_a / s_b) omega^(jk), real where omega^k = +-1."""
         n, half, points = self.n, (self.n + 1) // 2, len(self)
         powers, reps, sizes = self.rotation
         orders = tuple(self.hop_table(r) for r in range(1, half + 1))
@@ -175,15 +175,11 @@ class LatticeBasis:
         # the orbit of each point, and the j < s_a with R^j a = point for its least point a
         orbit = np.searchsorted(reps, np.min(powers, axis=0))
         shift = -np.argmin(powers, axis=0) % sizes[orbit]
-        # M_{i+1} (operator index i) on the moves of order i + 1 and M_{n-i} = M_{i+1}^T on them
-        # reversed, unless n - i = i + 1; the blocks read the entries a -> t = R^j b from a representative a
+        # the blocks read the entries a -> t = R^j b of M_{i+1} (operator index i) from a representative a
         src, tgt = (np.concatenate(ends) for ends in zip(*[(h.source, h.target) for h in orders]))
-        order = np.repeat(np.arange(half), [len(h.source) for h in orders])
-        flip = order < n - 1 - order
-        move, op = np.append(np.arange(len(src)), np.flatnonzero(flip)), np.append(order, n - 1 - order[flip])
-        src, tgt = np.append(src, tgt[flip]), np.append(tgt, src[flip])
+        op = np.repeat(np.arange(half), [len(h.source) for h in orders])
         (keep,) = np.nonzero(shift[src] == 0)
-        move, op, a, b, j = move[keep], op[keep], orbit[src[keep]], orbit[tgt[keep]], shift[tgt[keep]]
+        move, op, a, b, j = keep, op[keep], orbit[src[keep]], orbit[tgt[keep]], shift[tgt[keep]]
         # B_k[a, b] = sqrt(s_a / s_b) sum_j omega^(jk) M_r[a, R^j b] over j < s_b
         scale, sectors = np.sqrt(sizes[a] / sizes[b]), []
         for k in range(half + 1):

@@ -80,8 +80,8 @@ class Spectrum:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """The frame, N x len(self): v(R^j a) = omega^(jh) b_a / sqrt(s_a) on the orbit of a, for block vector b
-        of sector h, has unit norm, with the phase of b at the empty partition, which heads its orbit, taken
-        off; sector n+1-h holds conj(v)."""
+        of sector h, real and positive at the empty partition, which heads its orbit, has unit norm; sector
+        n+1-h holds conj(v)."""
         n, (powers, reps, orbit_sizes) = self.params.n, self.basis.rotation
         v = np.zeros((len(self.basis), len(self)), dtype=complex)
         for k in range(n + 1):
@@ -89,7 +89,7 @@ class Spectrum:
             inside, vecs = self.basis.sector_plan[2][h][0], self.blocks[h]
             phases = np.exp(2j * np.pi * (h * np.arange(n + 1)) / (n + 1))
             scale = (phases[:, None] / np.sqrt(orbit_sizes[inside]))[:, :, None]
-            values = (scale * vecs * np.exp(-1j * np.angle(vecs[0]))).reshape(-1, len(inside))[:, self.columns[pairs]]
+            values = (scale * vecs).reshape(-1, len(inside))[:, self.columns[pairs]]
             v[np.ix_(powers[:, reps[inside]].ravel(), pairs)] = values if h == k else values.conj()
         return v
 
@@ -100,13 +100,12 @@ def _permuted(spectrum: Spectrum, order: np.ndarray) -> Spectrum:
     return replace(spectrum, **{name: getattr(spectrum, name)[order] for name in fields})
 
 
-def _solve_sector(blocks: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
-    """Joint eigenvectors v (columns) of one sector's blocks B_1..B_n at each nome, stacked as
-    (nomes, n, L, L), with their Rayleigh quotients e and norms ||B_r v - e_r v|| (nomes, L, n)."""
-    # B_{n+1-r} = B_r^H, so B_1..B_ceil(n/2) carry the whole family; in a real
-    # sector conjugate labels share an eigenvalue 2 sum_r a_r Re e_r of this combination
-    half = blocks[:, : len(a)]
-    vals, vecs = np.linalg.eigh(np.einsum("r,brij->bij", a, half + half.conj().swapaxes(2, 3)))
+def _solve_sector(blocks: np.ndarray, n: int, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Joint eigenvectors v (columns, (nomes, L, L)) of one sector's blocks B_1..B_ceil(n/2), stacked as
+    (nomes, ceil(n/2), L, L), with their Rayleigh quotients e and norms ||B_r v - e_r v|| (nomes, L, n) over
+    all n orders, B_{n+1-r} = B_r^H; each v's phase at the empty partition, its first entry, is taken off."""
+    # in a real sector conjugate labels share an eigenvalue 2 sum_r a_r Re e_r of this combination
+    vals, vecs = np.linalg.eigh(np.einsum("r,brij->bij", a, blocks + blocks.conj().swapaxes(2, 3)))
     # eigh gets a vector right to eps ||A|| / gap (Davis-Kahan), so eigenvalues
     # closer than the gap at which that reaches _RESIDUAL_TOL form one chain
     gap = 10 * np.finfo(float).eps / _RESIDUAL_TOL * np.max(np.abs(vals), axis=1, keepdims=True)
@@ -116,26 +115,25 @@ def _solve_sector(blocks: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarra
     vecs = vecs.astype(complex)
     # each chain is rotated by eigh of its restriction of G + G^H, G = sum_r (x_r + i y_r) B_r;
     # chains of one length are stacked over the nomes, as rows (K, size, L) and unitaries (K, size, size)
-    gv = np.einsum("r,brij->bij", x + 1j * y, half) @ vecs
+    gv = np.einsum("r,brij->bij", x + 1j * y, blocks) @ vecs
     for size in np.unique(sizes[sizes > 1]):
         chain = (nomes[sizes == size, None], slice(None), starts[sizes == size, None] + np.arange(size))
         block = vecs[chain].conj() @ gv[chain].swapaxes(1, 2)
         rotations = np.linalg.eigh(block + block.conj().swapaxes(1, 2))[1]
         vecs[chain] = rotations.swapaxes(1, 2) @ vecs[chain]
-    # one operator at a time, so that one product B_r V of the stacks is held at once
+    # one order at a time, so that one product B_r V of the stacks is held at once; the orders r past
+    # ceil(n/2) multiply by B_{n+1-r}^H, and v^H B^H v = conj(v^H B v) is their Rayleigh quotient
     eigenvalues, norms, left = [], [], vecs.conj()
-    for block in blocks.swapaxes(0, 1):
-        product = block @ vecs
-        eigenvalues.append(np.einsum("bij,bij->bj", left, product))
+    for i in range(n):
+        if i < blocks.shape[1]:
+            product = blocks[:, i] @ vecs
+            eigenvalues.append(np.einsum("bij,bij->bj", left, product))
+        else:
+            product = blocks[:, n - 1 - i].conj().swapaxes(1, 2) @ vecs
+            eigenvalues.append(eigenvalues[n - 1 - i].conj())
         norms.append(np.linalg.norm(product - vecs * eigenvalues[-1][:, None], axis=1))
+    vecs *= np.exp(-1j * np.angle(vecs[:, :1]))
     return vecs, np.stack(eigenvalues, axis=2), np.stack(norms, axis=2)
-
-
-def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Per nome (row of ``weights``, nomes x entries), the sums of its weights in the bins ``index`` of 0..size-1."""
-    count = len(weights)
-    sums = np.bincount((index + size * np.arange(count)[:, None]).ravel(), weights.ravel(), count * size)
-    return sums.reshape(count, size)
 
 
 def _leakage(perm: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -145,14 +143,12 @@ def _leakage(perm: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _sector_blocks(values: np.ndarray, n: int, inside, move, flat, factor) -> np.ndarray:
-    """The blocks B_1..B_n of one sector of ``LatticeBasis.sector_plan`` at each nome, (nomes, n, L, L), from the
-    values of M on the moves (nomes x moves): B_k[a, b] += M_r[a, t] sqrt(s_a / s_b) omega^(jk) over a -> t = R^j b."""
-    size, weights = n * len(inside) ** 2, values[:, move] * factor
-    blocks = _scatter(flat, weights.real, size)
-    if np.iscomplexobj(weights):
-        blocks = blocks.astype(complex)
-        blocks.imag = _scatter(flat, weights.imag, size)
-    return blocks.reshape(len(values), n, len(inside), len(inside))
+    """B_1..B_ceil(n/2) of one sector of ``LatticeBasis.sector_plan`` per nome, (nomes, ceil(n/2), L, L), from M on
+    the moves (nomes x moves): B_r[a, b] += M_r[a, t] sqrt(s_a / s_b) omega^(jk) over a -> t = R^j b, in sector k."""
+    weights = values[:, move] * factor
+    blocks = np.zeros((len(values), (n + 1) // 2 * len(inside) ** 2), dtype=weights.dtype)
+    np.add.at(blocks, (slice(None), flat), weights)
+    return blocks.reshape(len(values), (n + 1) // 2, len(inside), len(inside))
 
 
 def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list) -> Spectrum:
@@ -167,9 +163,8 @@ def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list) -> Spectr
     offenders = int(np.count_nonzero(residuals > _RESIDUAL_TOL))
     if offenders:
         raise DegenerateSpectrumError(f"{offenders} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}")
-    # |v(empty)| as Spectrum.eigenvectors computes it: the empty partition heads the first orbit of every sector
-    v0 = [np.abs((1 + 0j) / np.sqrt(basis.rotation.orbit_sizes[0]) * b[0] * np.exp(-1j * np.angle(b[0]))) for b in vecs]
-    v0 = np.concatenate([v0[h] for h in half])
+    # |v(empty)|: the empty partition heads the first orbit of every sector
+    v0 = np.concatenate([np.abs(vecs[h][0]) for h in half]) / np.sqrt(basis.rotation.orbit_sizes[0])
     if np.any(v0 < _ZERO_COMPONENT_TOL):
         k = np.argmax(v0 < _ZERO_COMPONENT_TOL)
         raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {v0[k]}")
@@ -197,7 +192,7 @@ def _spectra(points: list, basis: LatticeBasis):
     leakage = (n + 1) ** 1.5 * np.array([leakage[min(r, n + 1 - r) - 1] for r in range(1, n + 1)]).T
     a, x, y = np.random.default_rng(_COMBINATION_SEED).standard_normal((3, (n + 1) // 2))
     # one sector at a time, so each sector's blocks are freed after its solve
-    solved = [_solve_sector(_sector_blocks(values, n, *sector), a, x, y) for sector in plan]
+    solved = [_solve_sector(_sector_blocks(values, n, *sector), n, a, x, y) for sector in plan]
     # M_r commutes with its transpose M_{n+1-r}, so its 2-norm is its spectral radius max_k |e_rk|
     radius = np.max([np.max(np.abs(e), axis=1) for _, e, _ in solved], axis=0)
     solved = [(v, e, np.max((norms + leakage[:, None]) / radius[:, None], axis=2)) for v, e, norms in solved]
@@ -219,10 +214,10 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
     residuals of v.  Each residual adds the leakage of M_r between sectors to
     the block residual, so it bounds the full-space residual.
 
-    The blocks come straight from the move table (``LatticeBasis.sector_plan``):
-    a move a -> t = R^j b from an orbit representative adds M_r[a, t]
-    sqrt(s_a / s_b) omega^(jk) to B_k[a, b], so no N x N operator is formed.
-    This is the one-nome case of the stacked solve of ``sweep_spectra``.
+    The blocks of r <= ceil(n/2) come from the move table (``sector_plan``): a
+    move a -> t = R^j b from an orbit representative adds M_r[a, t]
+    sqrt(s_a / s_b) omega^(jk) to B_k[a, b], and order n+1-r reads B_k^H, so no
+    N x N operator is formed: the one-nome case of ``sweep_spectra``'s solve.
 
     Each block is solved through two Hermitian combinations of its operators,
     with coefficients from one fixed draw (_COMBINATION_SEED): a generic

@@ -52,8 +52,9 @@ read the moves of each operator: ``dense_operator_checks`` gives the four
 operator checks of ``rlatt verify`` from the matrices D_1..D_n.
 
 The dense forms the joint solve replaced are the references for its move-table
-forms: ``folded_blocks``, the sector blocks of ``spectral._sector_blocks`` as a
-fold of the dense M_r over the orbits; ``dense_leakage``, the leakage of
+forms: ``folded_blocks``, the sector blocks of all n orders as a fold of the
+dense M_r over the orbits, whose first ceil(n/2) ``spectral._sector_blocks``
+scatters and whose others the solve reads as their adjoints; ``dense_leakage``, the leakage of
 ``spectral._leakage`` as a difference of dense matrices; and
 ``sweep_nome_by_nome``, the sweep that solved and labeled one nome at a time,
 the reference for the stacked ``spectral.sweep_spectra``; and

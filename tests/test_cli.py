@@ -250,11 +250,15 @@ def test_verify_with_broken_alpha_fails(tmp_path):
     assert by_name["truncation-dichotomy"]["passed"] is False
 
 
-def test_verify_rejects_sweep():
-    code = main(
-        ["verify", "--n", "2", "--m", "2", "--p-start", "0", "--p-stop", "0.5", "--p-step", "0.1"]
-    )
-    assert code == 2
+@pytest.mark.parametrize("command", ["enumerate", "operator", "verify", "polys"])
+def test_verify_rejects_sweep(tmp_path, capsys, command):
+    # only spectrum takes a sweep, by flags or by config keys; the others would compute at --p alone
+    argv = [command, "--n", "2", "--m", "2"] + (["--r", "1"] if command == "operator" else [])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"p_start": 0.2, "p_stop": 0.4, "p_step": 0.1}))
+    for extra in (["--p-start", "0", "--p-stop", "0.5", "--p-step", "0.1"], ["--config", str(config)]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", f"rlatt: {command} runs at a single --p, not a sweep\n")
 
 
 def test_tolerance_flag_is_a_usage_error():

@@ -8,6 +8,7 @@ import pytest
 
 from rlatt import report, spectral
 from rlatt.coeffs import ModelParams, box_pieri_coefficients, norm_vector, weight_vector
+from rlatt.errors import TruncationViolationError
 from rlatt.operators import build_hop_operator, paired_moves
 from rlatt.partitions import enumerate_lattice
 from rlatt.report import CHECK_NAMES, run_verification
@@ -44,6 +45,24 @@ def test_verification_builds_one_value_table(monkeypatch):
     monkeypatch.setattr(report, "value_table", counted)
     assert run_verification(ModelParams(2, 3, 0.7, 0.3)).passed
     assert len(calls) == 1
+
+
+def test_trig_comparison_keeps_its_verdict_when_only_the_nome_fails(monkeypatch):
+    # p = 0 and p are solved apart: the checks on the labeled spectrum meet the error of p, and the
+    # oracle, which reads the p = 0 spectrum alone, keeps its own verdict
+    exact, message = spectral.symmetric_hop_values, "no solve at p = 0.3"
+
+    def failing(basis, r, params, hops):
+        if params.p == 0.3:
+            raise TruncationViolationError(message)
+        return exact(basis, r, params, hops)
+
+    monkeypatch.setattr(spectral, "symmetric_hop_values", failing)
+    checks = {c.name: c for c in run_verification(ModelParams(2, 3, 0.7, 0.3)).checks}
+    failed = {"orthogonality", "pieri", "dual-orthogonality", "reconstruction"}
+    assert {name for name, check in checks.items() if not check.passed} == failed
+    assert all(checks[name].error == message for name in failed)
+    assert checks["trig-comparison"].passed and checks["trig-comparison"].error is None
 
 
 def _errors(n, m):
