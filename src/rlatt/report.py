@@ -28,7 +28,7 @@ from .errors import RlattError
 from .macdonald import compare_trig
 from .operators import paired_moves
 from .partitions import enumerate_lattice
-from .spectral import continue_labels, joint_diagonalize, label_spectrum, orthogonality_residual
+from .spectral import _solved, _spectra, continue_labels, label_spectrum, orthogonality_residual
 from .weightlattice import crosscheck_hop_coefficients
 
 __all__ = [
@@ -174,8 +174,9 @@ def run_verification(params: ModelParams) -> VerificationReport:
 
     The moves of the operators with their amplitudes, the weights, norm
     constants, Pieri coefficients, spectra and polynomial value table of the
-    point are each built once, on first use, and shared by every check; the
-    spectrum at ``p = 0`` labels the one at ``p`` and feeds the oracle.
+    point are each built once, on first use, and shared by every check.  One
+    stacked solve gives the spectra at ``p = 0`` and ``p``; the one at ``p = 0``
+    feeds the oracle, and its closed-form labels are carried to ``p``.
     """
     basis = enumerate_lattice(params.n, params.m)
     checks: list[CheckResult] = []
@@ -206,14 +207,11 @@ def run_verification(params: ModelParams) -> VerificationReport:
     norms = cache(lambda: norm_vector(basis, params))
     # the scalar Pieri coefficients of the moves on the box, read by psi-consistency and pieri
     pieri = cache(lambda: [box_pieri_coefficients(basis, r, params) for r in range(1, params.n + 1)])
-    zero_nome = cache(lambda: label_spectrum(joint_diagonalize(replace(params, p=0.0), basis=basis)))
-
-    def label():
-        if params.p == 0.0:
-            return zero_nome()
-        return continue_labels(zero_nome(), joint_diagonalize(params, basis=basis))
-
-    labeled = cache(label)
+    # one pass solves p = 0 and p; a failure at p stays with the checks on the labeled spectrum
+    nomes = [replace(params, p=0.0)] + ([params] if params.p != 0.0 else [])
+    solved = cache(lambda: list(_spectra(nomes, basis)))
+    zero_nome = cache(lambda: label_spectrum(_solved(solved()[0])))
+    labeled = cache(lambda: continue_labels(zero_nome(), _solved(solved()[-1])))
     # the polynomial values on the labeled spectrum, read by the three polynomial checks
     table = cache(lambda: value_table(build_polynomials(params, basis), labeled()))
 

@@ -6,14 +6,14 @@ M_{n+1-r} = M_r^T that commute with the cyclic rotation R of the box.
 joint_diagonalize solves half the sectors of R (its eigenspaces), one block
 each, and conjugates the rest; residuals carry the leakage between sectors.
 The blocks and the leakage are sums over the move table, with no N x N
-operator, and a sweep solves all its nomes in one pass stacked over them.
-A Spectrum keeps its block vectors and expands the N x N frame only when a
-check reads it.  Labels (partitions in the box) come from the zero-nome
-closed form, which a sweep off p = 0 solves in its pass, and are carried to
-nonzero nome by continuation, matching block vectors between neighbouring
-nomes by overlap; the label nu lies in sector -|nu| mod (n+1), so both run
-sector by sector.  The first step jumps to the target nome; a failed match
-halves the step and a clean one doubles it again.
+operator, and one pass solves a sweep's nomes, or a point and its zero nome,
+stacked over them; each nome keeps its own error.  A Spectrum keeps its block
+vectors and expands the N x N frame only when a check reads it.  Labels
+(partitions in the box) come from the closed form at p = 0 alone and are
+carried to nonzero nome by continuation, matching block vectors between
+neighbouring nomes by overlap; the label nu lies in sector -|nu| mod (n+1), so
+both run sector by sector.  The first step jumps to the target nome; a failed
+match halves the step and a clean one doubles it again.
 """
 
 from dataclasses import dataclass, replace
@@ -151,23 +151,24 @@ def _sector_blocks(values: np.ndarray, n: int, inside, move, flat, factor) -> np
     return blocks.reshape(len(values), (n + 1) // 2, len(inside), len(inside))
 
 
-def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list) -> Spectrum:
+def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list):
     """The Spectrum of a point, eigenpairs in sector order k = 0..n, from the block vectors, eigenvalues and
-    residuals of its solved sectors k = 0..floor((n+1)/2)."""
+    residuals of its solved sectors k = 0..floor((n+1)/2); or the error it fails with, returned, not raised."""
     n = params.n
     # sector n+1-k is the complex conjugate of sector k: vectors conj(v), eigenvalues conj(e)
     half = [min(k, n + 1 - k) for k in range(n + 1)]
     vecs, eigenvalues, residuals = zip(*sectors)
     eigenvalues = np.concatenate([eigenvalues[h] if h == k else eigenvalues[h].conj() for k, h in enumerate(half)])
     residuals = np.concatenate([residuals[h] for h in half])
-    offenders = int(np.count_nonzero(residuals > _RESIDUAL_TOL))
+    offenders, nonfinite = np.count_nonzero(~(residuals <= _RESIDUAL_TOL)), np.count_nonzero(~np.isfinite(residuals))
     if offenders:
-        raise DegenerateSpectrumError(f"{offenders} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}")
+        named = f", {nonfinite} of them non-finite" if nonfinite else ""
+        return DegenerateSpectrumError(f"{offenders} eigenvectors exceed the residual tolerance {_RESIDUAL_TOL}{named}")
     # |v(empty)|: the empty partition heads the first orbit of every sector
     v0 = np.concatenate([np.abs(vecs[h][0]) for h in half]) / np.sqrt(basis.rotation.orbit_sizes[0])
     if np.any(v0 < _ZERO_COMPONENT_TOL):
         k = np.argmax(v0 < _ZERO_COMPONENT_TOL)
-        raise NormalizationError(f"eigenvector {k} has |component at the empty partition| = {v0[k]}")
+        return NormalizationError(f"eigenvector {k} has |component at the empty partition| = {v0[k]}")
     columns = [np.arange(len(vecs[h])) for h in half]
     sector_of = np.repeat(np.arange(n + 1), list(map(len, columns)))
     # unit norm and w(empty) = 1, so the dual weight 1 / sum_lam w(lam) |u(lam) / u(0)|^2 is |v(0)|^2
@@ -175,15 +176,16 @@ def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list) -> Spectr
 
 
 def _spectra(points: list, basis: LatticeBasis):
-    """The Spectrum of each point on one box in turn (``joint_diagonalize``), every step stacked over the
-    points; a point's failure is raised only when it is reached."""
+    """Each point's Spectrum on one box in turn (``joint_diagonalize``), or the RlattError it met in its hop
+    values or its solve; every step is stacked over the points whose hop values exist."""
     n, (orders, perms, plan) = basis.n, basis.sector_plan
-    offsets, failures, rows = np.cumsum([0] + [len(hops.source) for hops in orders]), {}, []
-    for i, params in enumerate(points):
+    offsets, rows, results = np.cumsum([0] + [len(hops.source) for hops in orders]), [], []
+    for params in points:
         try:
             rows.append(np.concatenate([symmetric_hop_values(basis, r, params, h) for r, h in enumerate(orders, 1)]))
+            results.append(len(rows) - 1)
         except TruncationViolationError as error:
-            failures[i] = error
+            results.append(error)
     values = np.reshape(rows, (len(rows), offsets[-1]))
     # the blocks leave out what M_r leaks between sectors: with L = ||M_r - R^T M_r R|| <= its
     # Frobenius norm, a block vector's full-space residual exceeds its block residual by at
@@ -193,14 +195,20 @@ def _spectra(points: list, basis: LatticeBasis):
     a, x, y = np.random.default_rng(_COMBINATION_SEED).standard_normal((3, (n + 1) // 2))
     # one sector at a time, so each sector's blocks are freed after its solve
     solved = [_solve_sector(_sector_blocks(values, n, *sector), n, a, x, y) for sector in plan]
-    # M_r commutes with its transpose M_{n+1-r}, so its 2-norm is its spectral radius max_k |e_rk|
+    # M_r commutes with M_r^T = M_{n+1-r}, so its 2-norm is its spectral radius max_k |e_rk| (0 / 0 at M_r = 0)
     radius = np.max([np.max(np.abs(e), axis=1) for _, e, _ in solved], axis=0)
-    solved = [(v, e, np.max((norms + leakage[:, None]) / radius[:, None], axis=2)) for v, e, norms in solved]
-    # every point before the first failure was solved, so point i is row i of the stacks
-    for i, params in enumerate(points):
-        if i in failures:
-            raise failures[i]
-        yield _spectrum(params, basis, [(v[i], e[i], res[i]) for v, e, res in solved])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        solved = [(v, e, np.max((norms + leakage[:, None]) / radius[:, None], axis=2)) for v, e, norms in solved]
+    # a point's result is its row of the stacks, or the error from its hop values
+    for params, i in zip(points, results):
+        yield i if isinstance(i, Exception) else _spectrum(params, basis, [(v[i], e[i], r[i]) for v, e, r in solved])
+
+
+def _solved(result) -> Spectrum:
+    """A point's Spectrum from ``_spectra``, or the error the point met, raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) -> Spectrum:
@@ -217,7 +225,8 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
     The blocks of r <= ceil(n/2) come from the move table (``sector_plan``): a
     move a -> t = R^j b from an orbit representative adds M_r[a, t]
     sqrt(s_a / s_b) omega^(jk) to B_k[a, b], and order n+1-r reads B_k^H, so no
-    N x N operator is formed: the one-nome case of ``sweep_spectra``'s solve.
+    N x N operator is formed: the one-point case of the stacked solve that
+    ``sweep_spectra`` and ``run_verification`` make.
 
     Each block is solved through two Hermitian combinations of its operators,
     with coefficients from one fixed draw (_COMBINATION_SEED): a generic
@@ -235,7 +244,8 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
     Returns
     -------
     Spectrum with its eigenpairs sector by sector, k = 0..n (``sectors``), each
-    in its block solve's order; label_spectrum puts them in label order.
+    in its block solve's order; label_spectrum (at p = 0) and continue_labels
+    put them in label order.
 
     Raises
     ------
@@ -248,7 +258,7 @@ def joint_diagonalize(params: ModelParams, basis: LatticeBasis | None = None) ->
     """
     if basis is None:
         basis = enumerate_lattice(params.n, params.m)
-    return next(_spectra([params], basis))
+    return _solved(next(_spectra([params], basis)))
 
 
 def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,8 +269,12 @@ def _max_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_form_labels(spectrum: Spectrum) -> Spectrum:
-    """Assign labels at p = 0 by nearest closed-form eigenvalue vector, sector by sector."""
+def label_spectrum(spectrum: Spectrum) -> Spectrum:
+    """Label a spectrum at p = 0 by partitions in the box, by nearest closed-form eigenvalue vector, sector by
+    sector.  Off p = 0, ``sweep_spectra(params, [p])[0]`` solves p and its p = 0 base in one pass and labels it;
+    a spectrum already solved at p takes its labels by ``continue_labels`` from a labeled p = 0 one."""
+    if spectrum.params.p != 0.0:
+        raise ValueError("the closed-form labels are defined at p = 0")
     targets = trig_joint_eigenvalues(spectrum.basis, spectrum.params)
     # the eigenvector labeled nu lies in sector -|nu| mod (n+1)
     label_sectors = -np.sum(spectrum.basis.parts, axis=1) % (spectrum.params.n + 1)
@@ -350,19 +364,6 @@ def continue_labels(labeled: Spectrum, target: Spectrum) -> Spectrum:
     return current
 
 
-def label_spectrum(spectrum: Spectrum) -> Spectrum:
-    """Label a diagonalized spectrum by partitions in the box.
-
-    At p = 0 labels come from the closed-form eigenvalues; otherwise the
-    labels are transported from p = 0 by continuation in the nome.
-    """
-    if spectrum.params.p == 0.0:
-        return _closed_form_labels(spectrum)
-    base = joint_diagonalize(replace(spectrum.params, p=0.0), basis=spectrum.basis)
-    labeled = _closed_form_labels(base)
-    return continue_labels(labeled, spectrum)
-
-
 def sweep_spectra(params: ModelParams, p_values) -> list:
     """Labeled spectra along a nome sweep, solved in one stacked pass, propagating labels point to point.
 
@@ -376,7 +377,7 @@ def sweep_spectra(params: ModelParams, p_values) -> list:
     except (TypeError, ValueError) as error:
         refused = error
     base = [replace(points[0], p=0.0)] if points and points[0].p != 0.0 else []
-    solved, spectra = _spectra(points[:1] + base + points[1:], basis), []
+    solved, spectra = map(_solved, _spectra(points[:1] + base + points[1:], basis)), []
     for target in solved:
         # the first point is labeled at p = 0: its own nome, or the next one of the pass
         labeled = spectra[-1] if spectra else label_spectrum(next(solved) if base else target)

@@ -1,6 +1,6 @@
 import pytest
 
-from rlatt import ModelParams, enumerate_lattice, joint_diagonalize, label_spectrum
+from rlatt import ModelParams, enumerate_lattice, sweep_spectra
 from rlatt.eigenpoly import build_polynomials
 
 ACCEPTANCE_GRID = [
@@ -19,7 +19,7 @@ def labeled():
     def get(n, m, g, p):
         key = (n, m, g, p)
         if key not in cache:
-            cache[key] = label_spectrum(joint_diagonalize(ModelParams(n, m, g, p)))
+            cache[key] = sweep_spectra(ModelParams(n, m, g, p), [p])[0]
         return cache[key]
 
     return get

@@ -501,7 +501,9 @@ def sweep_nome_by_nome(params: ModelParams, p_values) -> list:
     spectra = []
     for p in p_values:
         target = joint_diagonalize(replace(params, p=float(p)), basis=basis)
-        spectra.append(continue_labels(spectra[-1], target) if spectra else label_spectrum(target))
+        # the first nome is labeled from p = 0, solved on its own after it
+        labeled = spectra[-1] if spectra else label_spectrum(joint_diagonalize(replace(params, p=0.0), basis=basis))
+        spectra.append(continue_labels(labeled, target))
     return spectra
 
 

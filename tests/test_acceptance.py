@@ -147,7 +147,7 @@ def test_criterion_4_adjointness():
 def test_criterion_5_two_state_anchor():
     worst = 0.0
     for p in (0.0, 0.3, 0.6, 0.9, -0.5):
-        spectrum = label_spectrum(joint_diagonalize(ModelParams(1, 1, 1.0, p)))
+        spectrum = sweep_spectra(ModelParams(1, 1, 1.0, p), [p])[0]
         # the labels in order are () and (1,)
         worst = max(worst, float(np.max(np.abs(spectrum.eigenvalues[:, 0] - [1.0, -1.0]))))
     assert report("5 two-state anchor", worst, 1e-12)
@@ -170,7 +170,7 @@ def test_criterion_7_diagonalization_suite():
     for n, m, g, p in points:
         params = ModelParams(n, m, g, p)
         basis = enumerate_lattice(n, m)
-        spectrum = label_spectrum(joint_diagonalize(params, basis=basis))
+        spectrum = sweep_spectra(params, [p])[0]
         coeffs = build_polynomials(params, basis)
         table = value_table(coeffs, spectrum)
         worst_orth = max(worst_orth, orthogonality_residual(spectrum))
@@ -197,7 +197,7 @@ def test_criterion_8_dual_orthogonality():
     for (n, m), g, p in product(((2, 2), (3, 2)), (0.7, 1.0), (0.0, 0.5)):
         params = ModelParams(n, m, g, p)
         basis = enumerate_lattice(n, m)
-        spectrum = label_spectrum(joint_diagonalize(params, basis=basis))
+        spectrum = sweep_spectra(params, [p])[0]
         table = value_table(build_polynomials(params, basis), spectrum)
         norms, weights = norm_vector(basis, params), weight_vector(basis, params)
         worst = max(worst, dual_orthogonality_residual(table, spectrum, norms, weights))

@@ -305,6 +305,23 @@ def test_overflow_near_the_cap_fails_checks_without_warnings(tmp_path, capsys, a
         assert {c["name"] for c in report["checks"] if not c["passed"]} == failed
 
 
+VANISHED = "2 eigenvectors exceed the residual tolerance 1e-09, 2 of them non-finite"
+
+
+@pytest.mark.parametrize(
+    "point", ["--g 0.5 --p 0 --alpha-scale 2", "--g 1.5 --p 0 --alpha-scale 4", "--g 1.5 --p 0.3 --alpha-scale 4"]
+)
+def test_vanishing_amplitudes_fail_the_solve_by_name(tmp_path, capsys, point):
+    # every M_r is zero here, so each residual is 0 / 0: the solve refuses the NaN, without a warning
+    argv = ["--n", "1", "--m", "1", *point.split()]
+    assert main(["spectrum", *argv]) == 1
+    assert capsys.readouterr() == ("", f"rlatt: DegenerateSpectrumError: {VANISHED}\n")
+    code, report = run_json(tmp_path, ["verify", *argv])
+    assert code == 1 and capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["orthogonality"]["error"] == checks["pieri"]["error"] == VANISHED
+
+
 def test_polys_two_state_table(tmp_path):
     code, payload = run_json(
         tmp_path, ["polys", "--n", "1", "--m", "1", "--g", "1", "--p", "0.5"]

@@ -18,7 +18,7 @@ from rlatt import cli
 from rlatt.cli import RunConfig, main
 from rlatt.coeffs import ModelParams
 from rlatt.partitions import enumerate_lattice
-from rlatt.spectral import Spectrum, joint_diagonalize, label_spectrum, sweep_spectra
+from rlatt.spectral import Spectrum, sweep_spectra
 
 
 def reference_records(spectrum) -> list:
@@ -79,7 +79,7 @@ BOXES = [(1, 3), (2, 2), (3, 2), (4, 2), (5, 2)]
 @pytest.mark.parametrize("n,m", BOXES)
 def test_single_point_spectrum_renders_as_reference(n, m):
     params = ModelParams(n, m, 0.7, 0.3)
-    spectrum = label_spectrum(joint_diagonalize(params))
+    spectrum = sweep_spectra(params, [0.3])[0]
     assert spectrum.basis.order[0] == ()
     assert_renders_as_reference(RunConfig(n, m, 0.7, 0.3), [0.3], [spectrum])
 

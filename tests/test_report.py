@@ -1,6 +1,7 @@
 """The verification suite shares one set of per-point quantities among its checks."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from rlatt import report, spectral
 from rlatt.coeffs import ModelParams, box_pieri_coefficients, norm_vector, weight_vector
-from rlatt.errors import TruncationViolationError
+from rlatt.errors import DegenerateSpectrumError, TruncationViolationError
 from rlatt.operators import build_hop_operator, paired_moves
 from rlatt.partitions import enumerate_lattice
 from rlatt.report import CHECK_NAMES, run_verification
@@ -20,18 +21,25 @@ NAN = float("nan")
 
 
 def test_verification_solves_zero_nome_once(monkeypatch):
-    nomes = []
-    exact = spectral.joint_diagonalize
+    # p = 0 and p in one stacked pass, and no single-nome solve
+    stacked, exact = spectral._spectra, spectral.joint_diagonalize
+    for p, passes in ((0.3, [[0.0, 0.3]]), (0.0, [[0.0]])):
+        solves, single = [], []
 
-    def counted(params, *args, **kwargs):
-        nomes.append(params.p)
-        return exact(params, *args, **kwargs)
+        def recording(points, basis):
+            solves.append([params.p for params in points])
+            return stacked(points, basis)
 
-    monkeypatch.setattr(spectral, "joint_diagonalize", counted)
-    monkeypatch.setattr(report, "joint_diagonalize", counted)
-    assert run_verification(ModelParams(2, 2, 0.7, 0.3)).passed
-    assert nomes.count(0.0) == 1
-    assert nomes.count(0.3) == 1
+        def counted(params, *args, **kwargs):
+            single.append(params.p)
+            return exact(params, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_spectra", recording)
+        monkeypatch.setattr(report, "_spectra", recording)
+        monkeypatch.setattr(spectral, "joint_diagonalize", counted)
+        assert run_verification(ModelParams(2, 2, 0.7, p)).passed
+        assert solves == passes
+        assert single == []
 
 
 def test_verification_builds_one_value_table(monkeypatch):
@@ -47,22 +55,32 @@ def test_verification_builds_one_value_table(monkeypatch):
     assert len(calls) == 1
 
 
-def test_trig_comparison_keeps_its_verdict_when_only_the_nome_fails(monkeypatch):
-    # p = 0 and p are solved apart: the checks on the labeled spectrum meet the error of p, and the
-    # oracle, which reads the p = 0 spectrum alone, keeps its own verdict
-    exact, message = spectral.symmetric_hop_values, "no solve at p = 0.3"
+@pytest.mark.parametrize("failing_p", [0.3, 0.0])
+@pytest.mark.parametrize("kind", [TruncationViolationError, DegenerateSpectrumError])
+def test_trig_comparison_keeps_its_verdict_when_only_the_nome_fails(monkeypatch, kind, failing_p):
+    # p = 0 and p share one pass but keep their own errors: the checks on the labeled spectrum meet
+    # the error of either, and the oracle, which reads the p = 0 spectrum alone, only that of p = 0
+    exact = spectral.symmetric_hop_values
 
     def failing(basis, r, params, hops):
-        if params.p == 0.3:
-            raise TruncationViolationError(message)
-        return exact(basis, r, params, hops)
+        values = exact(basis, r, params, hops)
+        if params.p != failing_p:
+            return values
+        if kind is TruncationViolationError:
+            raise TruncationViolationError(f"no solve at p = {failing_p}")
+        # M_r values without the rotation symmetry fail the residual tolerance
+        return values * (1 + np.arange(len(values)) / len(values))
 
     monkeypatch.setattr(spectral, "symmetric_hop_values", failing)
     checks = {c.name: c for c in run_verification(ModelParams(2, 3, 0.7, 0.3)).checks}
     failed = {"orthogonality", "pieri", "dual-orthogonality", "reconstruction"}
+    if failing_p == 0.0:
+        failed.add("trig-comparison")
+    else:
+        assert checks["trig-comparison"].passed and checks["trig-comparison"].error is None
     assert {name for name, check in checks.items() if not check.passed} == failed
-    assert all(checks[name].error == message for name in failed)
-    assert checks["trig-comparison"].passed and checks["trig-comparison"].error is None
+    message = f"no solve at p = {failing_p}" if kind is TruncationViolationError else r"\d+ eigenvectors exceed .*"
+    assert all(re.fullmatch(message, checks[name].error) for name in failed)
 
 
 def _errors(n, m):

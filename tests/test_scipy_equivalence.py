@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from rlatt import spectral
 from rlatt.coeffs import ModelParams
 from rlatt.macdonald import _antisymmetrized_form, _operator_matrix, trig_joint_eigenvalues
-from rlatt.spectral import joint_diagonalize, label_spectrum, sweep_spectra
+from rlatt.spectral import sweep_spectra
 from scalar_reference import dense_transfer_labels
 
 COUPLINGS = (0.9814989379240225, 1.4277056977549325)
@@ -61,7 +61,7 @@ def _is_permuted(result, spectrum, order):
 @pytest.fixture
 def checked(monkeypatch):
     """Check every closed-form labeling and overlap match against scipy; returns the verdicts seen."""
-    closed_form, transfer = spectral._closed_form_labels, spectral._transfer_labels
+    closed_form, transfer = spectral.label_spectrum, spectral._transfer_labels
     verdicts = []
 
     def checked_closed_form(spectrum):
@@ -77,7 +77,7 @@ def checked(monkeypatch):
         verdicts.append(result is not None)
         return result
 
-    monkeypatch.setattr(spectral, "_closed_form_labels", checked_closed_form)
+    monkeypatch.setattr(spectral, "label_spectrum", checked_closed_form)
     monkeypatch.setattr(spectral, "_transfer_labels", checked_transfer)
     return verdicts
 
@@ -85,7 +85,7 @@ def checked(monkeypatch):
 @pytest.mark.parametrize("g", COUPLINGS)
 @pytest.mark.parametrize("n,m", LABEL_BOXES)
 def test_label_assignments_match_linear_sum_assignment(checked, n, m, g):
-    label_spectrum(joint_diagonalize(ModelParams(n, m, g, 0.3)))
+    sweep_spectra(ModelParams(n, m, g, 0.3), [0.3])
     assert checked == ["closed form", True]
 
 
@@ -100,7 +100,7 @@ def test_sweep_assignments_match_linear_sum_assignment(checked, n, m, p_stop, g)
 def test_two_rows_on_one_column_refuse_the_match(checked):
     # a previous spectrum with one block column twice: both its rows pick the same candidate
     # with overlap 1, so only the permutation check refuses the match, as linear_sum_assignment does
-    labeled = label_spectrum(joint_diagonalize(ModelParams(3, 4, COUPLINGS[0], 0.3)))
+    labeled = sweep_spectra(ModelParams(3, 4, COUPLINGS[0], 0.3), [0.3])[0]
     first, second = np.flatnonzero(labeled.sectors == 1)[:2]
     columns = labeled.columns.copy()
     columns[second] = columns[first]

@@ -35,7 +35,7 @@ from scalar_reference import (
 def test_two_state_anchor(p):
     # at g = 1 the off-diagonal product is identically 1, so the spectrum is
     # exactly {+1, -1} for every nome
-    spectrum = label_spectrum(joint_diagonalize(ModelParams(1, 1, 1.0, p)))
+    spectrum = sweep_spectra(ModelParams(1, 1, 1.0, p), [p])[0]
     assert spectrum.basis.order == ((), (1,))
     assert spectrum.eigenvalues[:, 0] == pytest.approx([1.0, -1.0], abs=1e-12)
 
@@ -91,7 +91,7 @@ def _columns_in(unlabeled, labeled_spectrum):
 def test_labeled_columns_permute_the_solve(n, m, g, p):
     # labeling reorders the solve's eigenpairs and changes no bit of them
     unlabeled = joint_diagonalize(ModelParams(n, m, g, p))
-    spectrum = label_spectrum(unlabeled)
+    spectrum = continue_labels(label_spectrum(joint_diagonalize(ModelParams(n, m, g, 0.0))), unlabeled)
     order = _columns_in(unlabeled, spectrum)
     assert order is not None and sorted(order) == list(range(len(unlabeled)))
     assert np.array_equal(spectrum.eigenvalues, unlabeled.eigenvalues[order])
@@ -103,12 +103,13 @@ def test_labeled_columns_permute_the_solve(n, m, g, p):
 @pytest.mark.parametrize("p", [0.0, 0.5])
 def test_labeling_and_continuation_leave_their_arguments_unchanged(p):
     params = ModelParams(3, 4, 0.7, p)
-    solved = joint_diagonalize(params)
-    base = label_spectrum(joint_diagonalize(replace(params, p=0.0)))
-    kept, kept_base = _copy(solved), _copy(base)
-    label_spectrum(solved)
+    solved, zero = joint_diagonalize(params), joint_diagonalize(replace(params, p=0.0))
+    base = label_spectrum(zero)
+    kept, kept_zero, kept_base = _copy(solved), _copy(zero), _copy(base)
+    label_spectrum(zero)
     continue_labels(base, solved)
     assert _same_arrays(solved, kept)
+    assert _same_arrays(zero, kept_zero)
     assert _same_arrays(base, kept_base)
 
 
@@ -187,8 +188,8 @@ def test_continuation_agrees_with_direct_labeling(labeled):
 
 def test_negative_nome_equals_positive():
     # only even nome powers enter the bracket, so the spectra coincide
-    plus = label_spectrum(joint_diagonalize(ModelParams(2, 2, 0.7, 0.5)))
-    minus = label_spectrum(joint_diagonalize(ModelParams(2, 2, 0.7, -0.5)))
+    plus = sweep_spectra(ModelParams(2, 2, 0.7, 0.0), [0.5])[0]
+    minus = sweep_spectra(ModelParams(2, 2, 0.7, 0.0), [-0.5])[0]
     assert np.allclose(plus.eigenvalues, minus.eigenvalues, atol=1e-13)
 
 
@@ -253,6 +254,19 @@ def _record_solves(monkeypatch):
     return nomes
 
 
+def _record_stacked(monkeypatch):
+    """Nomes of each stacked pass through spectral._spectra."""
+    solves = []
+    stacked = spectral._spectra
+
+    def recording(points, basis):
+        solves.append([params.p for params in points])
+        return stacked(points, basis)
+
+    monkeypatch.setattr(spectral, "_spectra", recording)
+    return solves
+
+
 def _refuse_matches(monkeypatch, count):
     """Make the first `count` overlap matches fail."""
     transfer = spectral._transfer_labels
@@ -304,14 +318,7 @@ SWEEP_NOMES = [round(0.05 * k, 10) for k in range(13)]
 
 
 def test_a_sweep_solves_its_nomes_in_one_stacked_pass(monkeypatch):
-    solves = []
-    stacked = spectral._spectra
-
-    def recording(points, basis):
-        solves.append([params.p for params in points])
-        return stacked(points, basis)
-
-    monkeypatch.setattr(spectral, "_spectra", recording)
+    solves = _record_stacked(monkeypatch)
     nomes = _record_solves(monkeypatch)
     sweep_spectra(ModelParams(3, 4, 0.7, 0.0), SWEEP_NOMES)
     # one stacked solve of every nome, and no single-nome solve: p = 0 is labeled by the closed
@@ -322,14 +329,7 @@ def test_a_sweep_solves_its_nomes_in_one_stacked_pass(monkeypatch):
 
 @pytest.mark.parametrize("nomes", [[0.3], [-0.6, -0.3, 0.0, 0.3]])
 def test_a_sweep_off_zero_solves_its_base_in_the_same_pass(monkeypatch, nomes):
-    solves = []
-    stacked = spectral._spectra
-
-    def recording(points, basis):
-        solves.append([params.p for params in points])
-        return stacked(points, basis)
-
-    monkeypatch.setattr(spectral, "_spectra", recording)
+    solves = _record_stacked(monkeypatch)
     single = _record_solves(monkeypatch)
     swept = sweep_spectra(ModelParams(3, 4, 0.7, 0.0), nomes)
     # p = 0 right after the first nome, and no single-nome solve
@@ -356,11 +356,17 @@ def test_a_sweep_off_zero_raises_its_first_nome_then_its_base(monkeypatch, kind,
     assert failure == _failure(sweep_nome_by_nome, params, nomes)
 
 
-def test_label_spectrum_solves_only_the_zero_nome(monkeypatch):
-    target = joint_diagonalize(ModelParams(3, 4, 0.9814989379240225, 0.3))
+def test_label_spectrum_refuses_a_nonzero_nome(monkeypatch):
+    params = ModelParams(3, 4, 0.9814989379240225, 0.3)
+    target = joint_diagonalize(params)
     nomes = _record_solves(monkeypatch)
-    label_spectrum(target)
-    assert nomes == [0.0]
+    with pytest.raises(ValueError, match="defined at p = 0"):
+        label_spectrum(target)
+    # a labeled point off p = 0 solves only its zero nome beside it, in the same pass
+    solves = _record_stacked(monkeypatch)
+    assert sweep_spectra(params, [0.3])[0].params.p == 0.3
+    assert solves == [[0.3, 0.0]]
+    assert nomes == []
 
 
 @pytest.mark.parametrize("p", [0.3, 0.6, -0.6])
@@ -369,7 +375,7 @@ def test_one_jump_labels_equal_the_sweep_grid(n, m, p):
     g = 0.9814989379240225
     ps = [round(copysign(0.05 * k, p), 10) for k in range(round(abs(p) / 0.05) + 1)]
     swept = sweep_spectra(ModelParams(n, m, g, 0.0), ps)[-1]
-    jumped = label_spectrum(joint_diagonalize(ModelParams(n, m, g, p)))
+    jumped = sweep_spectra(ModelParams(n, m, g, 0.0), [p])[0]
     assert swept.params.p == jumped.params.p == p
     # both label the same solve, so each label must carry the same eigenvalues
     assert np.array_equal(jumped.eigenvalues, swept.eigenvalues)
@@ -461,7 +467,7 @@ def test_any_combination_draw_gives_the_same_labeled_spectrum(monkeypatch, label
     g = 0.9814989379240225
     fixed = labeled(n, m, g, p)
     monkeypatch.setattr(spectral, "_COMBINATION_SEED", seed)
-    other = label_spectrum(joint_diagonalize(ModelParams(n, m, g, p)))
+    other = sweep_spectra(ModelParams(n, m, g, 0.0), [p])[0]
     assert not np.array_equal(fixed.eigenvectors, other.eigenvectors)
     # label k is basis.order[k] in both, so equal sectors and close eigenvalues mean equal labels
     assert np.array_equal(fixed.sectors, other.sectors)

@@ -242,7 +242,7 @@ def test_closed_form_labels_reject_colliding_targets(monkeypatch):
     spectrum = joint_diagonalize(ModelParams(2, 2, G, 0.0))
     monkeypatch.setattr(spectral, "trig_joint_eigenvalues", lambda basis, params: np.ones((len(basis), 2), complex))
     with pytest.raises(LabelingError, match="ambiguous"):
-        spectral._closed_form_labels(spectrum)
+        spectral.label_spectrum(spectrum)
 
 
 def test_closed_form_labels_reject_a_missed_match(monkeypatch):
@@ -250,7 +250,7 @@ def test_closed_form_labels_reject_a_missed_match(monkeypatch):
     exact = spectral.trig_joint_eigenvalues
     monkeypatch.setattr(spectral, "trig_joint_eigenvalues", lambda basis, params: exact(basis, params) + 1e-3)
     with pytest.raises(LabelingError, match="no closed-form match"):
-        spectral._closed_form_labels(spectrum)
+        spectral.label_spectrum(spectrum)
 
 
 def test_closed_form_labels_reject_two_vectors_on_one_target():
@@ -259,7 +259,7 @@ def test_closed_form_labels_reject_two_vectors_on_one_target():
     eigenvalues = spectrum.eigenvalues.copy()
     eigenvalues[second] = eigenvalues[first]
     with pytest.raises(LabelingError, match="no closed-form match .* shared with another vector"):
-        spectral._closed_form_labels(replace(spectrum, eigenvalues=eigenvalues))
+        spectral.label_spectrum(replace(spectrum, eigenvalues=eigenvalues))
 
 
 def test_linalg_error_fails_its_check_only(monkeypatch):
