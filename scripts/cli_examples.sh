@@ -7,9 +7,11 @@
 # real and (6, 2), the one example at n = 6, whose orders 4, 5 and 6 the solve
 # reads as the adjoints of the blocks of 3, 2 and 1 with no middle order, and
 # one at the nome cap, where the lattice weights overflow and the
-# bracket takes 2063 factors; two sweeps, whose nomes are solved in one stacked
-# pass, on (5, 4) (real sectors 0 and 3, self-paired middle order 3) and on
-# (3, 3), and the self-paired M_3 of (5, 4); and `verify`, whose operator checks
+# bracket takes 2063 factors; three sweeps, whose nomes are solved in one stacked
+# pass, their hop values included, on (5, 4) (real sectors 0 and 3,
+# self-paired middle order 3), on (3, 3), and on (2, 4) near the cap, whose
+# pass stacks p = 0 with nomes whose brackets take 198 to 2063 factors; the
+# self-paired M_3 of (5, 4); and `verify`, whose operator checks
 # read the move table, at n = 1 (no pair of operators to commute), at n = 3
 # (the self-paired middle order D_2) and with the four operators of n = 4.
 # Each must exit 0, write nothing to stderr (a numpy RuntimeWarning, say) and
@@ -59,6 +61,7 @@ run spectrum  --n 6 --m 2 --g 0.7 --p 0.3
 run spectrum  --n 2 --m 4 --g 1.3 --p 0.99
 run spectrum  --n 5 --m 4 --g 0.7 --p-start 0 --p-stop -0.6 --p-step 0.1
 run spectrum  --n 3 --m 3 --g 0.7 --p-start 0 --p-stop 0.6 --p-step 0.1
+run spectrum  --n 2 --m 4 --g 1.3 --p-start 0.9 --p-stop 0.99 --p-step 0.03
 run operator  --kind M --n 5 --m 4 --g 0.7 --p 0.5 --r 3
 run verify    --n 1 --m 8 --g 0.7 --p 0.6
 run verify    --n 3 --m 2 --g 0.7 --p -0.2

@@ -288,11 +288,16 @@ def _spectrum_table(spectrum) -> np.ndarray:
 
 
 def _json_floats(table: np.ndarray) -> tuple:
-    """json's text of every float of the table, row by row."""
-    texts = list(map(float.__repr__, table.ravel().tolist()))
-    if not np.isfinite(table).all():
-        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
-    return tuple(texts)
+    """json's text of every float of the table, row by row.  ``float.__repr__`` runs once per distinct magnitude,
+    and an entry with its sign bit set takes a "-" before it, except NaN, whose text has no sign."""
+    flat = table.ravel()
+    magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, magnitudes.tolist())), dtype=object)
+    # sorted, with one NaN: only the last two magnitudes can be inf and nan
+    texts[-2:] = [_JSON_NONFINITE.get(text, text) for text in texts[-2:]]
+    texts, negative = texts[inverse], np.signbit(flat) & ~np.isnan(flat)
+    texts[negative] = "-" + texts[negative]
+    return tuple(texts.tolist())
 
 
 def _render_spectrum(config: RunConfig, values: list, spectra: list) -> str:
@@ -315,9 +320,7 @@ def _render_spectrum(config: RunConfig, values: list, spectra: list) -> str:
         ]
         return _csv_text(header, rows)
     pair = _json_array(["%s", "%s"], 6)
-    record = _json_object(
-        {"e": _json_array([pair] * config.n, 5), "norm_hat": "%s", "nu": "%s", "residual": "%s"}, 4
-    )
+    record = _json_object({"e": _json_array([pair] * config.n, 5), "norm_hat": "%s", "nu": "%s", "residual": "%s"}, 4)
     # every point of one call has the same labels; the float slots stay "%s"
     slots = ("%s",) * (2 * config.n + 1)
     records = _json_array(

@@ -8,7 +8,8 @@ eigenfunction normalization constants.
 Each family has one evaluator, over a whole box as arrays: ``hop_amplitudes``,
 ``box_pieri_coefficients``, ``weight_vector`` and ``norm_vector``.  Part
 differences in the box lie in 0..m, so every bracket they need is read from
-the small tables of ``ModelParams.brackets``, evaluated once per point.
+the small tables of ``ModelParams.brackets``, evaluated once per point, and
+stacked over the nomes of a pass for the hop amplitudes (``hop_brackets``).
 ``hop_coefficient`` and ``pieri_coefficient`` evaluate one move with the
 scalar bracket; nothing in the package calls them: they are test references.
 """
@@ -28,6 +29,7 @@ from .partitions import LatticeBasis, MoveArrays, pad, trim
 __all__ = [
     "BoxBrackets",
     "ModelParams",
+    "hop_brackets",
     "hop_coefficient",
     "hop_amplitudes",
     "move_amplitudes",
@@ -144,9 +146,7 @@ def hop_coefficient(lam, strip, params: ModelParams) -> float:
         dl = lam_p[j] - lam_p[k]
         den = th.bracket(dl + g * (k - j))
         if abs(den) < DENOM_TOL:
-            raise TruncationViolationError(
-                f"hop denominator vanished at pair ({j + 1},{k + 1}) for lam={trim(lam)}"
-            )
+            raise TruncationViolationError(f"hop denominator vanished at pair ({j + 1},{k + 1}) for lam={trim(lam)}")
         num_arg = dl + g * (k - j + strip[j] - strip[k])
         if th.is_zero_argument(num_arg):
             vanished = True
@@ -155,28 +155,38 @@ def hop_coefficient(lam, strip, params: ModelParams) -> float:
     return 0.0 if vanished else value
 
 
+def hop_brackets(basis: LatticeBasis, points: list) -> tuple:
+    """The tables ``shifted`` and ``on_zero`` of ``ModelParams.brackets`` at each of ``points``, flattened and
+    stacked (nomes x (n+2)(m+1)), and per point the TruncationViolationError of its first hop denominator on
+    ``basis`` below DENOM_TOL, in basis and pair order, or None."""
+    shape = (len(points), (basis.n + 2) * (basis.m + 1))
+    shifted = np.array([params.brackets.shifted for params in points], dtype=float).reshape(shape)
+    on_zero = np.array([params.brackets.on_zero for params in points], dtype=bool).reshape(shape)
+    j, k, dist, diffs = basis.pairs
+    bad, errors = (np.abs(shifted) < DENOM_TOL)[:, dist * (basis.m + 1) + diffs], [None] * len(points)
+    for point in np.flatnonzero(bad.any(axis=(1, 2))):
+        row, pair = np.argwhere(bad[point])[0]
+        where = f"pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[row]}"
+        errors[point] = TruncationViolationError(f"hop denominator vanished at {where}")
+    return shifted, on_zero, errors
+
+
 def hop_amplitudes(basis: LatticeBasis, moves: MoveArrays, params: ModelParams) -> np.ndarray:
     """``hop_coefficient`` at the source and strip of each of ``moves``, a move table of ``basis``, in order."""
-    return move_amplitudes(basis, params, moves.source, basis.numerators(moves.source, moves.strip))
+    _, _, (error,) = brackets = hop_brackets(basis, [params])
+    if error is not None:
+        raise error
+    return move_amplitudes(basis, brackets, moves.source, basis.numerators(moves.source, moves.strip))[0]
 
 
-def move_amplitudes(basis: LatticeBasis, params: ModelParams, source: np.ndarray, numerators: np.ndarray) -> np.ndarray:
-    """The hop amplitudes of the moves from ``source`` whose numerators are ``LatticeBasis.numerators``.
-
-    Raises TruncationViolationError when a denominator falls below DENOM_TOL
-    at any basis point, and gives exactly 0.0 wherever a numerator bracket
-    sits on a zero, which includes every move off the box.
-    """
-    table = params.brackets
-    j, k, dist, diffs = basis.pairs
-    den = table.shifted[dist, diffs]
-    bad = np.abs(den) < DENOM_TOL
-    if bad.any():
-        row, pair = np.argwhere(bad)[0]
-        raise TruncationViolationError(
-            f"hop denominator vanished at pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[row]}"
-        )
-    return _pair_product(table.shifted.take(numerators), den[source], table.on_zero.take(numerators))
+def move_amplitudes(basis: LatticeBasis, brackets: tuple, source: np.ndarray, numerators: np.ndarray) -> np.ndarray:
+    """The hop amplitudes (nomes x moves) at the nomes of ``brackets`` (``hop_brackets``) of the moves from
+    ``source`` whose numerators are ``LatticeBasis.numerators``; exactly 0.0 where a numerator bracket sits on a
+    zero, as on every move off the box.  A row is bit for bit its nome alone; at a nome with an error, noise."""
+    (shifted, on_zero, _), (_, _, dist, diffs) = brackets, basis.pairs
+    den = (dist * (basis.m + 1) + diffs)[source]
+    columns = ((shifted.take(a, 1) / shifted.take(b, 1), on_zero.take(a, 1)) for a, b in zip(numerators.T, den.T))
+    return _pair_product(columns, (len(shifted), len(source)))
 
 
 def pieri_coefficient(lam, strip, params: ModelParams) -> float:
@@ -238,7 +248,8 @@ def _pieri_terms(basis: LatticeBasis, r: int, params: ModelParams):
     for move, pair, _ in np.argwhere(np.abs(den) < DENOM_TOL).tolist():
         where = f"pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[source[move]]}"
         errors.setdefault(move, f"Pieri denominator vanished at {where}")
-    return source, target, _pair_product(num, den, inverted & table.on_zero[num_rows, base]), errors
+    psi = _pair_product(_columns(num, den, inverted & table.on_zero[num_rows, base]), len(source))
+    return source, target, psi, errors
 
 
 def box_pieri_coefficients(basis: LatticeBasis, r: int, params: ModelParams):
@@ -252,16 +263,21 @@ def box_pieri_coefficients(basis: LatticeBasis, r: int, params: ModelParams):
     return source, target, psi
 
 
-def _pair_product(num: np.ndarray, den: np.ndarray, vanished=False) -> np.ndarray:
-    """Per row, the product of its pair factors num / den (rows x pairs, or rows x pairs x factors of each pair),
-    multiplied one column at a time in pair order; a ``vanished`` factor reads as 1 and its row gives 0.0."""
-    rows = len(num)
-    vanished = np.broadcast_to(vanished, num.shape).reshape(rows, -1)
-    value = np.ones(rows)
+def _pair_product(columns, shape) -> np.ndarray:
+    """The product of ``columns``, one (factor, vanished) of ``shape`` per pair column, in pair order, under the
+    errstate that lazy ``columns`` divide in; an entry with a ``vanished`` factor gives 0.0, whatever the others."""
+    value, vanished = np.ones(shape), np.zeros(shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for column in np.where(vanished, 1.0, (num / den).reshape(rows, -1)).T:
-            value *= column
-    return np.where(vanished.any(axis=1), 0.0, value)
+        for factor, zero in columns:
+            value *= factor
+            vanished |= zero
+    return np.where(vanished, 0.0, value)
+
+
+def _columns(num, den, vanished):
+    """The columns (num / den, vanished) of one point's rows x pairs (x factors), lazy for ``_pair_product``."""
+    rows, vanished = len(num), np.broadcast_to(vanished, num.shape)
+    yield from zip((num / den).reshape(rows, -1).T, vanished.reshape(rows, -1).T)
 
 
 def _box_product(basis: LatticeBasis, num, den, what: str, name: str, label: str) -> np.ndarray:
@@ -272,7 +288,7 @@ def _box_product(basis: LatticeBasis, num, den, what: str, name: str, label: str
     """
     j, k, _, _ = basis.pairs
     bad = (np.abs(den) < DENOM_TOL).reshape(len(basis), len(j), -1).any(axis=2)
-    value = _pair_product(num, den)
+    value = _pair_product(_columns(num, den, False), len(basis))
     failed = bad.any(axis=1) | ~((0.0 < value) & (value < math.inf))
     if failed.any():
         row = int(np.argmax(failed))

@@ -145,8 +145,7 @@ def _worst_relative(pairs) -> float:
 
 
 def check_truncation_dichotomy(params, basis):
-    max_outside = 0.0
-    min_inside = np.inf
+    max_outside, min_inside = 0.0, np.inf
     for r in range(1, params.n + 2):
         moves = basis.move_arrays[r]
         amplitudes = hop_amplitudes(basis, moves, params)
@@ -187,18 +186,14 @@ def run_verification(params: ModelParams) -> VerificationReport:
         try:
             residual = func()
         except (RlattError, np.linalg.LinAlgError) as exc:
-            checks.append(
-                CheckResult(name, None, tolerance, False, time.perf_counter() - start, error=str(exc))
-            )
+            checks.append(CheckResult(name, None, tolerance, False, time.perf_counter() - start, error=str(exc)))
             return
         seconds = time.perf_counter() - start
         if judge is None:
             checks.append(CheckResult(name, float(residual), tolerance, bool(residual < tolerance), seconds))
         else:
             residual_value, passed, detail = judge(residual)
-            checks.append(
-                CheckResult(name, residual_value, tolerance, passed, seconds, detail=detail)
-            )
+            checks.append(CheckResult(name, residual_value, tolerance, passed, seconds, detail=detail))
 
     # cache keeps nothing of a call that raises, so each check that needs a
     # quantity which cannot be built records the error of building it

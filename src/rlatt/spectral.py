@@ -23,7 +23,6 @@ import numpy as np
 
 from .coeffs import ModelParams
 from .errors import ContinuationError, DegenerateSpectrumError, LabelingError, NormalizationError
-from .errors import TruncationViolationError
 from .macdonald import trig_joint_eigenvalues
 from .operators import symmetric_hop_values
 from .partitions import LatticeBasis, enumerate_lattice
@@ -177,16 +176,13 @@ def _spectrum(params: ModelParams, basis: LatticeBasis, sectors: list):
 
 def _spectra(points: list, basis: LatticeBasis):
     """Each point's Spectrum on one box in turn (``joint_diagonalize``), or the RlattError it met in its hop
-    values or its solve; every step is stacked over the points whose hop values exist."""
+    values or its solve; every step, the hop values included, is stacked over the points."""
     n, (orders, perms, plan) = basis.n, basis.sector_plan
-    offsets, rows, results = np.cumsum([0] + [len(hops.source) for hops in orders]), [], []
-    for params in points:
-        try:
-            rows.append(np.concatenate([symmetric_hop_values(basis, r, params, h) for r, h in enumerate(orders, 1)]))
-            results.append(len(rows) - 1)
-        except TruncationViolationError as error:
-            results.append(error)
-    values = np.reshape(rows, (len(rows), offsets[-1]))
+    offsets = np.cumsum([0] + [len(hops.source) for hops in orders])
+    values, errors = symmetric_hop_values(basis, points, dict(enumerate(orders, 1)))
+    # the rows of the stacks are the points whose hop values exist
+    solvable = np.array([error is None for error in errors], dtype=bool)
+    values, rows = values[solvable], np.cumsum(solvable) - 1
     # the blocks leave out what M_r leaks between sectors: with L = ||M_r - R^T M_r R|| <= its
     # Frobenius norm, a block vector's full-space residual exceeds its block residual by at
     # most (1 + sqrt(n)) n L / 2 < (n+1)^(3/2) L
@@ -200,8 +196,8 @@ def _spectra(points: list, basis: LatticeBasis):
     with np.errstate(divide="ignore", invalid="ignore"):
         solved = [(v, e, np.max((norms + leakage[:, None]) / radius[:, None], axis=2)) for v, e, norms in solved]
     # a point's result is its row of the stacks, or the error from its hop values
-    for params, i in zip(points, results):
-        yield i if isinstance(i, Exception) else _spectrum(params, basis, [(v[i], e[i], r[i]) for v, e, r in solved])
+    for params, error, i in zip(points, errors, rows):
+        yield error or _spectrum(params, basis, [(v[i], e[i], r[i]) for v, e, r in solved])
 
 
 def _solved(result) -> Spectrum:

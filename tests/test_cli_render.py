@@ -103,30 +103,55 @@ def test_cli_spectrum_writes_the_reference(tmp_path):
         assert out.read_text() == reference(config, values, spectra)
 
 
-def test_synthetic_spectrum_with_extreme_floats_renders_as_reference():
-    params = ModelParams(2, 1, 0.7, 0.2)
-    basis = enumerate_lattice(2, 1)
-    eigenvalues = np.array(
+NEG_NAN, MAX = np.copysign(np.nan, -1), 1.7976931348623157e308
+# (eigenvalues, norm_hat, residuals) of the three labels of (2, 1); the second table holds the cases the
+# rendering of each distinct magnitude once meets: +x beside -x, 0.0 beside -0.0, a NaN with its sign bit
+# set, and the smallest subnormal and the largest float of either sign
+EXTREME_TABLES = [
+    (
         [
             [complex(np.nan, -0.0), complex(np.inf, 5e-324)],
             [complex(-np.inf, 1e300), complex(-0.0, np.nan)],
             [complex(1e300, -np.inf), complex(-5e-324, 0.1)],
-        ]
-    )
-    # each of the three sectors is one orbit, the whole box, so every block is 1 x 1
-    spectrum = Spectrum(
-        params,
-        basis,
-        eigenvalues,
-        np.array([np.nan, -0.0, 5e-324]),
-        np.array([np.inf, 1e300, -np.inf]),
-        np.array([0, 1, 2]),
-        (np.ones((1, 1), dtype=complex),) * 2,
-        np.zeros(3, dtype=np.intp),
-    )
-    text = cli._render_spectrum(RunConfig(2, 1, 0.7, 0.2), [0.2], [spectrum])
-    assert "NaN" in text and "-Infinity" in text and "nan" not in text
-    assert_renders_as_reference(RunConfig(2, 1, 0.7, 0.2), [0.2], [spectrum])
+        ],
+        [np.nan, -0.0, 5e-324],
+        [np.inf, 1e300, -np.inf],
+    ),
+    (
+        [
+            [complex(0.1, -0.1), complex(0.0, -0.0)],
+            [complex(NEG_NAN, 5e-324), complex(-5e-324, MAX)],
+            [complex(-MAX, -np.inf), complex(np.inf, NEG_NAN)],
+        ],
+        [-0.1, 0.0, -0.0],
+        [0.1, NEG_NAN, -MAX],
+    ),
+]
+
+
+def test_synthetic_spectrum_with_extreme_floats_renders_as_reference():
+    params = ModelParams(2, 1, 0.7, 0.2)
+    basis = enumerate_lattice(2, 1)
+    for eigenvalues, norm_hat, residuals in EXTREME_TABLES:
+        # each of the three sectors is one orbit, the whole box, so every block is 1 x 1
+        spectrum = Spectrum(
+            params,
+            basis,
+            np.array(eigenvalues),
+            np.array(norm_hat),
+            np.array(residuals),
+            np.array([0, 1, 2]),
+            (np.ones((1, 1), dtype=complex),) * 2,
+            np.zeros(3, dtype=np.intp),
+        )
+        text = cli._render_spectrum(RunConfig(2, 1, 0.7, 0.2), [0.2], [spectrum])
+        assert "NaN" in text and "-Infinity" in text and "nan" not in text and "-NaN" not in text
+        assert_renders_as_reference(RunConfig(2, 1, 0.7, 0.2), [0.2], [spectrum])
+        # each float as json writes it alone, its repr
+        table = cli._spectrum_table(spectrum).ravel()
+        texts = cli._json_floats(table)
+        assert texts == tuple(map(json.dumps, table.tolist()))
+    assert {"0.1", "-0.1", "0.0", "-0.0", "5e-324", "-5e-324", repr(MAX), repr(-MAX)} <= set(texts)
 
 
 @pytest.mark.parametrize("kind", ["D", "C", "S", "M"])

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from rlatt.coeffs import ModelParams, weight_vector
-from rlatt.operators import build_hop_operator, symmetric_hop_operator
+from rlatt.errors import TruncationViolationError
+from rlatt.operators import build_hop_operator, symmetric_hop_operator, symmetric_hop_values
+from rlatt.spectral import joint_diagonalize
 from rlatt.partitions import add_strip, enumerate_lattice, pad, vertical_strips
 from scalar_reference import (
     bracket_trig,
@@ -167,3 +171,79 @@ def test_adjoint_residuals():
                 rhs = np.sum(f * np.conj(b @ g) * w)
                 scale = np.sqrt(np.sum(np.abs(f) ** 2 * w) * np.sum(np.abs(g) ** 2 * w)) * opnorm
                 assert abs(lhs - rhs) < tol * scale
+
+
+def _amplitudes_of_one_nome(basis, params, hops):
+    """D_r[s, t] and D_{n+1-r}[t, s] on the moves of ``hops`` as a one-point evaluation forms them: the pair
+    factors of each move read from the point's own bracket tables, multiplied one pair column at a time."""
+    table = params.brackets
+    _, _, dist, diffs = basis.pairs
+    den = table.shifted[dist, diffs]
+
+    def amplitudes(source, numerators):
+        zero = table.on_zero.take(numerators)
+        value = np.ones(len(source))
+        for column in np.where(zero, 1.0, table.shifted.take(numerators) / den[source]).T:
+            value *= column
+        return np.where(zero.any(axis=1), 0.0, value)
+
+    return amplitudes(hops.source, hops.forward), amplitudes(hops.target, hops.reverse)
+
+
+def _values_of_one_nome(basis, params, hops):
+    a, b = _amplitudes_of_one_nome(basis, params, hops)
+    return np.sign(a) * np.sqrt(a * b)
+
+
+def _sign_error_of_one_nome(basis, params, orders):
+    """The message of the first move, in the first order, whose two amplitudes differ in sign, or None."""
+    for r, hops in orders.items():
+        a, b = _amplitudes_of_one_nome(basis, params, hops)
+        for i in np.flatnonzero(np.sign(a) != np.sign(b))[:1]:
+            move = f"{basis.order[hops.source[i]]} -> {basis.order[hops.target[i]]} (order {r})"
+            return f"amplitudes of {move} and back differ in sign: {a[i]}, {b[i]}"
+
+
+# nomes whose brackets take 0, 198, 8, 42 and 2063 product terms
+MIXED_NOMES = [0.0, 0.9, 0.05, -0.6, 0.99]
+
+
+@pytest.mark.parametrize("g", [0.7, 1.3])
+@pytest.mark.parametrize("n,m", [(1, 8), (3, 4), (5, 4), (6, 2)])
+def test_stacked_hop_values_match_each_nome_alone(n, m, g):
+    basis = enumerate_lattice(n, m)
+    orders = {r: basis.hop_table(r) for r in range(1, n + 1)}
+    points = [ModelParams(n, m, g, p) for p in MIXED_NOMES]
+    values, errors = symmetric_hop_values(basis, points, orders)
+    assert errors == [None] * len(points) and values.shape[0] == len(points)
+    for row, params in zip(values, points):
+        alone, (error,) = symmetric_hop_values(basis, [params], orders)
+        assert error is None and np.array_equal(row, alone[0])
+        reference = np.concatenate([_values_of_one_nome(basis, params, hops) for hops in orders.values()])
+        assert np.array_equal(row, reference)
+
+
+@pytest.mark.parametrize("n,m", [(1, 8), (3, 4), (5, 4), (6, 2)])
+def test_stacked_hop_values_keep_each_nome_its_own_error(n, m):
+    basis = enumerate_lattice(n, m)
+    orders = dict(enumerate(basis.sector_plan[0], 1))
+    # off the regime at alpha scale 1.7 every nome fails; the message is the one each raises alone
+    points = [off_regime(n, m, 0.7, p, 1.7) for p in MIXED_NOMES]
+    errors = symmetric_hop_values(basis, points, orders)[1]
+    for params, error in zip(points, errors):
+        with pytest.raises(TruncationViolationError) as alone:
+            joint_diagonalize(params, basis)
+        assert type(error) is TruncationViolationError and str(error) == str(alone.value)
+        assert str(error) == _sign_error_of_one_nome(basis, params, orders)
+    # a nome whose hop denominators vanish, and whose amplitudes also differ in sign, fails alone with the
+    # denominator's message, among three that pass with the values they take alone
+    vanishing = ModelParams(n, m, 2.0, 0.0, alpha_override=2 * np.pi / 8)
+    assert _sign_error_of_one_nome(basis, vanishing, orders) is not None
+    points = [ModelParams(n, m, 0.7, 0.3), vanishing, ModelParams(n, m, 0.7, -0.6), ModelParams(n, m, 0.7, 0.99)]
+    values, errors = symmetric_hop_values(basis, points, orders)
+    assert errors[0] is None and errors[2] is None and errors[3] is None
+    assert str(errors[1]).startswith("hop denominator vanished at pair (")
+    with pytest.raises(TruncationViolationError, match=re.escape(str(errors[1]))):
+        build_hop_operator(1, vanishing, basis)
+    for i in (0, 2, 3):
+        assert np.array_equal(values[i], symmetric_hop_values(basis, [points[i]], orders)[0][0])

@@ -62,14 +62,18 @@ def test_trig_comparison_keeps_its_verdict_when_only_the_nome_fails(monkeypatch,
     # the error of either, and the oracle, which reads the p = 0 spectrum alone, only that of p = 0
     exact = spectral.symmetric_hop_values
 
-    def failing(basis, r, params, hops):
-        values = exact(basis, r, params, hops)
-        if params.p != failing_p:
-            return values
-        if kind is TruncationViolationError:
-            raise TruncationViolationError(f"no solve at p = {failing_p}")
-        # M_r values without the rotation symmetry fail the residual tolerance
-        return values * (1 + np.arange(len(values)) / len(values))
+    def failing(basis, points, orders):
+        # poison the row of the failing nome in the stacked hop values
+        values, errors = exact(basis, points, orders)
+        for i, params in enumerate(points):
+            if params.p != failing_p or errors[i] is not None:
+                continue
+            if kind is TruncationViolationError:
+                errors[i] = TruncationViolationError(f"no solve at p = {failing_p}")
+            else:
+                # M_r values without the rotation symmetry fail the residual tolerance
+                values[i] *= 1 + np.arange(values.shape[1]) / values.shape[1]
+        return values, errors
 
     monkeypatch.setattr(spectral, "symmetric_hop_values", failing)
     checks = {c.name: c for c in run_verification(ModelParams(2, 3, 0.7, 0.3)).checks}

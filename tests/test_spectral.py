@@ -507,15 +507,19 @@ def test_off_regime_sweep_fails_as_nome_by_nome(n, m, scale):
 
 def _poison(monkeypatch, p, kind):
     """Make the solve at nome p fail: a sign error from the amplitudes, or M_r values without the rotation symmetry."""
-    values = spectral.symmetric_hop_values
+    exact = spectral.symmetric_hop_values
 
-    def poisoned(basis, r, params, hops):
-        exact = values(basis, r, params, hops)
-        if params.p != p:
-            return exact
-        if kind is TruncationViolationError:
-            raise TruncationViolationError(f"poisoned at p = {p}")
-        return exact * (1 + np.arange(len(exact)) / len(exact))
+    def poisoned(basis, points, orders):
+        # the row of nome p in the stacked hop values
+        values, errors = exact(basis, points, orders)
+        for i, params in enumerate(points):
+            if params.p != p or errors[i] is not None:
+                continue
+            if kind is TruncationViolationError:
+                errors[i] = TruncationViolationError(f"poisoned at p = {p}")
+            else:
+                values[i] *= 1 + np.arange(values.shape[1]) / values.shape[1]
+        return values, errors
 
     monkeypatch.setattr(spectral, "symmetric_hop_values", poisoned)
 
@@ -560,3 +564,11 @@ def test_a_refused_nome_raises_when_the_sweep_reaches_it(monkeypatch):
     _refuse_matches(monkeypatch, 10**6)
     failure = _failure(sweep_spectra, params, nomes)
     assert failure[0] is ContinuationError and failure == _failure(sweep_nome_by_nome, params, nomes)
+
+
+def test_a_sweep_with_no_nome_to_solve_stacks_none():
+    # the stacked hop values and solve take an empty list of points
+    params = ModelParams(2, 2, 0.7, 0.0)
+    assert sweep_spectra(params, []) == []
+    failure = _failure(sweep_spectra, params, [1.5, 0.3])
+    assert failure == (ValueError, "|p| = 1.5 is not within the supported cap 0.99")
