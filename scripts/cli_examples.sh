@@ -16,8 +16,12 @@
 # (the self-paired middle order D_2) and with the four operators of n = 4.
 # Each must exit 0, write nothing to stderr (a numpy RuntimeWarning, say) and
 # print canonical JSON, exactly json.dumps(sort_keys=True, indent=2) of what
-# it parses to.  Then `enumerate`, `operator`, `verify` and `polys` each write
-# `--format csv` to an `--out` file: each must exit 0, write nothing to stdout
+# it parses to, with no NaN or Infinity, which strict JSON (RFC 8259) lacks.
+# `verify` at (4, 2, g = 7, p = 0.99), whose dual-orthogonality residual
+# overflows, must fail: exit 1, write nothing to stderr and print the same
+# strict canonical JSON, the overflow written null with its reason.  Then
+# `enumerate`, `operator`, `verify` and `polys` each write `--format csv` to
+# an `--out` file: each must exit 0, write nothing to stdout
 # or stderr, and leave a file that Python's csv module reads, opening with the
 # command's header and with as many fields in every row.  Last, `--help` of
 # rlatt and of each command must exit 0: argparse formats help text only when
@@ -28,7 +32,11 @@
 #   bash scripts/cli_examples.sh
 set -euo pipefail
 
-canonical='import json, sys; text = sys.stdin.read(); sys.exit(text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")'
+canonical='import json, sys
+def refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+text = sys.stdin.read()
+sys.exit(text != json.dumps(json.loads(text, parse_constant=refuse), sort_keys=True, indent=2) + "\n")'
 
 stderr_file=$(mktemp)
 stdout_file=$(mktemp)
@@ -66,6 +74,20 @@ run operator  --kind M --n 5 --m 4 --g 0.7 --p 0.5 --r 3
 run verify    --n 1 --m 8 --g 0.7 --p 0.6
 run verify    --n 3 --m 2 --g 0.7 --p -0.2
 run verify    --n 4 --m 2 --g 0.7 --p 0.2
+
+run_failing() {
+  echo "rlatt $* (fails)"
+  local status=0
+  rlatt "$@" > "$stdout_file" 2> "$stderr_file" || status=$?
+  if [[ $status -ne 1 || -s "$stderr_file" ]]; then
+    cat "$stderr_file" >&2
+    echo "rlatt $* exited $status, not 1, or wrote to stderr" >&2
+    exit 1
+  fi
+  python -c "$canonical" < "$stdout_file"
+}
+
+run_failing verify --n 4 --m 2 --g 7 --p 0.99
 
 # the header the CSV file must open with, then the command
 csv_table='import csv, sys; rows = list(csv.reader(open(sys.argv[1], newline=""))); sys.exit(not (len(rows) > 1 and rows[0] == sys.argv[2].split(",") and all(len(row) == len(rows[0]) for row in rows)))'

@@ -5,11 +5,11 @@ partitions in the n x m box: hopping amplitudes, their Pieri-normalized
 variants, the positive lattice weights defining the inner product, and the
 eigenfunction normalization constants.
 
-Each family has one evaluator, over a whole box as arrays: ``hop_amplitudes``,
+Each family has one evaluator, over a whole box as arrays: ``move_amplitudes``,
 ``box_pieri_coefficients``, ``weight_vector`` and ``norm_vector``.  Part
 differences in the box lie in 0..m, so every bracket they need is read from
 the small tables of ``ModelParams.brackets``, evaluated once per point, and
-stacked over the nomes of a pass for the hop amplitudes (``hop_brackets``).
+stacked over the nomes of a pass on the rows of ``LatticeBasis.moves``.
 ``hop_coefficient`` and ``pieri_coefficient`` evaluate one move with the
 scalar bracket; nothing in the package calls them: they are test references.
 """
@@ -24,12 +24,11 @@ import numpy as np
 
 from .elliptic import NOME_CAP, ThetaEvaluator
 from .errors import TruncationViolationError
-from .partitions import LatticeBasis, MoveArrays, pad, trim
+from .partitions import LatticeBasis, pad, trim
 
 __all__ = [
     "BoxBrackets",
     "ModelParams",
-    "hop_brackets",
     "hop_coefficient",
     "hop_amplitudes",
     "move_amplitudes",
@@ -155,38 +154,36 @@ def hop_coefficient(lam, strip, params: ModelParams) -> float:
     return 0.0 if vanished else value
 
 
-def hop_brackets(basis: LatticeBasis, points: list) -> tuple:
-    """The tables ``shifted`` and ``on_zero`` of ``ModelParams.brackets`` at each of ``points``, flattened and
-    stacked (nomes x (n+2)(m+1)), and per point the TruncationViolationError of its first hop denominator on
-    ``basis`` below DENOM_TOL, in basis and pair order, or None."""
-    shape = (len(points), (basis.n + 2) * (basis.m + 1))
+def move_amplitudes(basis: LatticeBasis, points: list, rows: np.ndarray | None = None) -> tuple:
+    """``hop_coefficient`` (points x rows) on the moves ``rows`` of ``basis.moves``, all by default, at each of
+    ``points`` in one stacked evaluation, and per point the TruncationViolationError of its first hop denominator
+    on the box below DENOM_TOL, in basis and pair order, or None.  Exactly 0.0 where a numerator bracket sits on a
+    zero, as on every move off the box.  A row is bit for bit its point alone; at a point with an error, noise."""
+    width, moves = basis.m + 1, basis.moves
+    source, strip = (moves.source, moves.strip) if rows is None else (moves.source[rows], moves.strip[rows])
+    shape = (len(points), (basis.n + 2) * width)
     shifted = np.array([params.brackets.shifted for params in points], dtype=float).reshape(shape)
     on_zero = np.array([params.brackets.on_zero for params in points], dtype=bool).reshape(shape)
     j, k, dist, diffs = basis.pairs
-    bad, errors = (np.abs(shifted) < DENOM_TOL)[:, dist * (basis.m + 1) + diffs], [None] * len(points)
+    bad, errors = (np.abs(shifted) < DENOM_TOL)[:, dist * width + diffs], [None] * len(points)
     for point in np.flatnonzero(bad.any(axis=(1, 2))):
         row, pair = np.argwhere(bad[point])[0]
         where = f"pair ({j[pair] + 1},{k[pair] + 1}) for lam={basis.order[row]}"
         errors[point] = TruncationViolationError(f"hop denominator vanished at {where}")
-    return shifted, on_zero, errors
+    # per pair column, lazily, the flat index of [lam_jk + g(k - j)] and from it that of [lam_jk + g(k - j + e_j - e_k)]
+    dens = (dist[c] * width + diffs[source, c] for c in range(len(j)))
+    index = ((den, den + width * (strip[:, a] - strip[:, b])) for den, a, b in zip(dens, j, k))
+    columns = ((shifted.take(num, 1) / shifted.take(den, 1), on_zero.take(num, 1)) for den, num in index)
+    return _pair_product(columns, (len(points), len(source))), errors
 
 
-def hop_amplitudes(basis: LatticeBasis, moves: MoveArrays, params: ModelParams) -> np.ndarray:
-    """``hop_coefficient`` at the source and strip of each of ``moves``, a move table of ``basis``, in order."""
-    _, _, (error,) = brackets = hop_brackets(basis, [params])
+def hop_amplitudes(basis: LatticeBasis, params: ModelParams) -> np.ndarray:
+    """``hop_coefficient`` on every move of ``basis.moves``, in table order: the one-point case of
+    ``move_amplitudes``, which raises the point's error."""
+    (amplitudes,), (error,) = move_amplitudes(basis, [params])
     if error is not None:
         raise error
-    return move_amplitudes(basis, brackets, moves.source, basis.numerators(moves.source, moves.strip))[0]
-
-
-def move_amplitudes(basis: LatticeBasis, brackets: tuple, source: np.ndarray, numerators: np.ndarray) -> np.ndarray:
-    """The hop amplitudes (nomes x moves) at the nomes of ``brackets`` (``hop_brackets``) of the moves from
-    ``source`` whose numerators are ``LatticeBasis.numerators``; exactly 0.0 where a numerator bracket sits on a
-    zero, as on every move off the box.  A row is bit for bit its nome alone; at a nome with an error, noise."""
-    (shifted, on_zero, _), (_, _, dist, diffs) = brackets, basis.pairs
-    den = (dist * (basis.m + 1) + diffs)[source]
-    columns = ((shifted.take(a, 1) / shifted.take(b, 1), on_zero.take(a, 1)) for a, b in zip(numerators.T, den.T))
-    return _pair_product(columns, (len(shifted), len(source)))
+    return amplitudes
 
 
 def pieri_coefficient(lam, strip, params: ModelParams) -> float:

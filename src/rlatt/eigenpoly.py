@@ -31,10 +31,8 @@ _CANCEL_TOL = 1e-10
 
 def _column_shift(basis: LatticeBasis, r: int) -> np.ndarray:
     """Basis index of nu + (1^r) for every column nu, -1 when nu_1 = m."""
-    moves = basis.move_arrays[r]
-    column = np.arange(basis.n + 1) < r
     # the column strip is dominant from every point, so it picks one move per source
-    return moves.target[np.all(moves.strip == column, axis=1)]
+    return basis.moves.target[np.all(basis.moves.strip == (np.arange(basis.n + 1) < r), axis=1)]
 
 
 def _recurrence_steps(basis: LatticeBasis):

@@ -3,10 +3,11 @@
 Partitions are plain tuples of weakly decreasing positive integers with
 trailing zeros trimmed away; the empty partition is ``()``.  The functions
 here enumerate the lattice of partitions fitting inside an ``n x m`` box,
-manipulate vertical strips, and tabulate their moves and the cyclic rotation
-of the box.  ``LatticeBasis`` holds the box as arrays, which the rest of the
-package reads, with the per-box tables of the coefficients and the joint
-solve; tuples serve as labels only.
+manipulate vertical strips, and tabulate their moves, in the one table that
+every consumer reads, and the cyclic rotation of the box.  ``LatticeBasis``
+holds the box as arrays, which the rest of the package reads, with the
+per-box tables of the coefficients and the joint solve; tuples serve as
+labels only.
 """
 
 from dataclasses import dataclass
@@ -52,17 +53,20 @@ def weight(lam) -> int:
 
 
 class MoveArrays(NamedTuple):
-    """The moves of one strip size with a dominant target, as integer arrays.
+    """The moves s -> t along e of the box with a dominant target, as integer arrays (``LatticeBasis.moves``).
 
-    Rows run over source basis points in basis order and, for each source,
-    over its strips in ``vertical_strips`` order.  ``strip`` has one 0/1 row
-    of length n+1 per move; ``target`` is the basis index of the reduced
-    target, -1 off the box.
+    Rows run by strip size 1..n+1, then over source basis points in basis
+    order and, for each source, over its strips in ``vertical_strips`` order.
+    ``strip`` has one 0/1 row of length n+1 per move; ``target`` is the basis
+    index of the reduced target, -1 off the box; ``reverse`` is the row of the
+    move t -> s along 1 - e of an on-box move of size r <= n, -1 elsewhere:
+    t + 1 - e = s + 1 - (s + e)_{n+1} is dominant and reduces to s.
     """
 
     source: np.ndarray
     strip: np.ndarray
     target: np.ndarray
+    reverse: np.ndarray
 
 
 class Rotation(NamedTuple):
@@ -76,14 +80,12 @@ class Rotation(NamedTuple):
 
 
 class HopTable(NamedTuple):
-    """The moves s -> t along e of D_r that stay on the box (``LatticeBasis.hop_table``), the ``numerators``
-    of their amplitudes (``forward``) and of those of t -> s along 1 - e (``reverse``)."""
+    """The moves s -> t along e of D_r on the box (``LatticeBasis.hop_table``) and their ``rows`` in ``moves``."""
 
     source: np.ndarray
     strip: np.ndarray
     target: np.ndarray
-    forward: np.ndarray
-    reverse: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,9 @@ class LatticeBasis:
         return len(self.order)
 
     @cached_property
-    def move_arrays(self) -> dict:
-        """The move table: ``MoveArrays`` keyed by strip size 1..n+1, built once per box."""
-        n, parts = self.n, self.parts
-        arrays = {}
+    def moves(self) -> MoveArrays:
+        """The one move table of the box (``MoveArrays``), built once per box, one strip size at a time."""
+        n, parts, blocks = self.n, self.parts, []
         for r in range(1, n + 2):
             strips = np.array(vertical_strips(r, n), dtype=np.intp)
             mu = parts[:, None, :] + strips[None, :, :]
@@ -116,8 +117,15 @@ class LatticeBasis:
             inside = reduced[:, 0] <= self.m
             target = np.full(len(source), -1, dtype=np.intp)
             target[inside] = self.indices(reduced[inside])
-            arrays[r] = MoveArrays(source, strips[which], target)
-        return arrays
+            blocks.append((source, strips[which], target))
+        source, strip, target = (np.concatenate(column) for column in zip(*blocks))
+        # a move coded by its source and its strip's binary code, its reverse by t and 2^(n+1) - 1 - code
+        full, code = 2 ** (n + 1), strip @ 2 ** np.arange(n + 1)
+        codes, back = source * full + code, (target >= 0) & (code < full - 1)
+        sorter = np.argsort(codes)
+        reverse = np.full(len(source), -1, dtype=np.intp)
+        reverse[back] = sorter[np.searchsorted(codes, target[back] * full + full - 1 - code[back], sorter=sorter)]
+        return MoveArrays(source, strip, target, reverse)
 
     @cached_property
     def rotation(self) -> Rotation:
@@ -141,13 +149,8 @@ class LatticeBasis:
         j, k = np.triu_indices(self.n + 1, 1)
         return j, k, k - j, self.parts[:, j] - self.parts[:, k]
 
-    def numerators(self, source: np.ndarray, strip: np.ndarray) -> np.ndarray:
-        """Flat indices into the (n+2) x (m+1) table [l + e g] of [lam_jk + g(k - j + e_j - e_k)] per move and pair."""
-        j, k, dist, diffs = self.pairs
-        return (dist + strip[:, j] - strip[:, k]) * (self.m + 1) + diffs[source]
-
     def hop_table(self, r: int) -> HopTable:
-        """The ``HopTable`` of D_r, r = 1..n: the moves of ``move_arrays[r]`` whose target stays on the box.
+        """The ``HopTable`` of D_r, r = 1..n: the moves of size r in ``moves`` whose target stays on the box.
 
         The size-(n+1) strip maps every point to itself with amplitude and
         Pieri coefficient exactly 1, so the identities between operators leave
@@ -156,9 +159,8 @@ class LatticeBasis:
         """
         if not 1 <= r <= self.n:
             raise ValueError(f"operator order {r} outside 1..{self.n}")
-        moves = self.move_arrays[r]
-        s, e, t = (a[moves.target >= 0] for a in moves)
-        return HopTable(s, e, t, self.numerators(s, e), self.numerators(t, 1 - e))
+        (rows,) = np.nonzero((self.moves.target >= 0) & (self.moves.strip.sum(axis=1) == r))
+        return HopTable(*(column[rows] for column in self.moves[:3]), rows)
 
     @cached_property
     def sector_plan(self) -> tuple:

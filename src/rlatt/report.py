@@ -8,6 +8,7 @@ An error is an ``RlattError`` or a numpy ``LinAlgError``; any other
 exception is a bug and propagates.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
@@ -144,15 +145,10 @@ def _worst_relative(pairs) -> float:
     return float(worst)
 
 
-def check_truncation_dichotomy(params, basis):
-    max_outside, min_inside = 0.0, np.inf
-    for r in range(1, params.n + 2):
-        moves = basis.move_arrays[r]
-        amplitudes = hop_amplitudes(basis, moves, params)
-        inside = moves.target >= 0
-        min_inside = np.min(amplitudes[inside], initial=min_inside)
-        max_outside = np.max(np.abs(amplitudes[~inside]), initial=max_outside)
-    return float(max_outside), float(min_inside)
+def check_truncation_dichotomy(basis, amplitudes):
+    """The largest |amplitude| off the box and the smallest on it, of the ``hop_amplitudes`` of ``basis.moves``."""
+    inside = basis.moves.target >= 0
+    return float(np.max(np.abs(amplitudes[~inside]), initial=0.0)), float(np.min(amplitudes[inside], initial=np.inf))
 
 
 def check_weight_recurrence(moves, weights) -> float:
@@ -189,15 +185,16 @@ def run_verification(params: ModelParams) -> VerificationReport:
             checks.append(CheckResult(name, None, tolerance, False, time.perf_counter() - start, error=str(exc)))
             return
         seconds = time.perf_counter() - start
-        if judge is None:
-            checks.append(CheckResult(name, float(residual), tolerance, bool(residual < tolerance), seconds))
-        else:
-            residual_value, passed, detail = judge(residual)
-            checks.append(CheckResult(name, residual_value, tolerance, passed, seconds, detail=detail))
+        residual, passed, detail = judge(residual) if judge else (float(residual), bool(residual < tolerance), {})
+        # JSON has no inf or NaN: non-finite values are written null; a non-finite residual fails with its value named
+        error = None if math.isfinite(residual) else f"residual is not finite: {residual}"
+        detail = {key: value if math.isfinite(value) else None for key, value in detail.items()}
+        checks.append(CheckResult(name, None if error else residual, tolerance, passed, seconds, error, detail))
 
-    # cache keeps nothing of a call that raises, so each check that needs a
-    # quantity which cannot be built records the error of building it
-    moves = cache(lambda: [paired_moves(basis, params, basis.hop_table(r)) for r in range(1, params.n + 1)])
+    # cache keeps nothing of a call that raises, so each check that needs a quantity which cannot be built
+    # records the error of building it; the operator checks read one row of amplitudes over the move table
+    amplitudes = cache(lambda: hop_amplitudes(basis, params))
+    moves = cache(lambda: [paired_moves(basis, amplitudes(), basis.hop_table(r)) for r in range(1, params.n + 1)])
     weights = cache(lambda: weight_vector(basis, params))
     norms = cache(lambda: norm_vector(basis, params))
     # the scalar Pieri coefficients of the moves on the box, read by psi-consistency and pieri
@@ -214,7 +211,7 @@ def run_verification(params: ModelParams) -> VerificationReport:
     run("adjointness", lambda: check_adjointness(moves(), weights()))
     run(
         "truncation-dichotomy",
-        lambda: check_truncation_dichotomy(params, basis),
+        lambda: check_truncation_dichotomy(basis, amplitudes()),
         judge=lambda pair: (
             pair[0],
             pair[0] < TOLERANCES["truncation-dichotomy"] and pair[1] > DICHOTOMY_FLOOR,

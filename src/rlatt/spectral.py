@@ -179,7 +179,7 @@ def _spectra(points: list, basis: LatticeBasis):
     values or its solve; every step, the hop values included, is stacked over the points."""
     n, (orders, perms, plan) = basis.n, basis.sector_plan
     offsets = np.cumsum([0] + [len(hops.source) for hops in orders])
-    values, errors = symmetric_hop_values(basis, points, dict(enumerate(orders, 1)))
+    values, errors = symmetric_hop_values(basis, points, np.concatenate([hops.rows for hops in orders]))
     # the rows of the stacks are the points whose hop values exist
     solvable = np.array([error is None for error in errors], dtype=bool)
     values, rows = values[solvable], np.cumsum(solvable) - 1

@@ -36,9 +36,7 @@ def crosscheck_hop_coefficients(params: ModelParams, basis: LatticeBasis | None 
     place = 2 ** np.arange(n1)
     partition = np.zeros((len(basis), 2**n1))
     partition[:, 0] = 1.0
-    for r in range(1, n1 + 1):
-        moves = basis.move_arrays[r]
-        partition[moves.source, moves.strip @ place] = hop_amplitudes(basis, moves, params)
+    partition[basis.moves.source, basis.moves.strip @ place] = hop_amplitudes(basis, params)
     x = basis.parts + params.g * (params.n / 2 - np.arange(n1))
     diff = x[:, :, None] - x[:, None, :]
     den = th.bracket_array(diff)

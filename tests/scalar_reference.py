@@ -19,7 +19,8 @@ the array form it is the reference for:
   permutation of the staircase at a time.
 
 ``coeffs.hop_coefficient`` and ``coeffs.pieri_coefficient``, the references
-for ``hop_amplitudes`` and ``box_pieri_coefficients``, stay in the package.
+for ``move_amplitudes`` (``hop_amplitudes`` at one point) and
+``box_pieri_coefficients``, stay in the package.
 ``memoized`` gives a parameter point whose scalar bracket remembers its
 values, for tests that run a scalar loop over a whole box, and ``off_regime``
 one whose alpha is scaled off the locked value, as ``--alpha-scale`` does.
@@ -35,7 +36,7 @@ too: ``unitarity_residual``, ``conjugate_pairing_residual`` and
 smoothness statistic of a labeled sweep.
 
 ``reduce_partition`` and ``weight_to_partition`` are the per-partition
-references for the reduction in ``LatticeBasis.move_arrays`` and the inverse
+references for the reduction in ``LatticeBasis.moves`` and the inverse
 of ``partition_to_weight``; ``positions`` maps each partition of a box to
 its basis index, the reference for ``LatticeBasis.indices``.  The tuple forms
 of what the package reads from ``LatticeBasis.parts`` live here too:

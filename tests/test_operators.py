@@ -177,17 +177,19 @@ def _amplitudes_of_one_nome(basis, params, hops):
     """D_r[s, t] and D_{n+1-r}[t, s] on the moves of ``hops`` as a one-point evaluation forms them: the pair
     factors of each move read from the point's own bracket tables, multiplied one pair column at a time."""
     table = params.brackets
-    _, _, dist, diffs = basis.pairs
+    j, k, dist, diffs = basis.pairs
     den = table.shifted[dist, diffs]
 
-    def amplitudes(source, numerators):
+    def amplitudes(source, strip):
+        # the flat index of [lam_jk + g(k - j + e_j - e_k)] in the (n+2) x (m+1) bracket table, per move and pair
+        numerators = (dist + strip[:, j] - strip[:, k]) * (basis.m + 1) + diffs[source]
         zero = table.on_zero.take(numerators)
         value = np.ones(len(source))
         for column in np.where(zero, 1.0, table.shifted.take(numerators) / den[source]).T:
             value *= column
         return np.where(zero.any(axis=1), 0.0, value)
 
-    return amplitudes(hops.source, hops.forward), amplitudes(hops.target, hops.reverse)
+    return amplitudes(hops.source, hops.strip), amplitudes(hops.target, 1 - hops.strip)
 
 
 def _values_of_one_nome(basis, params, hops):
@@ -213,11 +215,12 @@ MIXED_NOMES = [0.0, 0.9, 0.05, -0.6, 0.99]
 def test_stacked_hop_values_match_each_nome_alone(n, m, g):
     basis = enumerate_lattice(n, m)
     orders = {r: basis.hop_table(r) for r in range(1, n + 1)}
+    rows = np.concatenate([hops.rows for hops in orders.values()])
     points = [ModelParams(n, m, g, p) for p in MIXED_NOMES]
-    values, errors = symmetric_hop_values(basis, points, orders)
+    values, errors = symmetric_hop_values(basis, points, rows)
     assert errors == [None] * len(points) and values.shape[0] == len(points)
     for row, params in zip(values, points):
-        alone, (error,) = symmetric_hop_values(basis, [params], orders)
+        alone, (error,) = symmetric_hop_values(basis, [params], rows)
         assert error is None and np.array_equal(row, alone[0])
         reference = np.concatenate([_values_of_one_nome(basis, params, hops) for hops in orders.values()])
         assert np.array_equal(row, reference)
@@ -227,9 +230,10 @@ def test_stacked_hop_values_match_each_nome_alone(n, m, g):
 def test_stacked_hop_values_keep_each_nome_its_own_error(n, m):
     basis = enumerate_lattice(n, m)
     orders = dict(enumerate(basis.sector_plan[0], 1))
+    rows = np.concatenate([hops.rows for hops in orders.values()])
     # off the regime at alpha scale 1.7 every nome fails; the message is the one each raises alone
     points = [off_regime(n, m, 0.7, p, 1.7) for p in MIXED_NOMES]
-    errors = symmetric_hop_values(basis, points, orders)[1]
+    errors = symmetric_hop_values(basis, points, rows)[1]
     for params, error in zip(points, errors):
         with pytest.raises(TruncationViolationError) as alone:
             joint_diagonalize(params, basis)
@@ -240,10 +244,10 @@ def test_stacked_hop_values_keep_each_nome_its_own_error(n, m):
     vanishing = ModelParams(n, m, 2.0, 0.0, alpha_override=2 * np.pi / 8)
     assert _sign_error_of_one_nome(basis, vanishing, orders) is not None
     points = [ModelParams(n, m, 0.7, 0.3), vanishing, ModelParams(n, m, 0.7, -0.6), ModelParams(n, m, 0.7, 0.99)]
-    values, errors = symmetric_hop_values(basis, points, orders)
+    values, errors = symmetric_hop_values(basis, points, rows)
     assert errors[0] is None and errors[2] is None and errors[3] is None
     assert str(errors[1]).startswith("hop denominator vanished at pair (")
     with pytest.raises(TruncationViolationError, match=re.escape(str(errors[1]))):
         build_hop_operator(1, vanishing, basis)
     for i in (0, 2, 3):
-        assert np.array_equal(values[i], symmetric_hop_values(basis, [points[i]], orders)[0][0])
+        assert np.array_equal(values[i], symmetric_hop_values(basis, [points[i]], rows)[0][0])

@@ -144,9 +144,11 @@ def test_add_strip_reduce_closure():
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 4), (4, 2), (1, 8), (5, 5), (4, 8)])
 def test_move_table_matches_enumeration(n, m):
     basis = enumerate_lattice(n, m)
-    table = basis.move_arrays
+    table = basis.moves
     index = positions(basis)
-    assert sorted(table) == list(range(1, n + 2))
+    # the rows run by strip size 1..n+1
+    sizes = table.strip.sum(axis=1)
+    assert np.all(np.diff(sizes) >= 0) and np.unique(sizes).tolist() == list(range(1, n + 2))
     for r in range(1, n + 2):
         expected = []
         for i, lam in enumerate(basis.order):
@@ -154,18 +156,40 @@ def test_move_table_matches_enumeration(n, m):
                 mu, dominant = add_strip(lam, strip)
                 if dominant:
                     expected.append((i, strip, index.get(reduce_partition(mu, n), -1)))
-        moves = table[r]
-        found = zip(moves.source.tolist(), map(tuple, moves.strip.tolist()), moves.target.tolist())
+        (rows,) = np.nonzero(sizes == r)
+        moves = [column[rows] for column in table[:3]]
+        found = zip(moves[0].tolist(), map(tuple, moves[1].tolist()), moves[2].tolist())
         assert list(found) == expected
-        assert moves.strip.shape == (len(expected), n + 1)
+        assert moves[1].shape == (len(expected), n + 1)
         if r <= n:
             # the moves of D_r are the rows of the table that stay on the box, in table order
-            hops, inside = basis.hop_table(r), moves.target >= 0
+            hops, inside = basis.hop_table(r), moves[2] >= 0
             for view, column in zip((hops.source, hops.strip, hops.target), moves):
                 assert np.array_equal(view, column[inside])
+            assert np.array_equal(hops.rows, rows[inside])
             # no two strips from one point share a target
             assert len(set(zip(hops.source.tolist(), hops.target.tolist()))) == len(hops.source)
-    targets = np.concatenate([moves.target for moves in table.values()])
-    assert (targets < 0).any() and (targets >= 0).any()
-    assert basis.move_arrays is table
+    assert (table.target < 0).any() and (table.target >= 0).any()
+    assert basis.moves is table
+
+
+@pytest.mark.parametrize("n,m", [(1, 8), (3, 4), (5, 4), (6, 2)])
+def test_reverse_rows_are_the_moves_back(n, m):
+    # the reverse of an on-box move s -> t along e of size r <= n is the move t -> s along 1 - e, of size n+1-r
+    basis = enumerate_lattice(n, m)
+    moves = basis.moves
+    sizes = moves.strip.sum(axis=1)
+    reversible = (moves.target >= 0) & (sizes <= n)
+    rows, back = np.flatnonzero(reversible), moves.reverse[reversible]
+    assert np.all(back >= 0)
+    assert np.array_equal(moves.source[back], moves.target[rows])
+    assert np.array_equal(moves.target[back], moves.source[rows])
+    assert np.array_equal(moves.strip[back], 1 - moves.strip[rows])
+    assert np.array_equal(sizes[back], n + 1 - sizes[rows])
+    # the moves off the box and those of size n+1 have none
+    assert (~reversible).any() and np.all(moves.reverse[~reversible] == -1)
+    for r in range(1, n + 1):
+        hops = basis.hop_table(r)
+        for view, column in zip(hops[:3], moves[:3]):
+            assert np.array_equal(view, column[hops.rows])
     assert [tuple(row) for row in basis.parts.tolist()] == [lam + (0,) * (n + 1 - len(lam)) for lam in basis.order]

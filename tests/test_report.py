@@ -2,13 +2,14 @@
 
 import math
 import re
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from rlatt import report, spectral
-from rlatt.coeffs import ModelParams, box_pieri_coefficients, norm_vector, weight_vector
+from rlatt import coeffs, report, spectral
+from rlatt.coeffs import ModelParams, box_pieri_coefficients, hop_amplitudes, norm_vector, weight_vector
 from rlatt.errors import DegenerateSpectrumError, TruncationViolationError
 from rlatt.operators import build_hop_operator, paired_moves
 from rlatt.partitions import enumerate_lattice
@@ -62,9 +63,9 @@ def test_trig_comparison_keeps_its_verdict_when_only_the_nome_fails(monkeypatch,
     # the error of either, and the oracle, which reads the p = 0 spectrum alone, only that of p = 0
     exact = spectral.symmetric_hop_values
 
-    def failing(basis, points, orders):
+    def failing(basis, points, rows):
         # poison the row of the failing nome in the stacked hop values
-        values, errors = exact(basis, points, orders)
+        values, errors = exact(basis, points, rows)
         for i, params in enumerate(points):
             if params.p != failing_p or errors[i] is not None:
                 continue
@@ -113,6 +114,34 @@ def _failed_checks(params):
     return {c.name for c in run_verification(params).checks if not c.passed}
 
 
+@pytest.mark.parametrize("p", [0.4, 0.0])
+def test_a_verify_point_evaluates_its_amplitudes_at_most_three_times(monkeypatch, p):
+    # the checks share one row over the move table; the crosscheck and the stacked solve make one evaluation each
+    exact, calls, bound = coeffs.move_amplitudes, [], set()
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rlatt") and vars(module).get("move_amplitudes") is exact:
+            monkeypatch.setattr(module, "move_amplitudes", counted)
+            bound.add(name)
+    assert {"rlatt.coeffs", "rlatt.operators"} <= bound
+    assert run_verification(ModelParams(3, 3, 0.7, p)).passed
+    assert 1 <= len(calls) <= 3
+
+
+@pytest.mark.parametrize(
+    "params,name",
+    [(ModelParams(4, 2, 7.0, 0.99), "dual-orthogonality"), (off_regime(3, 3, 1.0, 0.99, 1.3), "commutators")],
+)
+def test_a_residual_that_is_not_finite_fails_with_its_value(params, name):
+    # JSON has no inf: the residual is recorded as None, with the value in the error
+    (check,) = [c for c in run_verification(params).checks if c.name == name]
+    assert (check.residual, check.passed, check.error) == (None, False, "residual is not finite: inf")
+
+
 # a NaN residual after a finite one fails its check: the builtin max would drop it
 
 
@@ -132,8 +161,8 @@ def _scale_amplitude(monkeypatch, order, side, factor):
     """Scale, on the first move s -> t of D_order, D_order[s, t] (side 0) or D_{n+1-order}[t, s] (side 1)."""
     exact, calls = report.paired_moves, []
 
-    def scaled(basis, params, hops):
-        moves = exact(basis, params, hops)
+    def scaled(basis, amplitudes, hops):
+        moves = exact(basis, amplitudes, hops)
         calls.append(hops)
         # run_verification pairs the moves of the orders 1..n in turn
         if len(calls) == order:
@@ -176,7 +205,8 @@ def test_operator_checks_match_the_dense_matrices(n, m, p):
     basis = enumerate_lattice(n, m)
     for g in (0.7, 1.3):
         params = ModelParams(n, m, g, p)
-        moves = [paired_moves(basis, params, basis.hop_table(r)) for r in range(1, n + 1)]
+        amplitudes = hop_amplitudes(basis, params)
+        moves = [paired_moves(basis, amplitudes, basis.hop_table(r)) for r in range(1, n + 1)]
         weights = weight_vector(basis, params)
         pieri = [box_pieri_coefficients(basis, r, params) for r in range(1, n + 1)]
         dense = dense_operator_checks(params, basis)
@@ -205,13 +235,17 @@ def test_nan_pieri_coefficient_fails_its_checks(monkeypatch):
 def test_nan_amplitude_off_the_box_fails_the_dichotomy(monkeypatch):
     exact = report.hop_amplitudes
 
-    def poisoned(basis, moves, params):
-        amplitudes = exact(basis, moves, params)
+    def poisoned(basis, params):
+        amplitudes, moves = exact(basis, params), basis.moves
         # NaN on the size-2 moves off the box, after the size-1 ones with finite amplitudes
-        return np.where(moves.target < 0, NAN, amplitudes) if moves.strip[0].sum() == 2 else amplitudes
+        return np.where((moves.target < 0) & (moves.strip.sum(axis=1) == 2), NAN, amplitudes)
 
     monkeypatch.setattr(report, "hop_amplitudes", poisoned)
     assert _failed_checks(ModelParams(2, 2, 0.7, 0.3)) == {"truncation-dichotomy"}
+    # the NaN is written null, with its reason
+    (check,) = [c for c in run_verification(ModelParams(2, 2, 0.7, 0.3)).checks if c.name == "truncation-dichotomy"]
+    assert check.residual is None and check.detail["max_outside"] is None
+    assert check.error == "residual is not finite: nan"
 
 
 @pytest.mark.parametrize(

@@ -117,7 +117,7 @@ def test_off_regime_solve_names_the_move_without_positive_weights():
 
 def _move_values(params, basis):
     """M_r on the moves of each order r = 1..ceil(n/2) of the box's sector plan."""
-    return [symmetric_hop_values(basis, [params], {r: hops})[0][0] for r, hops in enumerate(basis.sector_plan[0], 1)]
+    return [symmetric_hop_values(basis, [params], hops.rows)[0][0] for hops in basis.sector_plan[0]]
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.93])

@@ -509,9 +509,9 @@ def _poison(monkeypatch, p, kind):
     """Make the solve at nome p fail: a sign error from the amplitudes, or M_r values without the rotation symmetry."""
     exact = spectral.symmetric_hop_values
 
-    def poisoned(basis, points, orders):
+    def poisoned(basis, points, rows):
         # the row of nome p in the stacked hop values
-        values, errors = exact(basis, points, orders)
+        values, errors = exact(basis, points, rows)
         for i, params in enumerate(points):
             if params.p != p or errors[i] is not None:
                 continue

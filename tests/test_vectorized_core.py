@@ -30,7 +30,7 @@ from rlatt.coeffs import (
 from rlatt.elliptic import ThetaEvaluator
 from rlatt.errors import LabelingError, TruncationViolationError
 from rlatt.operators import build_hop_operator, symmetric_hop_operator
-from rlatt.partitions import add_strip, enumerate_lattice, vertical_strips
+from rlatt.partitions import MoveArrays, add_strip, enumerate_lattice, vertical_strips
 from rlatt.report import CHECK_NAMES, run_verification
 from rlatt.spectral import joint_diagonalize
 from scalar_reference import lattice_weight, memoized, norm_constant, off_regime, positions, reduce_partition
@@ -102,15 +102,14 @@ def test_pair_table_is_built_once_per_box(n, m):
 def test_hop_amplitudes_match_every_move(n, m, p):
     params = memoized(ModelParams(n, m, G, p))
     basis = enumerate_lattice(n, m)
-    for r in range(1, n + 2):
-        moves = basis.move_arrays[r]
-        amplitudes = hop_amplitudes(basis, moves, params)
-        scalar = np.array(
-            [hop_coefficient(basis.order[i], tuple(strip), params) for i, strip in zip(moves.source, moves.strip)]
-        )
-        np.testing.assert_allclose(amplitudes, scalar, rtol=1e-14, atol=0)
-        assert np.all(amplitudes[moves.target < 0] == 0.0)
-        assert np.all((amplitudes == 0.0) == (scalar == 0.0))
+    moves, amplitudes = basis.moves, hop_amplitudes(basis, params)
+    scalar = np.array(
+        [hop_coefficient(basis.order[i], tuple(strip), params) for i, strip in zip(moves.source, moves.strip)]
+    )
+    assert np.unique(moves.strip.sum(axis=1)).tolist() == list(range(1, n + 2))
+    np.testing.assert_allclose(amplitudes, scalar, rtol=1e-14, atol=0)
+    assert np.all(amplitudes[moves.target < 0] == 0.0)
+    assert np.all((amplitudes == 0.0) == (scalar == 0.0))
 
 
 def _scalar_pieri_moves(basis, r, params):
@@ -154,8 +153,9 @@ def test_move_arrays_follow_the_move_table(n, m):
     # the scalar functions to the row's target (-1 when it leaves the box)
     basis = enumerate_lattice(n, m)
     index = positions(basis)
+    sizes = basis.moves.strip.sum(axis=1)
     for r in range(1, n + 2):
-        arrays = basis.move_arrays[r]
+        arrays = MoveArrays(*(column[sizes == r] for column in basis.moves))
         assert np.all(np.diff(arrays.source) >= 0)
         assert np.all(arrays.strip.sum(axis=1) == r)
         for i, strip, target in zip(arrays.source.tolist(), map(tuple, arrays.strip.tolist()), arrays.target.tolist()):
